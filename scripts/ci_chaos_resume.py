@@ -1,31 +1,32 @@
 #!/usr/bin/env python
-"""CI kill-and-resume scenario: a fig8 sweep survives a SIGKILLed
-worker and an always-hanging cell, then gates against the baseline.
+"""CI kill-and-resume scenario: a fig8 sweep survives a crashing worker
+and an always-hanging cell, then gates against the baseline.
 
-Pass 1 (faults injected) runs the full fig8 suite with checkpointing
-enabled and two injected disasters:
+Pass 1 (faults injected) runs the full fig8 suite with two injected
+disasters:
 
-* ``gcc/advanced`` is killed (``os._exit``) mid-publish of its second
-  checkpoint, ~80% through the simulation.  The fault spec uses
-  ``after=1:times=1``, so a *cold* retry would deterministically crash
-  at its own second publish — the cell can only finish by resuming
-  from the first (surviving) checkpoint.  Its ``status: ok`` in the
-  BENCH document is therefore proof of mid-simulation resumption.
+* ``gcc/advanced`` crashes its worker (``os._exit``) at the execute
+  stage.  Fault budgets are per process and every retry runs in a fresh
+  worker, so the retry crashes too: the cell must be recorded as
+  ``failed`` with type ``BrokenProcessPool``, while its innocent
+  siblings in the same pool still finish ``ok``.
 * ``li/basic`` hangs forever at the simulate stage.  The progress-aware
   watchdog must kill it (twice, exhausting its attempts), and the two
   consecutive failures must open the family's circuit breaker, which
   the BENCH document records.
 
 Pass 2 (no faults) resumes the same sweep from the run journal: only
-the hung cell recomputes, and the completed document must gate cleanly
-against ``benchmarks/baseline.json`` — interrupted-and-resumed results
-are bit-identical to healthy ones, which is the whole point.
+the two failed cells recompute, and the completed document must gate
+cleanly against ``benchmarks/baseline.json`` — results of a sweep that
+lost workers are bit-identical to healthy ones, which is the whole
+point.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -33,7 +34,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BASELINE = ROOT / "benchmarks" / "baseline.json"
 OUTPUT = "BENCH_fig8_chaos.json"
-CKPT_DIR = ".repro-ckpt-chaos"
+CACHE_DIRS = (".repro-bench-cache-chaos", ".repro-trace-cache-chaos")
 
 CRASH_CELL = ("gcc", "advanced")
 HANG_CELL = ("li", "basic")
@@ -56,39 +57,45 @@ def bench(*args: str, faults: str | None = None) -> int:
 
 
 def main() -> None:
-    baseline = json.loads(BASELINE.read_text())
-    by_cell = {(c["workload"], c["scheme"]): c for c in baseline["cells"]}
-    crash_cycles = by_cell[CRASH_CELL]["result"]["cycles"]
-    # two checkpoints inside the run (at 40% and 80% of the baseline
-    # cycle count), robust to ±10% drift of the current code's cycles
-    interval = int(crash_cycles * 0.4)
     faults = (
-        f"ckpt_write:crash:match={'/'.join(CRASH_CELL)}@publish:after=1:times=1;"
+        f"execute:crash:match={'/'.join(CRASH_CELL)};"
         f"simulate:hang:secs=3600:match={'/'.join(HANG_CELL)}"
     )
+
+    # start cold: a result cached by an earlier run would let the crash
+    # cell skip its worker and pass 1 would prove nothing
+    for name in CACHE_DIRS:
+        shutil.rmtree(ROOT / name, ignore_errors=True)
 
     # -- pass 1: the sweep under fire ----------------------------------
     code = bench(
         "--suite", "fig8", "--jobs", "4",
         "--timeout", "60", "--retries", "1", "--breaker-threshold", "2",
-        "--checkpoint-cycles", str(interval), "--checkpoint-dir", CKPT_DIR,
         "--cache-dir", ".repro-bench-cache-chaos",
         "--trace-cache", ".repro-trace-cache-chaos",
-        "--output", OUTPUT, "--max-failures", "1",
+        "--output", OUTPUT, "--max-failures", "2",
         faults=faults,
     )
     if code != 0:
-        fail(f"chaos pass exited {code}; expected 0 (one tolerated failure)")
+        fail(f"chaos pass exited {code}; expected 0 (two tolerated failures)")
 
     doc = json.loads((ROOT / OUTPUT).read_text())
-    ok_cells = {(c["workload"], c["scheme"]) for c in doc["cells"]}
     failures = {(f["workload"], f["scheme"]): f for f in doc["failures"]}
 
-    if CRASH_CELL not in ok_cells:
-        fail(f"{CRASH_CELL} did not finish ok; a cold restart would have "
-             "crashed again, so checkpoint resumption is broken")
-    if set(failures) != {HANG_CELL}:
-        fail(f"expected exactly {HANG_CELL} to fail, got {sorted(failures)}")
+    if set(failures) != {CRASH_CELL, HANG_CELL}:
+        fail(f"expected exactly {CRASH_CELL} and {HANG_CELL} to fail, "
+             f"got {sorted(failures)}")
+    if any(c["status"] != "ok" for c in doc["cells"]):
+        fail("a surviving cell is not ok: "
+             f"{[(c['workload'], c['scheme'], c['status']) for c in doc['cells']]}")
+
+    crashed = failures[CRASH_CELL]
+    if crashed["status"] != "failed":
+        fail(f"crashed cell recorded as {crashed['status']!r}, expected failed")
+    if crashed["error"]["type"] != "BrokenProcessPool":
+        fail(f"crashed cell's error type is {crashed['error']['type']!r}, "
+             "expected BrokenProcessPool")
+
     hung = failures[HANG_CELL]
     if hung["status"] != "timeout":
         fail(f"hung cell recorded as {hung['status']!r}, expected timeout")
@@ -102,23 +109,11 @@ def main() -> None:
     if not breaker or breaker.get("state") != "open":
         fail(f"breaker for {family} not open in the BENCH document: {breaker}")
 
-    # the kill fired mid-publish: the aborted temp file is still in the
-    # checkpoint directory (os._exit skipped the cleanup), while every
-    # completed cell cleared its slot
-    orphans = list((ROOT / CKPT_DIR).rglob("*.tmp-*"))
-    if not orphans:
-        fail("no mid-publish temp orphan found; the crash fault never fired "
-             "and the resumption claim above is vacuous")
-    slots = list((ROOT / CKPT_DIR).rglob("*.rck"))
-    if slots:
-        fail(f"completed cells left checkpoint slots behind: {slots}")
-
-    print("pass 1 ok: crashed cell resumed, hung family's breaker open")
+    print("pass 1 ok: crashed cell isolated, hung family's breaker open")
 
     # -- pass 2: clean resume, gated against the committed baseline ----
     code = bench(
         "--suite", "fig8", "--jobs", "4", "--resume",
-        "--checkpoint-cycles", str(interval), "--checkpoint-dir", CKPT_DIR,
         "--cache-dir", ".repro-bench-cache-chaos",
         "--trace-cache", ".repro-trace-cache-chaos",
         "--output", OUTPUT,
@@ -130,13 +125,11 @@ def main() -> None:
     doc = json.loads((ROOT / OUTPUT).read_text())
     if doc["failures"]:
         fail(f"resume pass still has failures: {doc['failures']}")
-    journal_sources = [
-        c["source"] for c in doc["cells"]
-        if (c["workload"], c["scheme"]) != HANG_CELL
-    ]
-    if not all(source == "journal" for source in journal_sources):
-        fail("resume pass recomputed cells the journal already had: "
-             f"{sorted(set(journal_sources))}")
+    sources = {(c["workload"], c["scheme"]): c["source"] for c in doc["cells"]}
+    recomputed = {cell for cell, source in sources.items() if source != "journal"}
+    if recomputed != {CRASH_CELL, HANG_CELL}:
+        fail("resume pass should recompute exactly the two failed cells, "
+             f"recomputed {sorted(recomputed)}")
     print("pass 2 ok: resumed sweep complete and within baseline tolerance")
 
 

@@ -13,8 +13,6 @@ Usage::
     python -m repro bench --suite fig8 -j 4    # benchmark matrix -> BENCH JSON
     python -m repro perf append BENCH_fig8.json  # record run in perf history
     python -m repro perf check                 # statistical degradation gate
-    python -m repro serve --port 8173          # pipeline as a local daemon
-    python -m repro loadgen --port 8173 -n 60  # drive it -> BENCH_serve.json
     python -m repro fuzz --seeds 200           # differential partition fuzzing
     python -m repro fuzz --replay              # replay the regression corpus
 
@@ -29,8 +27,7 @@ Exit codes are documented per error class — 0 success, 1 generic
 failure, 2 usage, 3 unreadable input file, 4 the bench failure gate,
 10-25 the :mod:`repro.errors` hierarchy, including 23 for a confirmed
 performance degradation from ``perf check`` and 25 for a differential
-fuzzing violation (see ``docs/robustness.md``, which also documents how
-``repro serve`` maps the same hierarchy onto HTTP statuses).
+fuzzing violation (see ``docs/robustness.md``).
 """
 
 from __future__ import annotations
@@ -402,18 +399,6 @@ def cmd_perf(args: argparse.Namespace) -> int:
     return perf_run(args)
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve.cli import run_serve
-
-    return run_serve(args)
-
-
-def cmd_loadgen(args: argparse.Namespace) -> int:
-    from repro.serve.cli import run_loadgen
-
-    return run_loadgen(args)
-
-
 def cmd_fuzz(args: argparse.Namespace) -> int:
     from repro.gen.cli import run as fuzz_run
 
@@ -540,25 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     configure_perf_parser(p)
     p.set_defaults(fn=cmd_perf)
-
-    p = sub.add_parser(
-        "serve",
-        help="long-running HTTP daemon: compile/lint/partition/simulate/"
-        "bench-cell with admission control and graceful drain",
-    )
-    from repro.serve.cli import configure_serve_parser
-
-    configure_serve_parser(p)
-    p.set_defaults(fn=cmd_serve)
-
-    p = sub.add_parser(
-        "loadgen",
-        help="drive a repro serve daemon, emit BENCH_serve.json",
-    )
-    from repro.serve.cli import configure_loadgen_parser
-
-    configure_loadgen_parser(p)
-    p.set_defaults(fn=cmd_loadgen)
 
     p = sub.add_parser(
         "fuzz",

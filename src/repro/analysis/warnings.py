@@ -10,9 +10,9 @@ Two classes of findings, both advisory (they never fail compilation):
   incoming feasible path).
 * **Fuel-unbounded loops** — natural loops with no exit edge at all, or
   whose every exit edge is interval-proved infeasible.  Such loops can
-  only terminate by exhausting the simulator's fuel, which the
-  checkpointed runner treats as a fault; flagging them statically turns
-  a late runtime failure into an early compile-time warning.
+  only terminate by exhausting the simulator's fuel, which the bench
+  harness treats as a fault; flagging them statically turns a late
+  runtime failure into an early compile-time warning.
 """
 
 from __future__ import annotations

@@ -27,12 +27,11 @@ import functools
 import hashlib
 import json
 import os
-import threading
 from dataclasses import asdict
 from pathlib import Path
 
 from repro.faults import corrupt_point
-from repro.ioutil import atomic_write_bytes, reap_orphan_tmp_files
+from repro.ioutil import atomic_write_bytes, content_key, reap_orphan_tmp_files
 from repro.partition.cost import CostParams
 from repro.sim.config import MachineConfig, eight_way, four_way
 from repro.trace.pack import TRACE_FORMAT_VERSION
@@ -117,26 +116,20 @@ def cell_key(
         if code_version is not None
         else code_fingerprint(),
     }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return content_key(payload)
 
 
 class ResultCache:
     """Directory of content-addressed cell results with atomic writes.
 
-    Instances are thread-safe: entry files are published atomically, and
-    the hit/miss accounting is guarded by a lock so the many worker
-    threads of a ``repro serve`` daemon can share one instance (see
-    :func:`shared_result_cache`) without losing counts.  Opening a cache
-    also reaps stale ``*.tmp-*`` orphans left by writers that were
-    killed mid-publish.
+    Opening a cache reaps stale ``*.tmp-*`` orphans left by writers that
+    were killed mid-publish.
     """
 
     def __init__(self, root: str | os.PathLike) -> None:
         self.root = Path(root)
         self.hits = 0
         self.misses = 0
-        self._lock = threading.Lock()
         reap_orphan_tmp_files(self.root)
 
     @classmethod
@@ -162,19 +155,16 @@ class ResultCache:
             with open(path, encoding="utf-8") as handle:
                 entry = json.load(handle)
         except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            with self._lock:
-                self.misses += 1
+            self.misses += 1
             return None
         if (
             not isinstance(entry, dict)
             or entry.get("cache_schema") != CACHE_SCHEMA
             or entry.get("key") != key
         ):
-            with self._lock:
-                self.misses += 1
+            self.misses += 1
             return None
-        with self._lock:
-            self.hits += 1
+        self.hits += 1
         # chaos hook: REPRO_FAULTS can hand back a scrambled entry here,
         # proving readers treat cache contents as untrusted input
         return corrupt_point("cache.get", entry, label=key)
@@ -188,47 +178,11 @@ class ResultCache:
         atomic_write_bytes(self.path_for(key), data)
 
     def stats(self) -> dict:
-        with self._lock:
-            hits, misses = self.hits, self.misses
-        total = hits + misses
+        total = self.hits + self.misses
         return {
             "dir": str(self.root),
-            "hits": hits,
-            "misses": misses,
-            "hit_rate": hits / total if total else 0.0,
+            "hits": self.hits,
+            "misses": self.misses,
+            "hit_rate": self.hits / total if total else 0.0,
         }
 
-
-#: Process-wide shared instances, keyed by resolved root directory.  A
-#: long-running daemon serves every client from one warm instance, so
-#: hit-rate accounting is meaningful across requests.
-_SHARED: dict[str, ResultCache] = {}
-_SHARED_LOCK = threading.Lock()
-
-
-def _after_fork_reinit() -> None:
-    # forked pool workers must not inherit locks captured mid-acquisition
-    global _SHARED_LOCK
-    _SHARED_LOCK = threading.Lock()
-    for cache in _SHARED.values():
-        cache._lock = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_after_fork_reinit)
-
-
-def shared_result_cache(root: str | os.PathLike) -> ResultCache:
-    """The process-wide :class:`ResultCache` for ``root`` (one per dir)."""
-    key = str(Path(root).resolve())
-    with _SHARED_LOCK:
-        cache = _SHARED.get(key)
-        if cache is None:
-            cache = ResultCache(root)
-            _SHARED[key] = cache
-        return cache
-
-
-def clear_shared_result_caches() -> None:
-    """Forget the shared instances (tests)."""
-    with _SHARED_LOCK:
-        _SHARED.clear()

@@ -27,9 +27,9 @@ it.  Callers that need the old raise-on-failure behaviour use
 :meth:`CellOutcome.unwrap`.
 
 Supervision: workers emit heartbeats (:mod:`repro.bench.heartbeat`) —
-pipeline stage, instructions executed, cycles simulated, checkpoints
-published — and the per-cell ``timeout`` is a *progress-aware* watchdog
-rather than a blind wall-clock kill: a cell whose heartbeat changed
+pipeline stage, instructions executed, cycles simulated — and the
+per-cell ``timeout`` is a *progress-aware* watchdog rather than a
+blind wall-clock kill: a cell whose heartbeat changed
 gets its deadline extended (bounded by ``hard_timeout``), one whose
 heartbeat did not change is killed at the deadline.  Failed and
 timed-out outcomes carry the last heartbeat as ``progress`` so a
@@ -47,7 +47,6 @@ import os
 import random
 import shutil
 import tempfile
-import threading
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -65,21 +64,8 @@ from repro.progress import set_progress_sink
 
 #: key -> (result, fresh compute seconds); one process-wide memo in LRU
 #: order, bounded by :func:`_memo_cap` so long-lived processes using
-#: ``cached_run_benchmark`` cannot grow without limit.  Guarded by
-#: ``_MEMO_LOCK``: the ``repro serve`` daemon resolves cells from many
-#: worker threads against this one memo.
+#: ``cached_run_benchmark`` cannot grow without limit.
 _MEMO: OrderedDict[str, tuple[BenchmarkResult, float]] = OrderedDict()
-_MEMO_LOCK = threading.Lock()
-
-
-def _after_fork_reinit() -> None:
-    # pool workers fork from a possibly multi-threaded parent (the serve
-    # daemon); a memo lock captured mid-acquisition must not survive
-    global _MEMO_LOCK
-    _MEMO_LOCK = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_after_fork_reinit)
 
 #: Default memo bound; override with ``REPRO_BENCH_MEMO_CAP=<n>``.
 DEFAULT_MEMO_CAP = 512
@@ -104,26 +90,23 @@ def _memo_cap() -> int:
 
 
 def _memo_get(key: str) -> tuple[BenchmarkResult, float] | None:
-    with _MEMO_LOCK:
-        value = _MEMO.get(key)
-        if value is not None:
-            _MEMO.move_to_end(key)
-        return value
+    value = _MEMO.get(key)
+    if value is not None:
+        _MEMO.move_to_end(key)
+    return value
 
 
 def _memo_put(key: str, value: tuple[BenchmarkResult, float]) -> None:
     cap = _memo_cap()
-    with _MEMO_LOCK:
-        _MEMO[key] = value
-        _MEMO.move_to_end(key)
-        while len(_MEMO) > cap:
-            _MEMO.popitem(last=False)
+    _MEMO[key] = value
+    _MEMO.move_to_end(key)
+    while len(_MEMO) > cap:
+        _MEMO.popitem(last=False)
 
 
 def clear_memo() -> None:
     """Drop the in-process memo (tests and long-lived processes)."""
-    with _MEMO_LOCK:
-        _MEMO.clear()
+    _MEMO.clear()
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,9 +159,8 @@ class CellOutcome:
         error: Captured failure details when ``status != "ok"``.
         attempts: Number of attempts spent on the cell (1 = first try).
         progress: Last heartbeat of a failed/timed-out cell (stage,
-            instructions executed, cycles simulated, whether a resumable
-            checkpoint was published) — ``None`` for clean cells or when
-            the worker never reported.
+            instructions executed, cycles simulated) — ``None`` for
+            clean cells or when the worker never reported.
         attempt_seconds: Wall-clock seconds of every attempt spent on
             this cell, in attempt order (failed attempts included).
             ``None`` for replays.  Retried cells therefore carry
@@ -285,20 +267,6 @@ def _backoff_delay(
     return delay
 
 
-def _pause(stop: threading.Event | None, seconds: float) -> None:
-    """Sleep that a caller's ``stop`` event can cut short.
-
-    Backoff sleeps are where a Ctrl-C'd run used to linger; waiting on
-    the event instead of ``time.sleep`` makes shutdown prompt.
-    """
-    if seconds <= 0:
-        return
-    if stop is not None:
-        stop.wait(seconds)
-    else:
-        time.sleep(seconds)
-
-
 def _family(cell: Cell) -> str:
     """Circuit-breaker grouping: one breaker per (workload, scheme).
 
@@ -317,40 +285,27 @@ class CircuitBreaker:
     clock.  Once open, queued cells of the family fail fast (type
     ``CircuitOpen``, zero attempts charged); any success resets the
     family's count.  ``threshold <= 0`` disables the breaker.
-
-    Thread-safe: ``repro serve`` shares one breaker across every client
-    (pass it to :func:`run_cells` as ``breaker``), so a workload that is
-    deterministically poisoning workers fails fast for *all* clients,
-    not once per connection.
     """
 
     def __init__(self, threshold: int) -> None:
         self.threshold = threshold
         self.failures: dict[str, int] = {}
         self.skipped: dict[str, int] = {}
-        self._lock = threading.Lock()
 
     def record_failure(self, family: str) -> None:
-        if self.threshold <= 0:
-            return
-        with self._lock:
+        if self.threshold > 0:
             self.failures[family] = self.failures.get(family, 0) + 1
 
     def record_success(self, family: str) -> None:
-        with self._lock:
-            if family in self.failures:
-                self.failures[family] = 0
+        if family in self.failures:
+            self.failures[family] = 0
 
     def is_open(self, family: str) -> bool:
-        if self.threshold <= 0:
-            return False
-        with self._lock:
-            return self.failures.get(family, 0) >= self.threshold
+        return self.threshold > 0 and self.failures.get(family, 0) >= self.threshold
 
     def skip(self, family: str) -> CellError:
-        with self._lock:
-            self.skipped[family] = self.skipped.get(family, 0) + 1
-            count = self.failures.get(family, 0)
+        self.skipped[family] = self.skipped.get(family, 0) + 1
+        count = self.failures.get(family, 0)
         return CellError(
             "CircuitOpen",
             "harness",
@@ -362,17 +317,14 @@ class CircuitBreaker:
         """Per-family breaker state for the run report (tracked families
         only — a family that never failed has nothing to report)."""
         report: dict[str, dict] = {}
-        with self._lock:
-            failures = dict(self.failures)
-            skipped = dict(self.skipped)
-        for family, count in sorted(failures.items()):
-            if count == 0 and not skipped.get(family):
+        for family, count in sorted(self.failures.items()):
+            if count == 0 and not self.skipped.get(family):
                 continue
             report[family] = {
                 "state": "open" if count >= self.threshold > 0 else "closed",
                 "consecutive_failures": count,
                 "threshold": self.threshold,
-                "skipped_cells": skipped.get(family, 0),
+                "skipped_cells": self.skipped.get(family, 0),
             }
         return report
 
@@ -386,8 +338,6 @@ class RunReport:
 
     #: family -> breaker state, for families that recorded any failure.
     breakers: dict[str, dict] = field(default_factory=dict)
-    #: True when a ``stop`` event aborted the run before completion.
-    aborted: bool = False
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -413,8 +363,6 @@ def run_cells(
     retries: int = 0,
     backoff: float = 0.5,
     breaker_threshold: int = 0,
-    breaker: CircuitBreaker | None = None,
-    stop: threading.Event | None = None,
     report: RunReport | None = None,
 ) -> list[CellOutcome]:
     """Resolve every cell; returns outcomes in input order (deduplicated).
@@ -446,17 +394,8 @@ def run_cells(
         breaker_threshold: Consecutive attempt failures per
             (workload, scheme) family before its circuit breaker opens
             and remaining family cells fail fast; ``0`` disables.
-        breaker: Optional externally owned :class:`CircuitBreaker` to
-            use instead of a per-call one, so failure counts persist
-            across calls — the ``repro serve`` daemon passes one breaker
-            for every request, making breaker state a property of the
-            process, not the connection.  ``breaker_threshold`` is
-            ignored when this is given.
-        stop: Optional event; once set, no new work starts, backoff
-            sleeps return immediately and unresolved cells are recorded
-            as failed (type ``Aborted``).
         report: Optional :class:`RunReport` filled in place with breaker
-            state and abort status.
+            state.
     """
     ordered: list[tuple[Cell, str]] = []
     seen: set[str] = set()
@@ -570,34 +509,21 @@ def run_cells(
         "\n".join(key for _, key in pending).encode("utf-8")
     ).digest()
     rng = random.Random(int.from_bytes(seed_bytes[:8], "big"))
-    if breaker is None:
-        breaker = CircuitBreaker(breaker_threshold)
+    breaker = CircuitBreaker(breaker_threshold)
 
     if pending and timeout is None and (jobs <= 1 or len(pending) == 1):
         _run_serial(
-            pending, max_attempts, backoff, rng, breaker, stop,
+            pending, max_attempts, backoff, rng, breaker,
             _computed, _failed, _record_attempt,
         )
     elif pending:
         _run_pool(
             pending, jobs, timeout, hard_timeout, max_attempts, backoff,
-            rng, breaker, stop, _computed, _failed, _record_attempt,
+            rng, breaker, _computed, _failed, _record_attempt,
         )
 
-    # A stop-event abort leaves cells unresolved; record them so every
-    # input cell still maps to an outcome.
-    aborted = False
-    for cell, key in ordered:
-        if key not in outcomes:
-            aborted = True
-            _failed(
-                cell, key, STATUS_FAILED,
-                CellError("Aborted", "harness", "run stopped before this cell resolved"),
-                0,
-            )
     if report is not None:
         report.breakers = breaker.snapshot()
-        report.aborted = aborted
 
     return [outcomes[key] for _, key in ordered]
 
@@ -608,7 +534,6 @@ def _run_serial(
     backoff: float,
     rng: random.Random,
     breaker: CircuitBreaker,
-    stop: threading.Event | None,
     _computed: Callable,
     _failed: Callable,
     _record_attempt: Callable[[str, float], None],
@@ -622,8 +547,6 @@ def _run_serial(
     carry the same ``progress`` doc as pooled ones.
     """
     for cell, key in pending:
-        if stop is not None and stop.is_set():
-            return
         family = _family(cell)
         if breaker.is_open(family):
             _failed(cell, key, STATUS_FAILED, breaker.skip(family), 0)
@@ -638,9 +561,7 @@ def _run_serial(
                 _record_attempt(key, time.perf_counter() - attempt_start)
                 breaker.record_failure(family)
                 if attempt < max_attempts and not breaker.is_open(family):
-                    _pause(stop, _backoff_delay(attempt, backoff, rng))
-                    if stop is not None and stop.is_set():
-                        return
+                    time.sleep(_backoff_delay(attempt, backoff, rng))
                     continue
                 _failed(
                     cell, key, STATUS_FAILED,
@@ -690,7 +611,6 @@ def _run_pool(
     backoff: float,
     rng: random.Random,
     breaker: CircuitBreaker,
-    stop: threading.Event | None,
     _computed: Callable,
     _failed: Callable,
     _record_attempt: Callable[[str, float], None],
@@ -789,8 +709,6 @@ def _run_pool(
     clean_exit = False
     try:
         while queue or inflight:
-            if stop is not None and stop.is_set():
-                return
             # isolation mode: after repeated breakages, run one cell at a
             # time so the next crash attributes to exactly one cell
             workers = 1 if pool_breaks >= _ISOLATE_AFTER_BREAKS else workers_limit
@@ -836,7 +754,7 @@ def _run_pool(
                 if not queue:
                     break  # breaker fail-fasts emptied the queue
                 soonest = min(item[3] for item in queue)
-                _pause(stop, max(0.0, soonest - time.monotonic()) + 0.005)
+                time.sleep(max(0.0, soonest - time.monotonic()) + 0.005)
                 continue
 
             now = time.monotonic()
@@ -849,9 +767,6 @@ def _run_pool(
             wait_timeout = (
                 max(0.0, min(wakeups) - now) + 0.01 if wakeups else None
             )
-            if stop is not None:
-                # poll the stop event even while blocked on slow workers
-                wait_timeout = 0.5 if wait_timeout is None else min(wait_timeout, 0.5)
             done, _ = wait(
                 set(inflight), timeout=wait_timeout, return_when=FIRST_COMPLETED
             )
@@ -956,8 +871,7 @@ def _run_pool(
             if clean_exit:
                 pool.shutdown(wait=True, cancel_futures=True)
             else:
-                # abnormal exit (stop event, KeyboardInterrupt, internal
-                # error): waiting on possibly-hung workers would wedge
+                # abnormal exit (KeyboardInterrupt, internal error): waiting on possibly-hung workers would wedge
                 # shutdown, so terminate them
                 _kill_pool(pool)
         if not hb_root:

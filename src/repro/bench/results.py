@@ -35,8 +35,7 @@ uploads and gates on.  Layout (schema ``repro-bench/1``)::
           "error": {"type": "PartitionError", "stage": "partition",
                     "message": "..."},
           "progress": {               # optional: last worker heartbeat
-            "stage": "simulate", "cycles": 41200, "retired": 158000,
-            "checkpoint_cycle": 40000, "checkpoint": true
+            "stage": "simulate", "cycles": 41200, "retired": 158000
           }
         }, ...
       ],
@@ -56,7 +55,6 @@ valid, gateable document.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import platform
@@ -64,6 +62,7 @@ import time
 from pathlib import Path
 
 from repro.errors import ReproError
+from repro.ioutil import content_key
 from repro.experiments.runner import BenchmarkResult
 from repro.sim.stats import SimStats
 
@@ -124,8 +123,7 @@ def host_fingerprint(host: dict | None = None) -> str:
     document (older documents lack the stored ``fingerprint`` field and
     get it recomputed from the identity fields)."""
     base = {field: (host or host_info()).get(field) for field in _HOST_FIELDS}
-    payload = json.dumps(base, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return content_key(base)
 
 
 def host_info() -> dict:
@@ -172,8 +170,7 @@ def outcome_cell_doc(outcome) -> dict:
         )
         if getattr(outcome, "progress", None):
             # last heartbeat of the failed worker: how far it got
-            # (stage, instructions, cycles) and whether a resumable
-            # checkpoint was published
+            # (stage, instructions, cycles)
             doc["progress"] = dict(outcome.progress)
     return doc
 

@@ -133,21 +133,6 @@ class TracePackError(ReproError):
     stage = "trace_pack"
 
 
-class CheckpointError(ReproError):
-    """A simulation checkpoint could not be encoded, decoded or applied
-    (bad magic, checksum mismatch, unsupported format version, bindings
-    that do not match the running simulation).
-
-    The checkpoint store treats a damaged or stale checkpoint as a
-    *cold restart* — the simulation simply runs from cycle 0 — so this
-    error only escapes when callers use the codec directly or when a
-    fault is injected at the ``ckpt_write``/``ckpt_read`` sites.
-    """
-
-    exit_code = 22
-    stage = "checkpoint"
-
-
 class PerfDegradation(ReproError):
     """``repro perf check`` confirmed a statistical performance
     degradation against the per-branch history (see
@@ -160,20 +145,6 @@ class PerfDegradation(ReproError):
 
     exit_code = 23
     stage = "perf"
-
-
-class ServeError(ReproError):
-    """The ``repro serve`` daemon could not start or operate (port in
-    use, invalid service configuration, a request the HTTP layer cannot
-    honour).
-
-    Request-level pipeline failures are *not* ServeErrors — they map to
-    HTTP statuses via :func:`repro.serve.codes.http_status_for` and
-    never escape the daemon.
-    """
-
-    exit_code = 24
-    stage = "serve"
 
 
 class FuzzViolationError(ReproError):
@@ -208,7 +179,8 @@ class FaultInjected(ReproError):
 #: Documented CLI exit codes (``docs/robustness.md``).  Codes 0-2 are
 #: conventional (success / generic error / argparse usage); 3 is reserved
 #: for OS-level input failures and 4 for the ``repro bench``
-#: ``--max-failures`` gate, both assigned by the CLI itself.
+#: ``--max-failures`` gate, both assigned by the CLI itself.  22 and 24
+#: are retired (former checkpoint and daemon errors); never reuse them.
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_USAGE = 2
@@ -230,9 +202,7 @@ EXIT_CODES: dict[str, int] = {
     "WorkloadError": WorkloadError.exit_code,
     "FaultInjected": FaultInjected.exit_code,
     "TracePackError": TracePackError.exit_code,
-    "CheckpointError": CheckpointError.exit_code,
     "PerfDegradation": PerfDegradation.exit_code,
-    "ServeError": ServeError.exit_code,
     "FuzzViolationError": FuzzViolationError.exit_code,
 }
 

@@ -34,7 +34,6 @@ class FaultInjector:
         self.plan = plan
         self.rng = random.Random(plan.seed)
         self.fired: list[int] = [0] * len(plan.clauses)
-        self.visits: list[int] = [0] * len(plan.clauses)
 
     def select(
         self, site: str, label: str = "", *, corrupt: bool = False
@@ -45,9 +44,6 @@ class FaultInjector:
         RNG draw per eligible visit.  ``corrupt`` selects between data
         corruption clauses and the error/hang/crash kinds, so a clause
         never burns its budget at a point that would ignore it.
-        ``after=`` counts eligible (site/kind/match-passing) visits per
-        process and keeps the clause dormant for the first N of them,
-        without drawing from the RNG.
         """
         for index, clause in enumerate(self.plan.clauses):
             if clause.site != site or (clause.kind == "corrupt") != corrupt:
@@ -55,9 +51,6 @@ class FaultInjector:
             if clause.match is not None and clause.match not in label:
                 continue
             if clause.times is not None and self.fired[index] >= clause.times:
-                continue
-            self.visits[index] += 1
-            if self.visits[index] <= clause.after:
                 continue
             if clause.probability < 1.0 and self.rng.random() >= clause.probability:
                 continue

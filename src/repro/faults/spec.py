@@ -30,12 +30,6 @@ Per-clause parameters:
     Maximum number of firings per process (default unlimited).  A
     clause with ``times=1`` models a *transient* failure: the first
     attempt fails, a retry succeeds.
-``after=<int>``
-    Skip the first N eligible visits before the clause may fire
-    (default 0 — eligible immediately).  Composes with ``times``:
-    ``ckpt_write:crash:after=1:times=1`` lets the first checkpoint
-    publish and kills the worker on the second, which is how the chaos
-    suite models a crash *after* resumable state exists.
 ``match=<substring>``
     Only fire when the fault point's label contains the substring.
     Pipeline fault points use ``<workload>/<scheme>`` labels (so
@@ -72,14 +66,6 @@ FAULT_SITES = (
     "simulate",
     "cache.get",
     "trace_pack",
-    "ckpt_write",
-    "ckpt_read",
-    # ``repro serve`` request-lifecycle sites (labels are
-    # ``<method> <path>`` for admit/respond, the cell label for work)
-    "serve_admit",
-    "serve_work",
-    "serve_respond",
-    "serve_drain",
 )
 
 #: What a firing clause does.
@@ -94,7 +80,6 @@ class FaultClause:
     kind: str
     probability: float = 1.0
     times: int | None = None
-    after: int = 0
     match: str | None = None
     secs: float = 30.0
     error_type: str = "FaultInjected"
@@ -105,8 +90,6 @@ class FaultClause:
             parts.append(f"p={self.probability:g}")
         if self.times is not None:
             parts.append(f"times={self.times}")
-        if self.after:
-            parts.append(f"after={self.after}")
         if self.match:
             parts.append(f"match={self.match}")
         return ":".join(parts)
@@ -163,14 +146,6 @@ def _parse_clause(text: str) -> FaultClause:
             if times < 1:
                 raise ReproError(f"REPRO_FAULTS: times must be >= 1, got {times}")
             kwargs["times"] = times
-        elif key == "after":
-            try:
-                after = int(value)
-            except ValueError:
-                raise ReproError(f"REPRO_FAULTS: after must be an int, got {value!r}")
-            if after < 0:
-                raise ReproError(f"REPRO_FAULTS: after must be >= 0, got {after}")
-            kwargs["after"] = after
         elif key == "match":
             kwargs["match"] = value
         elif key == "secs":

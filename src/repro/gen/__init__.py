@@ -5,8 +5,8 @@ Two layers:
 * the **declarative generator layer** (:mod:`repro.gen.spec`,
   :mod:`repro.gen.emit`): ``gen:<generator>?axis=value&...`` spec
   strings that emit deterministic, seed-keyed MiniC programs and ride
-  the existing workload machinery — bench cells, serve endpoints, trace
-  and result cache keys — through :func:`generated_workload_spec`;
+  the existing workload machinery — bench cells, trace and result
+  cache keys — through :func:`generated_workload_spec`;
 
 * the **random-program fuzzer** (:mod:`repro.gen.build`,
   :mod:`repro.gen.fuzz`, :mod:`repro.gen.shrink`,

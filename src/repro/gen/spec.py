@@ -3,9 +3,8 @@
 A :class:`GeneratorSpec` names a registered MiniC program generator plus
 a point in its axis space.  The spec *string* form is accepted anywhere
 a workload name is today — ``repro bench``, ``repro lint workload:...``
-(via ``gen:`` directly), the serve endpoints, the trace and result cache
-keys — so an unbounded family of programs rides the existing cell
-machinery.
+(via ``gen:`` directly), the trace and result cache keys — so an
+unbounded family of programs rides the existing cell machinery.
 
 Sweepable axes (every generator consumes the subset it documents):
 

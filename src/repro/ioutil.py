@@ -1,21 +1,22 @@
-"""Shared filesystem primitives for the on-disk stores.
+"""Shared primitives for the on-disk stores.
 
 Every durable artifact this package writes — cached cell results,
-packed traces, simulation checkpoints, heartbeat files — uses the same
-publish discipline: write the full contents to a unique temporary file
-in the destination directory, fsync, then :func:`os.replace`.  The
-rename is atomic on POSIX, so a reader never observes a torn file and
-a crashed writer leaves at worst an ignored ``*.tmp-*`` orphan.
+packed traces, heartbeat files — uses the same publish discipline:
+write the full contents to a unique temporary file in the destination
+directory, fsync, then :func:`os.replace`.  The rename is atomic on
+POSIX, so a reader never observes a torn file and a crashed writer
+leaves at worst an ignored ``*.tmp-*`` orphan.  Entries are addressed
+by :func:`content_key`, one canonical-JSON hash for every store.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import tempfile
-import threading
 import time
 from pathlib import Path
-from typing import Callable
 
 #: Minimum age (seconds) before an orphaned ``*.tmp-*`` file is reaped.
 #: Young tmp files may belong to a live concurrent writer about to
@@ -23,21 +24,26 @@ from typing import Callable
 DEFAULT_TMP_MAX_AGE = 3600.0
 
 
+def content_key(payload: dict) -> str:
+    """SHA-256 hex digest of ``payload`` as canonical JSON.
+
+    Keys are sorted and separators compact, so equal payloads always
+    hash equally regardless of dict insertion order.
+    """
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 def atomic_write_bytes(
     path: str | os.PathLike,
     data: bytes,
     *,
     fsync: bool = True,
-    before_publish: Callable[[], None] | None = None,
 ) -> None:
     """Atomically publish ``data`` at ``path`` (tmp + ``os.replace``).
 
-    Creates parent directories as needed.  ``before_publish`` runs after
-    the temporary file is durably written but *before* the rename — the
-    chaos suite hooks a fault point there to model a writer killed
-    mid-publish (the reader must then see the previous contents, or
-    nothing, never a torn file).  Any failure removes the temporary
-    file and re-raises.
+    Creates parent directories as needed.  Any failure removes the
+    temporary file and re-raises.
     """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
@@ -48,8 +54,6 @@ def atomic_write_bytes(
             handle.flush()
             if fsync:
                 os.fsync(handle.fileno())
-        if before_publish is not None:
-            before_publish()
         os.replace(tmp_name, target)
     except BaseException:
         try:
@@ -62,17 +66,6 @@ def atomic_write_bytes(
 #: Roots already swept this process — stores are re-opened freely (e.g.
 #: ``TraceStore.from_env`` per load), and one sweep per process is enough.
 _REAPED_ROOTS: set[str] = set()
-_REAPED_LOCK = threading.Lock()
-
-
-def _after_fork_reinit() -> None:
-    # forked pool workers (possibly from a multi-threaded serve daemon)
-    # must not inherit a lock captured mid-acquisition
-    global _REAPED_LOCK
-    _REAPED_LOCK = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_after_fork_reinit)
 
 
 def reap_orphan_tmp_files(
@@ -87,8 +80,8 @@ def reap_orphan_tmp_files(
     :func:`atomic_write_bytes` removes its temporary file on every
     failure it can observe, but a writer killed outright (SIGKILL, power
     loss, an ``os._exit`` crash fault) leaves the orphan behind.  The
-    stores call this on open so long-lived deployments do not accumulate
-    debris.  Only files older than ``max_age`` are touched: a younger
+    stores call this on open so repeated runs do not accumulate debris.
+    Only files older than ``max_age`` are touched: a younger
     tmp file may belong to a live writer in another process whose
     ``os.replace`` has simply not happened yet.  With ``once`` (the
     default) each root is swept at most once per process, so stores that
@@ -98,10 +91,9 @@ def reap_orphan_tmp_files(
     base = Path(root)
     if once:
         marker = os.fspath(root)
-        with _REAPED_LOCK:
-            if marker in _REAPED_ROOTS:
-                return 0
-            _REAPED_ROOTS.add(marker)
+        if marker in _REAPED_ROOTS:
+            return 0
+        _REAPED_ROOTS.add(marker)
     if not base.is_dir():
         return 0
     cutoff = (time.time() if now is None else now) - max_age

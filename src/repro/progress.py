@@ -6,8 +6,8 @@ progress has its deadline extended, a stalled one is killed early.  The
 signal comes from here — pipeline code calls :func:`report_progress`
 with whatever counters it has (pipeline ``stage`` transitions, dynamic
 instructions ``executed`` by the interpreter, ``cycles``/``retired``
-from the timing simulator, checkpoint events), and whoever set a sink
-for this process decides what to do with the fields.
+from the timing simulator), and whoever set a sink for this process
+decides what to do with the fields.
 
 With no sink installed — every direct library use — reporting is a
 near-free no-op: one global read and a ``None`` check.  The bench pool

@@ -60,33 +60,6 @@ class Cache:
         tag = line >> (self._index_mask.bit_length())
         return tag in self._sets[index]
 
-    def state_dict(self) -> dict:
-        """Mutable state (tag/LRU arrays, counters) as JSON-able data.
-
-        Together with :meth:`load_state` this makes the cache
-        checkpointable: geometry lives in ``config`` and is re-derived,
-        only the replay-dependent state is captured.
-        """
-        return {
-            "sets": [list(ways) for ways in self._sets],
-            "hits": self.hits,
-            "misses": self.misses,
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Restore :meth:`state_dict` output (geometry must match)."""
-        from repro.errors import CheckpointError
-
-        sets = state.get("sets")
-        if not isinstance(sets, list) or len(sets) != len(self._sets):
-            raise CheckpointError(
-                f"cache state has {len(sets) if isinstance(sets, list) else '?'} "
-                f"sets, config expects {len(self._sets)}"
-            )
-        self._sets = [[int(tag) for tag in ways] for ways in sets]
-        self.hits = int(state["hits"])
-        self.misses = int(state["misses"])
-
     @property
     def accesses(self) -> int:
         return self.hits + self.misses

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.errors import CheckpointError, SimulationError
+from repro.errors import SimulationError
 from repro.progress import report_progress
 from repro.runtime.trace import TraceEntry
 from repro.sim.branch_pred import GSharePredictor, PerfectPredictor
@@ -122,7 +122,6 @@ class TimingSimulator:
         config: MachineConfig,
         perfect_branches: bool = False,
         record_timeline: bool = False,
-        checkpoint=None,
     ):
         self.config = config
         self.icache = Cache(config.icache)
@@ -134,20 +133,6 @@ class TimingSimulator:
             self.predictor = GSharePredictor(config.predictor)
         self.stats = SimStats()
         self.record_timeline = record_timeline
-        #: optional :class:`~repro.checkpoint.store.CheckpointSlot`;
-        #: when set, the run loop snapshots every ``slot.interval``
-        #: cycles and restores from the slot before starting
-        self.checkpoint = checkpoint
-        if checkpoint is not None and record_timeline:
-            raise CheckpointError(
-                "record_timeline cannot be combined with checkpointing: "
-                "the timeline keeps every dynamic instruction alive, "
-                "which a bounded snapshot cannot capture"
-            )
-        #: cycle the last restore resumed from (None = cold start)
-        self.resumed_from: int | None = None
-        #: cycle of the last published snapshot (None = none yet)
-        self.last_checkpoint: int | None = None
         #: per-instruction stage timestamps, populated when
         #: ``record_timeline`` is set; see :mod:`repro.sim.timeline`
         self.timeline: list[_Dyn] = []
@@ -213,49 +198,7 @@ class TimingSimulator:
         hit_cycles = config.icache.hit_cycles
         limit = max_cycles if max_cycles is not None else 200 * n + 10_000
 
-        slot = self.checkpoint
-        interval = slot.interval if slot is not None else 0
-        last_saved = 0
-        if slot is not None:
-            saved = slot.load()
-            if saved is not None:
-                try:
-                    (
-                        now, fetch_index, retired, fetch_stall_until,
-                        free_int, free_fp, blocking_branch, fetch_buffer,
-                        int_window, fp_window, rob, last_writer,
-                        inflight_stores,
-                    ) = self._restore_state(saved, packed, entries)
-                except CheckpointError:
-                    # stale or inconsistent snapshot: cold restart, and
-                    # discard whatever the partial restore touched
-                    self.icache = Cache(config.icache)
-                    self.dcache = Cache(config.dcache)
-                    if self.perfect_branches:
-                        self.predictor = PerfectPredictor(config.predictor)
-                    else:
-                        self.predictor = GSharePredictor(config.predictor)
-                    self.stats = stats = SimStats()
-                else:
-                    stats = self.stats
-                    last_saved = now
-                    self.resumed_from = now
-                    report_progress(cycles=now, retired=retired,
-                                    resumed_from_cycle=now)
-
         while retired < n:
-            # snapshot at cycle boundaries: the state below is "end of
-            # cycle `now`", so a resumed run replays from `now + 1` on
-            if interval and now > last_saved and now % interval == 0:
-                slot.save(self._snapshot_state(
-                    n, now, fetch_index, retired, fetch_stall_until,
-                    free_int, free_fp, blocking_branch, fetch_buffer,
-                    int_window, fp_window, rob, last_writer,
-                    inflight_stores,
-                ))
-                last_saved = now
-                self.last_checkpoint = now
-                report_progress(checkpoint_cycle=now)
             if now & 1023 == 0:
                 report_progress(cycles=now, retired=retired)
             now += 1
@@ -380,216 +323,8 @@ class TimingSimulator:
         stats.icache_misses = self.icache.misses
         stats.dcache_hits = self.dcache.hits
         stats.dcache_misses = self.dcache.misses
-        if slot is not None:
-            slot.clear()
         report_progress(cycles=now, retired=retired)
         return stats
-
-    # ------------------------------------------------------------------
-    def _snapshot_state(
-        self,
-        n: int,
-        now: int,
-        fetch_index: int,
-        retired: int,
-        fetch_stall_until: int,
-        free_int: int,
-        free_fp: int,
-        blocking_branch: "_Dyn | None",
-        fetch_buffer: "deque[_Dyn]",
-        int_window: "list[_Dyn]",
-        fp_window: "list[_Dyn]",
-        rob: "deque[_Dyn]",
-        last_writer: "dict[int, _Dyn]",
-        inflight_stores: "list[_Dyn]",
-    ) -> dict:
-        """The run loop's live state as a JSON-able dict (cycle boundary).
-
-        The dynamic-instruction closure is small by construction:
-
-        * every *incomplete* instruction is in the ROB (it cannot retire
-          before completing), so the ROB plus the fetch buffer covers
-          all live bookkeeping;
-        * a ``last_writer`` entry whose writer completed at or before
-          ``now`` is semantically dead — dispatch only records producers
-          that are still incomplete — so those entries are pruned here,
-          which keeps snapshots bounded by the machine's in-flight
-          capacity instead of the token-table size;
-        * producers referenced from the ROB that already retired only
-          matter for their ``complete`` timestamp, so they are captured
-          as bare records with their own producer lists pruned.
-        """
-        primary: dict[int, _Dyn] = {}
-        for dyn in rob:
-            primary[dyn.seq] = dyn
-        for dyn in fetch_buffer:
-            primary[dyn.seq] = dyn
-        if blocking_branch is not None:
-            primary[blocking_branch.seq] = blocking_branch
-        writer_items = sorted(
-            (token, dyn.seq)
-            for token, dyn in last_writer.items()
-            if dyn.complete is None or dyn.complete > now
-        )
-        for _, seq in writer_items:
-            if seq not in primary:
-                raise CheckpointError(
-                    f"live writer seq {seq} missing from ROB/fetch buffer"
-                )
-        extras: dict[int, _Dyn] = {}
-        for dyn in primary.values():
-            for producer in dyn.producers:
-                if producer.seq not in primary and producer.seq not in extras:
-                    if producer.complete is None:
-                        raise CheckpointError(
-                            f"incomplete producer seq {producer.seq} "
-                            f"missing from ROB"
-                        )
-                    extras[producer.seq] = producer
-
-        def record(dyn: _Dyn, full: bool) -> dict:
-            return {
-                "seq": dyn.seq,
-                "complete": dyn.complete,
-                "issued": dyn.issued,
-                "t": [dyn.fetched_at, dyn.dispatched_at,
-                      dyn.issued_at, dyn.retired_at],
-                "producers": [p.seq for p in dyn.producers] if full else [],
-            }
-
-        dyn_records = [record(primary[seq], True) for seq in sorted(primary)]
-        dyn_records += [record(extras[seq], False) for seq in sorted(extras)]
-        return {
-            "n": n,
-            "now": now,
-            "fetch_index": fetch_index,
-            "retired": retired,
-            "fetch_stall_until": fetch_stall_until,
-            "free_int": free_int,
-            "free_fp": free_fp,
-            "blocking_branch": (
-                None if blocking_branch is None else blocking_branch.seq
-            ),
-            "fetch_buffer": [dyn.seq for dyn in fetch_buffer],
-            "int_window": [dyn.seq for dyn in int_window],
-            "fp_window": [dyn.seq for dyn in fp_window],
-            "rob": [dyn.seq for dyn in rob],
-            "inflight_stores": [dyn.seq for dyn in inflight_stores],
-            "last_writer": [list(item) for item in writer_items],
-            "dyns": dyn_records,
-            "stats": self.stats.to_counters(),
-            "icache": self.icache.state_dict(),
-            "dcache": self.dcache.state_dict(),
-            "predictor": {
-                "class": type(self.predictor).__name__,
-                "state": self.predictor.state_dict(),
-            },
-        }
-
-    def _restore_state(
-        self,
-        state: dict,
-        packed: PackedTrace,
-        entries: "list[TraceEntry] | None",
-    ) -> tuple:
-        """Rebuild the run loop's live state from a decoded snapshot.
-
-        Raises :class:`CheckpointError` on any inconsistency; structural
-        validation happens before ``self`` is mutated, but a failure in
-        the final apply phase can leave caches partially loaded — the
-        caller resets them on the cold-restart path.
-        """
-        try:
-            n = int(state["n"])
-            now = int(state["now"])
-            fetch_index = int(state["fetch_index"])
-            retired = int(state["retired"])
-            fetch_stall_until = int(state["fetch_stall_until"])
-            free_int = int(state["free_int"])
-            free_fp = int(state["free_fp"])
-            predictor_doc = state["predictor"]
-            dyn_records = state["dyns"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"malformed checkpoint state: {exc}")
-        if n != packed.n:
-            raise CheckpointError(
-                f"checkpoint is for a {n}-instruction trace, "
-                f"this trace has {packed.n}"
-            )
-        if not (0 <= retired <= n and 0 <= fetch_index <= n and now >= 0):
-            raise CheckpointError("checkpoint cursors out of range")
-        if predictor_doc.get("class") != type(self.predictor).__name__:
-            raise CheckpointError(
-                f"checkpoint predictor {predictor_doc.get('class')!r} does "
-                f"not match {type(self.predictor).__name__}"
-            )
-
-        ids = packed.instr_ids
-        mem_col = packed.mem_addr
-        row_fp = packed.fp_side
-        row_lat = packed.row_lat
-        row_int_defs = packed.int_defs
-        row_fp_defs = packed.fp_defs
-        dyns: dict[int, _Dyn] = {}
-        try:
-            for rec in dyn_records:
-                seq = int(rec["seq"])
-                if not 0 <= seq < n or seq in dyns:
-                    raise CheckpointError(f"bad dynamic record seq {seq}")
-                sid = ids[seq]
-                dyn = _Dyn(
-                    seq,
-                    row_fp[sid] == 1,
-                    row_lat[sid],
-                    row_int_defs[sid],
-                    row_fp_defs[sid],
-                    mem_col[seq],
-                    entries[seq] if entries is not None else None,
-                )
-                complete = rec["complete"]
-                dyn.complete = None if complete is None else int(complete)
-                dyn.issued = bool(rec["issued"])
-                (dyn.fetched_at, dyn.dispatched_at,
-                 dyn.issued_at, dyn.retired_at) = (int(t) for t in rec["t"])
-                dyns[seq] = dyn
-            for rec in dyn_records:
-                dyn = dyns[int(rec["seq"])]
-                dyn.producers = [dyns[int(p)] for p in rec["producers"]]
-
-            def pick(seqs) -> list[_Dyn]:
-                return [dyns[int(seq)] for seq in seqs]
-
-            fetch_buffer = deque(pick(state["fetch_buffer"]))
-            int_window = pick(state["int_window"])
-            fp_window = pick(state["fp_window"])
-            rob = deque(pick(state["rob"]))
-            inflight_stores = pick(state["inflight_stores"])
-            raw_branch = state["blocking_branch"]
-            blocking_branch = None if raw_branch is None else dyns[int(raw_branch)]
-            last_writer = {
-                int(token): dyns[int(seq)]
-                for token, seq in state["last_writer"]
-            }
-            stats_counters = {
-                key: int(value) for key, value in state["stats"].items()
-            }
-        except CheckpointError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"inconsistent checkpoint state: {exc}")
-
-        # apply phase: structure validated, now load the stateful models
-        self.icache.load_state(state["icache"])
-        self.dcache.load_state(state["dcache"])
-        self.predictor.load_state(predictor_doc["state"])
-        restored_stats = SimStats.from_counters(stats_counters)
-        for field in self.stats.to_counters():
-            setattr(self.stats, field, getattr(restored_stats, field))
-        return (
-            now, fetch_index, retired, fetch_stall_until, free_int, free_fp,
-            blocking_branch, fetch_buffer, int_window, fp_window, rob,
-            last_writer, inflight_stores,
-        )
 
     # ------------------------------------------------------------------
     def _latency(self, dyn: _Dyn) -> int:

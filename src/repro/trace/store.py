@@ -27,16 +27,13 @@ the chaos suite proves the fallback holds.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
-import threading
 from collections import OrderedDict
 from pathlib import Path
 
 from repro.errors import TracePackError
 from repro.faults import corrupt_point, fault_point
-from repro.ioutil import atomic_write_bytes, reap_orphan_tmp_files
+from repro.ioutil import atomic_write_bytes, content_key, reap_orphan_tmp_files
 from repro.partition.cost import CostParams
 from repro.trace.pack import TRACE_FORMAT_VERSION, PackedTrace
 
@@ -90,23 +87,15 @@ def trace_key(
         if code_version is not None
         else code_fingerprint(),
     }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return content_key(payload)
 
 
 class TracePool:
-    """In-process LRU of decoded packs, keyed by :func:`trace_key`.
-
-    Thread-safe: the process-wide instance is shared by every worker
-    thread of a ``repro serve`` daemon, so the LRU bookkeeping and the
-    hit/miss counters are guarded by a lock (decoded packs themselves
-    are immutable once published).
-    """
+    """In-process LRU of decoded packs, keyed by :func:`trace_key`."""
 
     def __init__(self, cap: int | None = None) -> None:
         self._packs: OrderedDict[str, PackedTrace] = OrderedDict()
         self._cap = cap
-        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
@@ -119,46 +108,39 @@ class TracePool:
             return DEFAULT_POOL_CAP
 
     def get(self, key: str) -> PackedTrace | None:
-        with self._lock:
-            pack = self._packs.get(key)
-            if pack is None:
-                self.misses += 1
-                return None
-            self._packs.move_to_end(key)
-            self.hits += 1
-            return pack
+        pack = self._packs.get(key)
+        if pack is None:
+            self.misses += 1
+            return None
+        self._packs.move_to_end(key)
+        self.hits += 1
+        return pack
 
     def put(self, key: str, pack: PackedTrace) -> None:
         cap = self.cap()
         if cap == 0:
             return
-        with self._lock:
-            self._packs[key] = pack
-            self._packs.move_to_end(key)
-            while len(self._packs) > cap:
-                self._packs.popitem(last=False)
+        self._packs[key] = pack
+        self._packs.move_to_end(key)
+        while len(self._packs) > cap:
+            self._packs.popitem(last=False)
 
     def stats(self) -> dict:
-        with self._lock:
-            hits, misses = self.hits, self.misses
-            size = len(self._packs)
-        total = hits + misses
+        total = self.hits + self.misses
         return {
-            "size": size,
-            "hits": hits,
-            "misses": misses,
-            "hit_rate": hits / total if total else 0.0,
+            "size": len(self._packs),
+            "hits": self.hits,
+            "misses": self.misses,
+            "hit_rate": self.hits / total if total else 0.0,
         }
 
     def clear(self) -> None:
-        with self._lock:
-            self._packs.clear()
-            self.hits = 0
-            self.misses = 0
+        self._packs.clear()
+        self.hits = 0
+        self.misses = 0
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._packs)
+        return len(self._packs)
 
 
 #: The process-wide pool (one per worker process under the bench pool).
@@ -183,7 +165,6 @@ class TraceStore:
         self.root = Path(root)
         self.hits = 0
         self.misses = 0
-        self._lock = threading.Lock()
         reap_orphan_tmp_files(self.root)
 
     @classmethod
@@ -221,13 +202,11 @@ class TraceStore:
             if recorded != code_fingerprint():
                 self._miss()
                 return None
-        with self._lock:
-            self.hits += 1
+        self.hits += 1
         return pack
 
     def _miss(self) -> None:
-        with self._lock:
-            self.misses += 1
+        self.misses += 1
 
     def put(self, key: str, pack: PackedTrace) -> None:
         """Atomically publish ``pack`` under ``key`` (best effort).
@@ -245,35 +224,13 @@ class TraceStore:
             pass
 
     def stats(self) -> dict:
-        with self._lock:
-            hits, misses = self.hits, self.misses
-        total = hits + misses
+        total = self.hits + self.misses
         return {
             "dir": str(self.root),
-            "hits": hits,
-            "misses": misses,
-            "hit_rate": hits / total if total else 0.0,
+            "hits": self.hits,
+            "misses": self.misses,
+            "hit_rate": self.hits / total if total else 0.0,
         }
-
-
-#: (env value, store) — one process-wide instance per configured root,
-#: so hit/miss accounting accumulates across a long-lived process (the
-#: ``repro serve`` daemon reports it via ``/stats``) instead of being
-#: reset by every ``from_env`` construction.
-_STORE_CACHE: tuple[str, TraceStore] | None = None
-_STORE_LOCK = threading.Lock()
-
-
-def shared_trace_store() -> TraceStore | None:
-    """The process-wide store for the current env value, or ``None``."""
-    global _STORE_CACHE
-    value = os.environ.get(TRACE_CACHE_ENV, "").strip()
-    if not value or value == "0":
-        return None
-    with _STORE_LOCK:
-        if _STORE_CACHE is None or _STORE_CACHE[0] != value:
-            _STORE_CACHE = (value, TraceStore(value))
-        return _STORE_CACHE[1]
 
 
 def load_trace(key: str, label: str = "") -> PackedTrace | None:
@@ -281,7 +238,7 @@ def load_trace(key: str, label: str = "") -> PackedTrace | None:
     pack = _POOL.get(key)
     if pack is not None:
         return pack
-    store = shared_trace_store()
+    store = TraceStore.from_env()
     if store is None:
         return None
     pack = store.get(key, label)
@@ -293,24 +250,7 @@ def load_trace(key: str, label: str = "") -> PackedTrace | None:
 def store_trace(key: str, pack: PackedTrace, label: str = "") -> None:
     """Publish a freshly captured pack to the pool and (if set) the store."""
     _POOL.put(key, pack)
-    store = shared_trace_store()
+    store = TraceStore.from_env()
     if store is not None:
         store.put(key, pack)
 
-
-def _after_fork_reinit() -> None:
-    """Re-arm module locks in a forked child.
-
-    The bench pool forks workers from a process that may have many live
-    threads (the serve daemon); a lock captured mid-acquisition by the
-    fork would deadlock the child on its first trace access, so the
-    child gets fresh locks before it runs any task.
-    """
-    global _STORE_LOCK
-    _POOL._lock = threading.Lock()
-    _STORE_LOCK = threading.Lock()
-    if _STORE_CACHE is not None:
-        _STORE_CACHE[1]._lock = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_after_fork_reinit)

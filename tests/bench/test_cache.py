@@ -9,7 +9,9 @@ import pytest
 from repro.bench.cache import CACHE_SCHEMA, ResultCache, cell_key, code_fingerprint
 from repro.bench.matrix import Cell
 from repro.errors import ReproError
+from repro.ioutil import content_key
 from repro.partition.cost import CostParams
+from repro.trace.store import trace_key
 
 CELL = Cell("m88ksim", "advanced", 4, 2)
 
@@ -73,6 +75,25 @@ class TestKeys:
     def test_unknown_workload_rejected(self):
         with pytest.raises(ReproError, match="workload"):
             Cell("specint2000", "basic", 4)
+
+
+class TestGoldenKeys:
+    """Pinned digests: existing result caches and trace stores must keep
+    hitting, so the key derivation may not drift byte for byte."""
+
+    def test_cell_key_digest(self):
+        cell = Cell("compress", "advanced", 4, 150)
+        assert cell_key(cell, code_version="golden") == (
+            "21df46815c2274a203c9de789bb700f4128738cce740d9704db3dd63de8e4aad"
+        )
+
+    def test_trace_key_digest(self):
+        assert trace_key("compress", "advanced", 150, code_version="golden") == (
+            "9de8ce8b9b0004a41d3ece8a6ce45af9be9b97d533f3f9933510d16d76059540"
+        )
+
+    def test_content_key_ignores_insertion_order(self):
+        assert content_key({"a": 1, "b": [2]}) == content_key({"b": [2], "a": 1})
 
 
 ENTRY = {"cell": CELL.as_dict(), "result": {"cycles": 123}, "compute_seconds": 1.5}

@@ -1,5 +1,5 @@
 """Harness supervision: jittered backoff, circuit breakers, the
-progress-aware watchdog, stop events and failure progress reports.
+progress-aware watchdog and failure progress reports.
 
 Pool tests rely on Linux ``fork`` semantics: a ``monkeypatch`` of
 ``repro.bench.harness.compute_cell`` in the parent is inherited by the
@@ -10,7 +10,6 @@ plumbing.
 from __future__ import annotations
 
 import random
-import threading
 import time
 
 import pytest
@@ -237,51 +236,15 @@ class TestWatchdog:
             assert o.error.type == "Timeout"
             assert "2" in o.error.message
             assert o.error.stage == "simulate"  # attributed via heartbeat
-            assert o.progress == {
-                "stage": "simulate", "cycles": 42, "checkpoint": False,
-            }
+            assert o.progress == {"stage": "simulate", "cycles": 42}
         # one extension (first look sees the initial beat), then killed
         assert elapsed < 30
-
-
-class TestStopEvent:
-    def test_preset_stop_aborts_without_computing(self, monkeypatch):
-        def must_not_run(cell):
-            raise AssertionError("computed despite stop")
-
-        monkeypatch.setattr(harness, "compute_cell", must_not_run)
-        stop = threading.Event()
-        stop.set()
-        report = RunReport()
-        outcomes = run_cells(
-            [COMPRESS, M88K], stop=stop, report=report, jobs=2, timeout=5.0
-        )
-        assert report.aborted is True
-        for o in outcomes:
-            assert o.status == "failed"
-            assert o.error.type == "Aborted"
-            assert o.attempts == 0
-
-    def test_stop_cuts_backoff_sleep_short(self, monkeypatch):
-        def failing(cell):
-            raise RuntimeError("boom")
-
-        monkeypatch.setattr(harness, "compute_cell", failing)
-        stop = threading.Event()
-        timer = threading.Timer(0.3, stop.set)
-        timer.start()
-        start = time.monotonic()
-        try:
-            run_cells([COMPRESS], retries=3, backoff=20.0, stop=stop)
-        finally:
-            timer.cancel()
-        assert time.monotonic() - start < 5.0
 
 
 class TestFailureProgressInDocuments:
     def test_serial_failure_carries_progress(self, monkeypatch):
         def failing(cell):
-            report_progress(stage="simulate", cycles=900, checkpoint_cycle=800)
+            report_progress(stage="simulate", cycles=900, retired=800)
             raise RuntimeError("died mid-simulation")
 
         monkeypatch.setattr(harness, "compute_cell", failing)
@@ -289,8 +252,7 @@ class TestFailureProgressInDocuments:
         assert outcome.progress == {
             "stage": "simulate",
             "cycles": 900,
-            "checkpoint_cycle": 800,
-            "checkpoint": True,
+            "retired": 800,
         }
 
         doc = build_document(
@@ -302,7 +264,7 @@ class TestFailureProgressInDocuments:
         )
         validate_document(doc)
         [failure] = doc["failures"]
-        assert failure["progress"]["checkpoint"] is True
+        assert failure["progress"]["retired"] == 800
         assert doc["breakers"]["compress/conventional"]["state"] == "open"
 
     def test_clean_document_has_no_breakers_key(self):

@@ -10,7 +10,6 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.harness import clear_memo
-from repro.checkpoint import CKPT_CYCLES_ENV, CKPT_DIR_ENV
 from repro.experiments.runner import DEGRADE_ENV
 from repro.faults import reset_faults
 from repro.faults.inject import FAULTS_ENV
@@ -22,8 +21,6 @@ def clean_fault_state(monkeypatch):
     monkeypatch.delenv(FAULTS_ENV, raising=False)
     monkeypatch.delenv(DEGRADE_ENV, raising=False)
     monkeypatch.delenv(TRACE_CACHE_ENV, raising=False)
-    monkeypatch.delenv(CKPT_CYCLES_ENV, raising=False)
-    monkeypatch.delenv(CKPT_DIR_ENV, raising=False)
     clear_memo()
     clear_trace_pool()
     reset_faults()

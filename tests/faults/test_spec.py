@@ -59,6 +59,8 @@ class TestParseSpec:
             "seed=abc;execute:error",  # bad seed
             "execute",  # missing kind
             "teleport:error",  # unknown site
+            "serve_admit:error",  # retired site (the HTTP daemon is gone)
+            "ckpt_write:crash",  # retired site (checkpointing is gone)
             "execute:meltdown",  # unknown kind
             "execute:error:frobnicate=1",  # unknown parameter
             "execute:error:p",  # parameter without value

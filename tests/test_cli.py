@@ -115,8 +115,16 @@ class TestCli:
 
         codes = list(EXIT_CODES.values())
         assert len(set(codes)) == len(codes)
-        reserved = {0, 2, EXIT_IO, EXIT_BENCH_FAILURES}
+        # 22 and 24 are retired codes that must never be reassigned
+        reserved = {0, 2, EXIT_IO, EXIT_BENCH_FAILURES, 22, 24}
         assert reserved.isdisjoint(set(codes))
+
+    @pytest.mark.parametrize("command", ["serve", "loadgen"])
+    def test_retired_commands_are_unknown(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_stdin_input(self, monkeypatch, capsys):
         import io
