@@ -42,7 +42,6 @@ def _kernel_case():
     from repro.ir.parser import parse_program
     from repro.partition.program import partition_program
     from repro.runtime.interp import run_program
-    from repro.runtime.trace import dynamic_mix
 
     src = """
 global acc 8
@@ -94,7 +93,7 @@ exit:
         run = run_program(program, collect_trace=True)
         out[flag] = (
             run.instructions,
-            dynamic_mix(run.trace)["copies"],
+            run.packed.dynamic_mix()["copies"],
             result.copies_eliminated,
         )
     return out

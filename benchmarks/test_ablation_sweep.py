@@ -20,7 +20,7 @@ def traces():
     out = {}
     for scheme in ("conventional", "advanced"):
         program = prepare_program("m88ksim", scheme, scale=SCALE).program
-        out[scheme] = run_program(program, collect_trace=True).trace
+        out[scheme] = run_program(program, collect_trace=True).packed
     return out
 
 

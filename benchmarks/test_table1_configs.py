@@ -21,7 +21,7 @@ def test_table1_configurations(benchmark, save_table):
     assert four.int_units == 2 and eight.int_units == 4
 
     program = compile_workload("m88ksim", scale=2)
-    trace = run_program(program, collect_trace=True).trace
+    trace = run_program(program, collect_trace=True).packed
 
     def simulate():
         return simulate_trace(trace, four_way()).cycles

@@ -332,7 +332,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from repro.partition.program import partition_program
     from repro.regalloc.linear_scan import allocate_program
     from repro.runtime.interp import run_program
-    from repro.runtime.trace import dynamic_mix
     from repro.sim.config import eight_way, four_way
     from repro.sim.pipeline import simulate_trace
 
@@ -344,7 +343,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
         program = compile_source(source, optimize=not args.no_opt)
         if scheme is not None:
-            profile = _profile_for(program, args.profile)
+            profile = (
+                _profile_for(program, args.profile) if scheme == "advanced" else None
+            )
             # with --verify, partition_program also runs the linter on the
             # partitions and the rewritten IR, raising on any error.
             partition_program(
@@ -355,18 +356,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return program
 
     baseline_run = run_program(build(None), collect_trace=True, fuel=args.fuel)
-    baseline = simulate_trace(baseline_run.trace, config)
+    baseline = simulate_trace(baseline_run.packed, config)
     print(f"machine: {config.name}")
     print(
         f"conventional : {baseline.cycles:>9d} cycles, IPC {baseline.ipc:.2f}, "
         f"result {baseline_run.value}"
     )
     for scheme in ("basic", "advanced"):
-        run = run_program(build(scheme), collect_trace=True, fuel=args.fuel)
+        program = build(scheme)
+        run = run_program(program, collect_trace=True, fuel=args.fuel)
         if run.value != baseline_run.value:
             raise ReproError(f"{scheme}: result changed ({run.value})")
-        stats = simulate_trace(run.trace, config)
-        offload = dynamic_mix(run.trace)["fp_executed"] / run.instructions
+        stats = simulate_trace(run.packed, config)
+        offload = run.packed.dynamic_mix()["fp_executed"] / run.instructions
         print(
             f"{scheme:13s}: {stats.cycles:>9d} cycles, IPC {stats.ipc:.2f}, "
             f"offload {100 * offload:.1f}%, "
@@ -375,7 +377,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if args.timeline and scheme == "advanced":
             from repro.sim.timeline import render_timeline, simulate_with_timeline
 
-            _, timeline = simulate_with_timeline(run.trace, config)
+            _, timeline = simulate_with_timeline(
+                run.packed.unpack_entries(program), config
+            )
             print("\npipeline timeline (advanced, first instructions):")
             print(render_timeline(timeline, max_instructions=args.timeline))
     return 0

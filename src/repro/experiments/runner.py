@@ -2,9 +2,10 @@
 
 One benchmark run is::
 
-    MiniC source -> optimized IR -> [profile run]
+    MiniC source -> optimized IR -> [profile run, advanced scheme only]
         -> partition (basic | advanced) -> rewrite -> register allocation
-        -> traced functional run -> timing simulation (Table 1 machine)
+        -> traced functional run (packed as it runs)
+        -> timing simulation (Table 1 machine)
 
 The *conventional* configuration skips partitioning but goes through the
 identical compiler (same optimizer, same register allocator) and the
@@ -31,7 +32,7 @@ from repro.runtime.interp import run_program
 from repro.sim.config import MachineConfig, eight_way, four_way
 from repro.sim.pipeline import TimingSimulator
 from repro.sim.stats import SimStats
-from repro.trace.pack import PackedTrace, pack_entries, program_fingerprint
+from repro.trace.pack import PackedTrace, program_fingerprint
 from repro.trace.store import load_trace, store_trace, trace_key
 from repro.workloads import compile_workload
 
@@ -119,14 +120,15 @@ def prepare_program(
         cost_params: Advanced-scheme cost parameters.
         use_profile: Feed a measured basic-block profile to the advanced
             scheme (otherwise it falls back to the probabilistic
-            estimate, an ablation of §6.1).
+            estimate, an ablation of §6.1).  The basic scheme reads no
+            profile, so it never gets a profile run.
         regalloc: Run register allocation (paper order: after
             partitioning).
         degrade: Graceful degradation — when the *advanced* scheme
             raises :class:`PartitionError`, recompile and substitute the
-            basic scheme, flagging the artifacts ``degraded`` instead of
-            failing the run.  ``None`` reads the ``REPRO_DEGRADE``
-            environment opt-in.
+            basic scheme (without a profile run), flagging the artifacts
+            ``degraded`` instead of failing the run.  ``None`` reads the
+            ``REPRO_DEGRADE`` environment opt-in.
     """
     if scheme not in SCHEMES:
         raise ReproError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
@@ -142,7 +144,7 @@ def prepare_program(
     if scheme != "conventional":
         profile: ExecutionProfile | None = None
         try:
-            if use_profile:
+            if use_profile and scheme == "advanced":
                 fault_point("profile", where)
                 profile = run_program(program).profile
                 artifacts.profile = profile
@@ -162,12 +164,10 @@ def prepare_program(
             # rebuild from source before substituting the basic scheme
             program = compile_workload(name, scale)
             artifacts.program = program
-            profile = run_program(program).profile if use_profile else None
-            artifacts.profile = profile
+            artifacts.profile = None
             result = partition_program(
                 program,
                 "basic",
-                profile=profile,
                 params=cost_params,
                 balance_limit=balance_limit,
                 interprocedural=interprocedural,
@@ -222,17 +222,14 @@ def _capture_or_replay(
     if packed is not None and packed.meta.get("program_sha256") == fingerprint:
         return packed
     run = run_program(artifacts.program, collect_trace=True)
-    packed = pack_entries(
-        run.trace,
-        value=run.value,
-        meta={
-            "program_sha256": fingerprint,
-            "workload": name,
-            "scheme": scheme,
-            "scale": scale,
-            "instructions": run.instructions,
-        },
-    )
+    packed = run.packed
+    packed.meta = {
+        "program_sha256": fingerprint,
+        "workload": name,
+        "scheme": scheme,
+        "scale": scale,
+        "instructions": run.instructions,
+    }
     store_trace(key, packed, label=where)
     return packed
 

@@ -8,9 +8,11 @@ calls).  It produces:
 * a basic-block :class:`~repro.partition.cost.ExecutionProfile` (the
   input to the advanced scheme's cost model), and
 * optionally a dynamic instruction trace consumed by the timing
-  simulator — each entry carries the static instruction, its laid-out
-  PC, the memory address touched, the branch outcome, and dependence
-  tokens that uniquely name register instances across activations.
+  simulator, packed while the program runs
+  (:class:`~repro.trace.pack.PackedTrace`) — per dynamic instruction
+  the static instruction's laid-out PC, the memory address touched, the
+  branch outcome, and dependence tokens that uniquely name register
+  instances across activations.
 """
 
 from repro.runtime.state import Memory, MachineState

@@ -5,16 +5,23 @@ MIPS-like semantics: 32-bit wrapping integer arithmetic, truncating
 division, sparse byte/word memory, and the explicit-operand call model
 (``call``/``param``/``ret``).
 
-A run can simultaneously collect a basic-block execution profile (the
-cost model's input) and a dynamic trace (the timing simulator's input).
-Per-function code is precompiled into flat instruction arrays with
-resolved jump targets and global addresses, keeping the dispatch loop
-tight.
+Every run collects a basic-block execution profile (the cost model's
+input).  A run with ``collect_trace=True`` also records the dynamic
+trace (the timing simulator's input), packed as it executes: each
+dynamic instruction is a few appends to the columns of a
+:class:`~repro.trace.pack.PackedTrace`, through a
+:class:`~repro.trace.pack.TraceBuilder` that interns a static row the
+first time a code position executes and a dependence token the first
+time an activation touches a register.  Per-function code is
+precompiled into flat instruction arrays with resolved jump targets,
+global addresses, laid-out pcs and the register names each trace entry
+reads and writes, keeping the dispatch loop tight.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.errors import ExecutionError, FuelExhausted
 from repro.ir.function import Function
@@ -24,7 +31,10 @@ from repro.ir.program import Program
 from repro.partition.cost import ExecutionProfile
 from repro.progress import report_progress
 from repro.runtime.state import MachineState, s32
-from repro.runtime.trace import ProgramLayout, Subsystem, TraceEntry
+from repro.runtime.trace import ProgramLayout
+
+if TYPE_CHECKING:
+    from repro.trace.pack import PackedTrace
 
 # ---------------------------------------------------------------------------
 # opcode semantics
@@ -154,16 +164,28 @@ _BRANCH.update(
 
 
 class _Code:
-    """Flattened, target-resolved form of one function."""
+    """Flattened, target-resolved form of one function.
 
-    __slots__ = ("func", "instrs", "start_of", "block_start_label", "resolved_imm")
+    Alongside each instruction it keeps what the traced run needs: the
+    laid-out pc, the register names the trace entry reads and writes
+    (``None`` writes for ``call``/``ret``, whose written token belongs
+    to another activation and is emitted by the interpreter).
+    """
 
-    def __init__(self, func: Function, program: Program):
+    __slots__ = (
+        "func", "instrs", "start_of", "block_start_label", "resolved_imm",
+        "pcs", "read_names", "write_names",
+    )
+
+    def __init__(self, func: Function, program: Program, layout: ProgramLayout):
         self.func = func
         self.instrs: list[Instruction] = []
         self.start_of: dict[str, int] = {}
         self.block_start_label: list[str | None] = []
         self.resolved_imm: list[int | float | None] = []
+        self.pcs: list[int] = []
+        self.read_names: list[tuple[str, ...]] = []
+        self.write_names: list[tuple[str, ...] | None] = []
         for blk in func.blocks:
             self.start_of[blk.label] = len(self.instrs)
             first = True
@@ -175,16 +197,42 @@ class _Code:
                 if isinstance(imm, str):
                     imm = program.global_address(imm)
                 self.resolved_imm.append(imm)
+                self.pcs.append(layout.pc_of[(func.name, instr.uid)])
+                kind = instr.kind
+                if kind is OpKind.PARAM:
+                    self.read_names.append(("@args",))
+                else:
+                    self.read_names.append(
+                        tuple(
+                            r.name
+                            for r in instr.uses
+                            if r.name != "$zero" and r.name != "$sp"
+                        )
+                    )
+                if kind is OpKind.CALL or kind is OpKind.RET:
+                    self.write_names.append(None)
+                else:
+                    self.write_names.append(tuple(r.name for r in instr.defs))
             if first:  # empty block still needs a profile point
                 self.instrs.append(Instruction(Opcode.NOP, uid=-2))
                 self.block_start_label.append(blk.label)
                 self.resolved_imm.append(None)
+                self.pcs.append(-1)
+                self.read_names.append(())
+                self.write_names.append(())
 
 
 class _Activation:
-    """One function activation: registers plus a return point."""
+    """One function activation: registers plus a return point.
 
-    __slots__ = ("code", "regs", "args", "frame_id", "index", "call_instr", "sp_restore")
+    A traced run also gives it the static-row ids of its code (shared by
+    every activation of that code) and its register names' token ids.
+    """
+
+    __slots__ = (
+        "code", "regs", "args", "frame_id", "index", "call_instr", "sp_restore",
+        "rows", "tokens",
+    )
 
     def __init__(self, code: _Code, args: list, frame_id: int):
         self.code = code
@@ -194,6 +242,8 @@ class _Activation:
         self.index = 0
         self.call_instr: Instruction | None = None
         self.sp_restore = 0
+        self.rows: list[int] | None = None
+        self.tokens: dict[str, int] = {}
 
 
 @dataclass(eq=False, slots=True)
@@ -203,7 +253,8 @@ class RunResult:
     value: int | None
     instructions: int
     profile: ExecutionProfile
-    trace: list[TraceEntry] | None
+    #: The dynamic trace, when the run was asked to collect one.
+    packed: PackedTrace | None
     state: MachineState
 
 
@@ -219,7 +270,7 @@ class Interpreter:
     def code_of(self, name: str) -> _Code:
         code = self._code.get(name)
         if code is None:
-            code = _Code(self.program.function(name), self.program)
+            code = _Code(self.program.function(name), self.program, self.layout)
             self._code[name] = code
         return code
 
@@ -245,13 +296,33 @@ class Interpreter:
         state = MachineState(program)
         if profile is None:
             profile = ExecutionProfile()
-        trace: list[TraceEntry] | None = [] if collect_trace else None
-        layout_pc = self.layout.pc_of
+        builder = None
+        if collect_trace:
+            # the trace is packed as it is produced: static rows and
+            # tokens are interned on first sight (per code position and
+            # per activation), then every dynamic instruction is a few
+            # appends to the pack's columns
+            from repro.trace.pack import TraceBuilder
+
+            builder = TraceBuilder()
+            row_of = builder.row
+            token_of = builder.token
+            pack = builder.pack
+            ids_append = pack.instr_ids.append
+            mem_col, taken_col = pack.mem_addr, pack.taken
+            mem_append, taken_append = mem_col.append, taken_col.append
+            read_tokens, write_tokens = pack.read_tokens, pack.write_tokens
+            rtok_append, wtok_append = read_tokens.append, write_tokens.append
+            roff_append = pack.read_offsets.append
+            woff_append = pack.write_offsets.append
+            rows_of: dict[_Code, list[int]] = {}
 
         entry_name = entry or program.entry
         next_frame = 0
         act = _Activation(self.code_of(entry_name), [], next_frame)
         next_frame += 1
+        if builder is not None:
+            act.rows = rows_of[act.code] = [-1] * len(act.code.instrs)
         stack = [act]
         profile.record(entry_name, act.code.func.entry.label)
 
@@ -287,22 +358,31 @@ class Interpreter:
                 report_progress(executed=executed)
 
             regs = act.regs
-            entry_trace: TraceEntry | None = None
-            if trace is not None:
-                reads = tuple(
-                    (act.frame_id, r.name)
-                    for r in instr.uses
-                    if r.name != "$zero" and r.name != "$sp"
-                )
-                writes = tuple((act.frame_id, r.name) for r in instr.defs)
-                entry_trace = TraceEntry(
-                    instr=instr,
-                    pc=layout_pc[(code.func.name, instr.uid)],
-                    subsystem=Subsystem.FP if instr.info.fp_subsystem else Subsystem.INT,
-                    reads=reads,
-                    writes=writes,
-                )
-                trace.append(entry_trace)
+            if builder is not None:
+                rows = act.rows
+                sid = rows[index]
+                if sid < 0:
+                    sid = rows[index] = row_of(
+                        instr, code.pcs[index], bool(instr.info.fp_subsystem)
+                    )
+                ids_append(sid)
+                mem_append(-1)
+                taken_append(-1)
+                tokens = act.tokens
+                for name in code.read_names[index]:
+                    tid = tokens.get(name)
+                    if tid is None:
+                        tid = tokens[name] = token_of(act.frame_id, name)
+                    rtok_append(tid)
+                roff_append(len(read_tokens))
+                names = code.write_names[index]
+                if names is not None:  # call/ret append their own writes
+                    for name in names:
+                        tid = tokens.get(name)
+                        if tid is None:
+                            tid = tokens[name] = token_of(act.frame_id, name)
+                        wtok_append(tid)
+                    woff_append(len(write_tokens))
 
             def read(reg):
                 name = reg.name
@@ -338,8 +418,8 @@ class Interpreter:
                 else:  # LBU
                     value = memory.load_byte(addr, signed=False)
                 regs[instr.defs[0].name] = value
-                if entry_trace is not None:
-                    entry_trace.mem_addr = addr
+                if builder is not None:
+                    mem_col[-1] = addr
             elif kind is OpKind.STORE:
                 value = read(instr.uses[0])
                 addr = read(instr.uses[1]) + (code.resolved_imm[index] or 0)
@@ -347,15 +427,15 @@ class Interpreter:
                     memory.store_byte(addr, value)
                 else:
                     memory.store_word(addr, value)
-                if entry_trace is not None:
-                    entry_trace.mem_addr = addr
+                if builder is not None:
+                    mem_col[-1] = addr
             elif kind is OpKind.BRANCH:
                 uses = instr.uses
                 a = read(uses[0])
                 b = read(uses[1]) if len(uses) == 2 else 0
                 taken = _BRANCH[op](a, b)
-                if entry_trace is not None:
-                    entry_trace.taken = taken
+                if builder is not None:
+                    taken_col[-1] = 1 if taken else 0
                 if taken:
                     next_index = code.start_of[instr.target]
                     profile.record(code.func.name, instr.target)
@@ -368,8 +448,6 @@ class Interpreter:
                 continue
             elif kind is OpKind.PARAM:
                 regs[instr.defs[0].name] = act.args[instr.imm]
-                if entry_trace is not None:
-                    entry_trace.reads = ((act.frame_id, "@args"),)
             elif kind is OpKind.CALL:
                 args = [read(r) for r in instr.uses]
                 callee = self.code_of(instr.target)
@@ -380,8 +458,14 @@ class Interpreter:
                 new_act.sp_restore = state.sp
                 state.sp -= callee.func.frame_size
                 stack.append(new_act)
-                if entry_trace is not None:
-                    entry_trace.writes = ((new_act.frame_id, "@args"),)
+                if builder is not None:
+                    rows = rows_of.get(callee)
+                    if rows is None:
+                        rows = rows_of[callee] = [-1] * len(callee.instrs)
+                    new_act.rows = rows
+                    tid = new_act.tokens["@args"] = token_of(new_act.frame_id, "@args")
+                    wtok_append(tid)
+                    woff_append(len(write_tokens))
                 profile.record(instr.target, callee.func.entry.label)
                 act = new_act
                 continue
@@ -391,17 +475,21 @@ class Interpreter:
                 finished = stack.pop()
                 if not stack:
                     result_value = value
+                    if builder is not None:
+                        woff_append(len(write_tokens))
                     break
                 caller = stack[-1]
                 call_instr = finished.call_instr
                 if call_instr is not None and call_instr.defs:
-                    caller.regs[call_instr.defs[0].name] = value
-                    if entry_trace is not None:
-                        entry_trace.writes = (
-                            (caller.frame_id, call_instr.defs[0].name),
-                        )
-                elif entry_trace is not None:
-                    entry_trace.writes = ()
+                    name = call_instr.defs[0].name
+                    caller.regs[name] = value
+                    if builder is not None:
+                        tid = caller.tokens.get(name)
+                        if tid is None:
+                            tid = caller.tokens[name] = token_of(caller.frame_id, name)
+                        wtok_append(tid)
+                if builder is not None:
+                    woff_append(len(write_tokens))
                 act = caller
                 act.index += 1
                 nxt = act.index
@@ -422,7 +510,7 @@ class Interpreter:
             value=result_value,
             instructions=executed,
             profile=profile,
-            trace=trace,
+            packed=None if builder is None else builder.finish(value=result_value),
             state=state,
         )
 

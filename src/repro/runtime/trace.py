@@ -1,8 +1,13 @@
-"""Dynamic instruction traces and static program layout.
+"""Dynamic trace entries and static program layout.
 
-The timing simulator is trace-driven: the interpreter emits one
-:class:`TraceEntry` per dynamic instruction, carrying everything the
-pipeline model needs —
+The timing simulator is trace-driven.  A traced interpreter run packs
+its trace as it goes, straight into the columns of a
+:class:`~repro.trace.pack.PackedTrace`; :class:`TraceEntry` is the
+same information for *one* dynamic instruction, as an object.  Entries
+are what hand-built test traces are written in, and what
+:meth:`~repro.trace.pack.PackedTrace.unpack_entries` reconstructs for
+code that inspects a trace instruction by instruction (the pipeline
+timeline, tests).  Each carries everything the pipeline model needs —
 
 * ``pc`` — the instruction's laid-out address (I-cache, branch
   predictor indexing),
@@ -21,7 +26,6 @@ import enum
 from dataclasses import dataclass
 
 from repro.ir.instructions import Instruction
-from repro.ir.opcodes import OpKind
 from repro.ir.program import Program
 
 #: Base address of the laid-out text segment.
@@ -39,11 +43,6 @@ class Subsystem(enum.Enum):
     FP = "fp"
 
 
-def subsystem_of(instr: Instruction) -> Subsystem:
-    """Static subsystem assignment of an instruction."""
-    return Subsystem.FP if instr.info.fp_subsystem else Subsystem.INT
-
-
 @dataclass(eq=False, slots=True)
 class TraceEntry:
     """One dynamic instruction."""
@@ -55,10 +54,6 @@ class TraceEntry:
     writes: tuple[Token, ...]
     mem_addr: int | None = None
     taken: bool | None = None
-
-    @property
-    def is_branch(self) -> bool:
-        return self.taken is not None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         extra = ""
@@ -85,36 +80,3 @@ class ProgramLayout:
                 self.pc_of[(func.name, instr.uid)] = addr
                 addr += 4
         self.text_size = addr - TEXT_BASE
-
-    def pc(self, func_name: str, uid: int) -> int:
-        return self.pc_of[(func_name, uid)]
-
-
-def dynamic_mix(trace: list[TraceEntry]) -> dict[str, int]:
-    """Summary of a trace: dynamic counts by category.
-
-    ``fp_executed`` counts instructions executing in the FP/FPa
-    subsystem — the paper's "offloaded" metric numerator for integer
-    programs.
-    """
-    out = {
-        "total": len(trace),
-        "fp_executed": 0,
-        "loads": 0,
-        "stores": 0,
-        "branches": 0,
-        "copies": 0,
-    }
-    for entry in trace:
-        kind = entry.instr.kind
-        if entry.subsystem is Subsystem.FP:
-            out["fp_executed"] += 1
-        if kind is OpKind.LOAD:
-            out["loads"] += 1
-        elif kind is OpKind.STORE:
-            out["stores"] += 1
-        elif kind is OpKind.BRANCH:
-            out["branches"] += 1
-        elif kind is OpKind.COPY:
-            out["copies"] += 1
-    return out

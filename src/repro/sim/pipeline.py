@@ -29,9 +29,10 @@ Per simulated cycle, in reverse pipeline order:
 The loop consumes a :class:`~repro.trace.pack.PackedTrace` — latency
 and control classes pre-resolved per static row, dependence tokens as
 dense integers — so the per-dynamic-instruction work is array indexing
-and integer dict lookups.  A plain ``list[TraceEntry]`` is accepted too
-and packed on entry (the compatibility adapter the differential tests
-pin against).
+and integer dict lookups.  A traced interpreter run returns such a pack
+directly.  A ``list[TraceEntry]`` (hand-built test traces, or
+:meth:`~repro.trace.pack.PackedTrace.unpack_entries` output for the
+timeline) is packed on entry with :func:`~repro.trace.pack.pack_entries`.
 """
 
 from __future__ import annotations

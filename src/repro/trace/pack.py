@@ -1,10 +1,9 @@
 """Columnar trace packing: the ``repro-trace/1`` format.
 
 A dynamic trace is a long, highly redundant stream: a few hundred static
-instructions generate millions of :class:`~repro.runtime.trace.TraceEntry`
-objects whose per-entry payload is a handful of small integers.  A
-:class:`PackedTrace` stores the same information column-wise in
-:mod:`array` arrays —
+instructions generate millions of dynamic instructions whose payload is
+a handful of small integers.  A :class:`PackedTrace` stores it
+column-wise in :mod:`array` arrays —
 
 * a **static table**, one row per distinct (instruction, pc, subsystem):
   pc, opcode kind, subsystem side, and the destination counts per
@@ -18,9 +17,15 @@ objects whose per-entry payload is a handful of small integers.  A
   to its original ``(frame_id, register name)`` pair so unpacking is
   lossless.
 
-The timing simulator consumes this representation directly — integer
-token ids instead of tuple hashing, pre-resolved latency/control classes
-instead of per-entry ``OpKind`` tests (see :mod:`repro.sim.pipeline`).
+:class:`TraceBuilder` owns the interning and fills the columns.  The
+interpreter appends to it as it executes (see
+:mod:`repro.runtime.interp`), so a traced run returns a finished pack and
+no per-instruction objects are built; :func:`pack_entries` feeds it a
+list of :class:`~repro.runtime.trace.TraceEntry` objects instead (hand-
+built traces, tests), and :meth:`PackedTrace.unpack_entries` goes back.
+The timing simulator consumes the columns directly — integer token ids
+instead of tuple hashing, pre-resolved latency/control classes instead
+of per-entry ``OpKind`` tests (see :mod:`repro.sim.pipeline`).
 
 On-disk encoding (``to_bytes``/``from_bytes``)::
 
@@ -181,7 +186,12 @@ class PackedTrace:
         return self.token_frames[token_id], self.names[self.token_names[token_id]]
 
     def dynamic_mix(self) -> dict[str, int]:
-        """Identical summary to :func:`repro.runtime.trace.dynamic_mix`."""
+        """Summary of the trace: dynamic counts by category.
+
+        ``fp_executed`` counts instructions executing in the FP/FPa
+        subsystem — the paper's "offloaded" metric numerator for integer
+        programs.
+        """
         # per-row dynamic occurrence counts, then one combine per row
         occurrences = [0] * self.rows
         for sid in self.instr_ids:
@@ -404,87 +414,103 @@ class PackedTrace:
             raise TracePackError("token name index out of name-table range")
 
 
+class TraceBuilder:
+    """Appends dynamic instructions to the columns of a :class:`PackedTrace`.
+
+    Owns the interning: static rows are deduplicated on instruction
+    identity *and* (pc, FP side), so hand-built traces that reuse a pc
+    across distinct instruction objects keep distinct rows; tokens and
+    their register names get dense ids in first-seen order.
+
+    :meth:`append` adds one whole dynamic instruction.  The interpreter
+    instead writes the dynamic columns of :attr:`pack` itself, interning
+    through :meth:`row` and :meth:`token` on first sight only; both
+    routes produce byte-identical packs for the same instruction stream.
+    """
+
+    __slots__ = ("pack", "_rows", "_tokens", "_names")
+
+    def __init__(self) -> None:
+        self.pack = PackedTrace()
+        self.pack.read_offsets.append(0)
+        self.pack.write_offsets.append(0)
+        self._rows: dict[tuple[int, int, bool], int] = {}
+        self._tokens: dict[tuple[int, str], int] = {}
+        self._names: dict[str, int] = {}
+
+    def row(self, instr, pc: int, fp: bool) -> int:
+        """The static row id of ``instr`` at ``pc`` on the given side."""
+        key = (id(instr), pc, fp)
+        sid = self._rows.get(key)
+        if sid is None:
+            pack = self.pack
+            sid = len(pack.pcs)
+            self._rows[key] = sid
+            pack.pcs.append(pc)
+            pack.kinds.append(KIND_CODE[instr.kind])
+            pack.fp_side.append(1 if fp else 0)
+            fps = sum(1 for reg in instr.defs if reg.rclass.value == "fp")
+            pack.int_defs.append(len(instr.defs) - fps)
+            pack.fp_defs.append(fps)
+        return sid
+
+    def token(self, frame: int, name: str) -> int:
+        """The interned id of the dependence token ``(frame, name)``."""
+        key = (frame, name)
+        tid = self._tokens.get(key)
+        if tid is None:
+            pack = self.pack
+            tid = len(pack.token_frames)
+            self._tokens[key] = tid
+            nid = self._names.get(name)
+            if nid is None:
+                nid = len(pack.names)
+                self._names[name] = nid
+                pack.names.append(name)
+            pack.token_frames.append(frame)
+            pack.token_names.append(nid)
+        return tid
+
+    def append(self, entry: TraceEntry) -> None:
+        """Add one :class:`TraceEntry` (reads interned before writes)."""
+        pack = self.pack
+        pack.instr_ids.append(
+            self.row(entry.instr, entry.pc, entry.subsystem is Subsystem.FP)
+        )
+        pack.mem_addr.append(-1 if entry.mem_addr is None else entry.mem_addr)
+        pack.taken.append(-1 if entry.taken is None else 1 if entry.taken else 0)
+        token = self.token
+        read_tokens, write_tokens = pack.read_tokens, pack.write_tokens
+        for frame, name in entry.reads:
+            read_tokens.append(token(frame, name))
+        pack.read_offsets.append(len(read_tokens))
+        for frame, name in entry.writes:
+            write_tokens.append(token(frame, name))
+        pack.write_offsets.append(len(write_tokens))
+
+    def finish(
+        self, *, value: int | None = None, meta: dict | None = None
+    ) -> PackedTrace:
+        """The finished pack; the builder must not be appended to after."""
+        pack = self.pack
+        pack.value = value
+        if meta:
+            pack.meta = dict(meta)
+        pack._finalize()
+        return pack
+
+
 def pack_entries(
     entries: list[TraceEntry],
     *,
     value: int | None = None,
     meta: dict | None = None,
 ) -> PackedTrace:
-    """Pack a :class:`TraceEntry` stream into a :class:`PackedTrace`.
-
-    Static rows are interned on object identity *and* (pc, subsystem),
-    so hand-built traces that reuse a pc across distinct instruction
-    objects (as some pipeline tests do) keep distinct rows.
-    """
-    pack = PackedTrace()
-    if value is not None:
-        pack.value = value
-    if meta:
-        pack.meta = dict(meta)
-
-    static_ids: dict[tuple[int, int, bool], int] = {}
-    token_ids: dict[tuple[int, str], int] = {}
-    name_ids: dict[str, int] = {}
-
-    pcs, kinds = pack.pcs, pack.kinds
-    fp_side, int_defs, fp_defs = pack.fp_side, pack.int_defs, pack.fp_defs
-    instr_ids, mem_col, taken_col = pack.instr_ids, pack.mem_addr, pack.taken
-    roff, rtok = pack.read_offsets, pack.read_tokens
-    woff, wtok = pack.write_offsets, pack.write_tokens
-    token_frames, token_names = pack.token_frames, pack.token_names
-    names = pack.names
-
-    roff.append(0)
-    woff.append(0)
-
-    def intern_token(token: tuple[int, str]) -> int:
-        tid = token_ids.get(token)
-        if tid is None:
-            tid = len(token_frames)
-            token_ids[token] = tid
-            frame, name = token
-            nid = name_ids.get(name)
-            if nid is None:
-                nid = len(names)
-                name_ids[name] = nid
-                names.append(name)
-            token_frames.append(frame)
-            token_names.append(nid)
-        return tid
-
+    """Pack a :class:`TraceEntry` stream into a :class:`PackedTrace`."""
+    builder = TraceBuilder()
     for entry in entries:
-        fp = entry.subsystem is Subsystem.FP
-        skey = (id(entry.instr), entry.pc, fp)
-        sid = static_ids.get(skey)
-        if sid is None:
-            sid = len(pcs)
-            static_ids[skey] = sid
-            pcs.append(entry.pc)
-            kinds.append(KIND_CODE[entry.instr.kind])
-            fp_side.append(1 if fp else 0)
-            ints = fps = 0
-            for reg in entry.instr.defs:
-                if reg.rclass.value == "fp":
-                    fps += 1
-                else:
-                    ints += 1
-            int_defs.append(ints)
-            fp_defs.append(fps)
-        instr_ids.append(sid)
-        mem_col.append(-1 if entry.mem_addr is None else entry.mem_addr)
-        if entry.taken is None:
-            taken_col.append(-1)
-        else:
-            taken_col.append(1 if entry.taken else 0)
-        for token in entry.reads:
-            rtok.append(intern_token(token))
-        roff.append(len(rtok))
-        for token in entry.writes:
-            wtok.append(intern_token(token))
-        woff.append(len(wtok))
-
-    pack._finalize()
-    return pack
+        builder.append(entry)
+    return builder.finish(value=value, meta=meta)
 
 
 def program_fingerprint(program) -> str:

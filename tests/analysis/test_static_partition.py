@@ -63,8 +63,8 @@ class TestStaticProfilePartition:
     def test_legal_retirement_on_both_machines(self, config):
         program, _ = _static_partitioned("compress")
         run = run_program(program, collect_trace=True)
-        stats = simulate_trace(run.trace, config())
-        assert stats.retired == len(run.trace)
+        stats = simulate_trace(run.packed, config())
+        assert stats.retired == run.packed.n
         assert stats.cycles > 0
 
     @pytest.mark.parametrize("name", ["li", "perl"])

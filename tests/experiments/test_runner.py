@@ -51,6 +51,51 @@ class TestPrepare:
         )
 
 
+class TestProfileRuns:
+    """Only the advanced scheme reads a profile, so only it is profiled."""
+
+    @pytest.mark.parametrize(
+        ("scheme", "profile_runs"),
+        [("conventional", 0), ("basic", 0), ("advanced", 1)],
+    )
+    def test_untraced_runs_per_scheme(self, monkeypatch, scheme, profile_runs):
+        from repro.experiments import runner
+
+        untraced = 0
+        real_run_program = runner.run_program
+
+        def counting_run_program(*args, **kwargs):
+            nonlocal untraced
+            if not kwargs.get("collect_trace"):
+                untraced += 1
+            return real_run_program(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "run_program", counting_run_program)
+        artifacts = prepare_program("compress", scheme, scale=SCALE["compress"])
+        assert untraced == profile_runs
+        assert (artifacts.profile is not None) == (profile_runs == 1)
+
+    def test_basic_lints_clean_without_profile(self, monkeypatch):
+        """Under ``REPRO_LINT`` the partitioner lints its basic partitions
+        with ``profile=None`` and raises on any error diagnostic."""
+        import repro.lint
+
+        linted = []
+        real_lint = repro.lint.lint_program
+
+        def recording_lint(program, **kwargs):
+            result = real_lint(program, **kwargs)
+            linted.append((kwargs.get("profile"), result.ok))
+            return result
+
+        monkeypatch.setattr(repro.lint, "lint_program", recording_lint)
+        monkeypatch.setenv("REPRO_LINT", "1")
+        artifacts = prepare_program("compress", "basic", scale=SCALE["compress"])
+        assert artifacts.profile is None
+        assert len(linted) == 2  # pre-rewrite partition rules + post-rewrite
+        assert linted == [(None, True), (None, True)]
+
+
 class TestRunBenchmark:
     def test_result_fields(self):
         result = run_benchmark("m88ksim", "advanced", width=4, scale=SCALE["m88ksim"])

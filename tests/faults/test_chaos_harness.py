@@ -164,6 +164,36 @@ class TestGracefulDegradation:
         assert degraded.cycles == basic.cycles
         assert degraded.checksum == basic.checksum
 
+    def test_fallback_makes_no_profile_run(self, monkeypatch):
+        """The substituted basic scheme reads no profile, so after the
+        failed advanced attempt only a recompile happens, no profile run."""
+        from repro.experiments import runner
+
+        events = []
+        real_compile, real_run = runner.compile_workload, runner.run_program
+
+        def compiling(*args, **kwargs):
+            events.append("compile")
+            return real_compile(*args, **kwargs)
+
+        def running(*args, **kwargs):
+            events.append("traced" if kwargs.get("collect_trace") else "profile")
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "compile_workload", compiling)
+        monkeypatch.setattr(runner, "run_program", running)
+        monkeypatch.setenv(
+            FAULTS_ENV, "partition:error:type=PartitionError:match=compress/advanced"
+        )
+        reset_faults()
+        artifacts = runner.prepare_program(
+            "compress", "advanced", scale=SMALL["compress"], degrade=True
+        )
+        assert artifacts.degraded is True
+        assert artifacts.profile is None
+        # the advanced attempt profiles, fails, then the fallback recompiles
+        assert events == ["compile", "profile", "compile"]
+
     def test_without_opt_in_partition_failure_propagates(self, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV, "partition:error:type=PartitionError")
         with pytest.raises(PartitionError):

@@ -42,7 +42,7 @@ class TestFuelExhausted:
 class TestSimulationCycleLimit:
     def test_cycle_limit_trips(self):
         program = compile_workload("compress", SMALL["compress"])
-        trace = run_program(program, collect_trace=True).trace
+        trace = run_program(program, collect_trace=True).packed
         simulator = TimingSimulator(four_way())
         with pytest.raises(SimulationError):
             simulator.run(trace, max_cycles=1)

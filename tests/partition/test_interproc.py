@@ -8,7 +8,6 @@ from repro.ir.printer import print_program
 from repro.ir.verify import verify_program
 from repro.partition import partition_program
 from repro.runtime.interp import run_program
-from repro.runtime.trace import dynamic_mix
 
 # caller computes the argument in FPa; callee consumes it only in FPa
 GOOD_CASE = """
@@ -73,8 +72,8 @@ class TestGoodCase:
     def test_copies_eliminated_dynamically(self):
         _, _, base_run = _run_with(GOOD_CASE, False)
         _, result, ext_run = _run_with(GOOD_CASE, True)
-        base_copies = dynamic_mix(base_run.trace)["copies"]
-        ext_copies = dynamic_mix(ext_run.trace)["copies"]
+        base_copies = base_run.packed.dynamic_mix()["copies"]
+        ext_copies = ext_run.packed.dynamic_mix()["copies"]
         assert result.copies_eliminated == 2  # one per side of the call
         assert ext_copies < base_copies
         assert ext_run.instructions < base_run.instructions

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ExecutionError, FuelExhausted
 from repro.ir.parser import parse_program
 from repro.runtime.interp import run_program
-from repro.runtime.trace import Subsystem, dynamic_mix
+from repro.runtime.trace import Subsystem
 
 
 def _run_body(body, globals_text="", **kwargs):
@@ -200,16 +200,19 @@ class TestProfileAndTrace:
 
     def test_trace_length_matches_dynamic_count(self, vector_sum_program):
         result = run_program(vector_sum_program, collect_trace=True)
-        assert len(result.trace) == result.instructions
+        trace = result.packed.unpack_entries(vector_sum_program)
+        assert len(trace) == result.instructions
 
     def test_trace_has_memory_addresses(self, vector_sum_program):
         result = run_program(vector_sum_program, collect_trace=True)
-        loads = [t for t in result.trace if t.instr.op.value == "lw"]
+        trace = result.packed.unpack_entries(vector_sum_program)
+        loads = [t for t in trace if t.instr.op.value == "lw"]
         assert loads and all(t.mem_addr is not None for t in loads)
 
     def test_trace_branch_outcomes(self, vector_sum_program):
         result = run_program(vector_sum_program, collect_trace=True)
-        branches = [t for t in result.trace if t.instr.op.value == "bne"]
+        trace = result.packed.unpack_entries(vector_sum_program)
+        branches = [t for t in trace if t.instr.op.value == "bne"]
         assert len(branches) == 16
         assert sum(t.taken for t in branches) == 15  # falls out once
 
@@ -232,7 +235,8 @@ entry:
 """
         )
         result = run_program(program, collect_trace=True)
-        param_entries = [t for t in result.trace if t.instr.op.value == "param"]
+        trace = result.packed.unpack_entries(program)
+        param_entries = [t for t in trace if t.instr.op.value == "param"]
         frames = {t.writes[0][0] for t in param_entries}
         assert len(frames) == 2  # two activations, two distinct frames
 
@@ -252,7 +256,8 @@ entry:
 """
         )
         result = run_program(program, collect_trace=True)
-        by_op = {t.instr.op.value: t for t in result.trace}
+        trace = result.packed.unpack_entries(program)
+        by_op = {t.instr.op.value: t for t in trace}
         assert by_op["li"].subsystem is Subsystem.INT
         assert by_op["li.a"].subsystem is Subsystem.FP
         # memory ops stay in INT even with FP data registers
@@ -261,7 +266,7 @@ entry:
 
     def test_dynamic_mix(self, vector_sum_program):
         result = run_program(vector_sum_program, collect_trace=True)
-        mix = dynamic_mix(result.trace)
+        mix = result.packed.dynamic_mix()
         assert mix["loads"] == 32
         assert mix["stores"] == 16
         assert mix["branches"] == 16

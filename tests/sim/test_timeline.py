@@ -27,7 +27,7 @@ entry:
 }
 """
     )
-    return run_program(program, collect_trace=True).trace
+    return run_program(program, collect_trace=True).packed.unpack_entries(program)
 
 
 class TestRecording:

@@ -4,10 +4,11 @@ Reuses the MiniC generators from the frontend test suites
 (``tests.minic``): random expression trees drive program shapes —
 straight-line arithmetic, loops over arrays, and recursion-heavy call
 chains that exercise the per-activation frame-id token interning.  For
-every generated program: ``pack(trace)`` → ``unpack`` must reproduce
-the original entry stream exactly (pc, subsystem, reads, writes,
-mem_addr, taken), the encoding must round-trip byte-stably, and the
-packed summary/simulation must match the entry-stream ones.
+every generated program, the pack a traced run returns must survive
+``unpack`` → :func:`pack_entries` byte for byte (so the interpreter's
+direct packing and the entry-stream packer agree), the encoding must
+round-trip byte-stably, and the packed summary/simulation must match
+the entry-stream ones.
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.minic.compile import compile_source
 from repro.runtime.interp import run_program
-from repro.runtime.trace import dynamic_mix
 from repro.sim.config import four_way
 from repro.sim.pipeline import simulate_trace
 from repro.trace.pack import PackedTrace, pack_entries
 
 from tests.minic.test_properties import int_expr
+from tests.trace.test_replay_equivalence import entry_mix
 
 
 def _capture(source: str):
@@ -30,21 +31,16 @@ def _capture(source: str):
     return program, run
 
 
-def _assert_lossless(program, entries) -> PackedTrace:
-    pack = pack_entries(entries)
-    unpacked = pack.unpack_entries(program)
-    assert len(unpacked) == len(entries)
-    for got, want in zip(unpacked, entries):
-        assert got.pc == want.pc
-        assert got.subsystem is want.subsystem
-        assert got.reads == want.reads
-        assert got.writes == want.writes
-        assert got.mem_addr == want.mem_addr
-        assert got.taken == want.taken
+def _assert_lossless(program, run):
+    """The run's entries; checks the pack round-trips through them."""
+    pack = run.packed
+    entries = pack.unpack_entries(program)
+    assert len(entries) == run.instructions
     data = pack.to_bytes()
+    assert pack_entries(entries, value=run.value).to_bytes() == data
     assert PackedTrace.from_bytes(data).to_bytes() == data
-    assert pack.dynamic_mix() == dynamic_mix(list(entries))
-    return pack
+    assert pack.dynamic_mix() == entry_mix(entries)
+    return entries
 
 
 @settings(max_examples=25, deadline=None)
@@ -52,7 +48,7 @@ def _assert_lossless(program, entries) -> PackedTrace:
 def test_straightline_roundtrip(expr):
     source = f"int main() {{ return ({expr.text}) & 0xffff; }}"
     program, run = _capture(source)
-    _assert_lossless(program, run.trace)
+    _assert_lossless(program, run)
 
 
 @settings(max_examples=15, deadline=None)
@@ -73,9 +69,9 @@ int main() {{
 }}
 """
     program, run = _capture(source)
-    pack = _assert_lossless(program, run.trace)
-    fresh = simulate_trace(list(run.trace), four_way())
-    replayed = simulate_trace(pack, four_way())
+    entries = _assert_lossless(program, run)
+    fresh = simulate_trace(entries, four_way())
+    replayed = simulate_trace(run.packed, four_way())
     assert replayed.to_counters() == fresh.to_counters()
 
 
@@ -96,11 +92,12 @@ int main() {{
 }}
 """
     program, run = _capture(source)
-    pack = _assert_lossless(program, run.trace)
+    entries = _assert_lossless(program, run)
+    pack = run.packed
     frames = {frame for frame, _name in
               (pack.token(t) for t in range(len(pack.token_frames)))}
     assert len(frames) > depth, "recursive activations share frame ids"
-    fresh = simulate_trace(list(run.trace), four_way())
+    fresh = simulate_trace(entries, four_way())
     replayed = simulate_trace(pack, four_way())
     assert replayed.to_counters() == fresh.to_counters()
 

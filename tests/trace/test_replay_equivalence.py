@@ -1,24 +1,29 @@
 """The differential net over the interpret→simulate hot path.
 
 For every (workload, scheme) cell of the smoke matrix, simulating the
-packed columnar trace must be **bit-identical** — every ``SimStats``
-counter, compared field by field — to simulating the original
-``TraceEntry`` stream, on both Table 1 machine widths; and the on-disk
-encoding must round-trip byte-stably.  This is the suite CI runs as the
-``trace-equivalence`` step: it is what licenses the fast replay path to
+pack a traced run returns must be **bit-identical** — every ``SimStats``
+counter, compared field by field — to simulating its ``TraceEntry``
+stream (unpacked, then packed again by :func:`pack_entries`), on both
+Table 1 machine widths; the unpacked entries must agree with the static
+instructions they came from; and the on-disk encoding must round-trip
+byte-stably.  This suite and ``test_golden_pack.py`` are what CI runs as
+the ``trace-equivalence`` step: they license the fast replay path to
 substitute for fresh interpretation.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.experiments.runner import SCHEMES, prepare_program
+from repro.ir.opcodes import OpKind
 from repro.runtime.interp import run_program
-from repro.runtime.trace import dynamic_mix
+from repro.runtime.trace import Subsystem
 from repro.sim.config import eight_way, four_way
 from repro.sim.pipeline import simulate_trace
-from repro.trace.pack import PackedTrace, pack_entries
+from repro.trace.pack import PackedTrace
 from repro.trace.store import TRACE_CACHE_ENV, clear_trace_pool
 
 #: The smoke matrix (mirrors ``repro.bench.matrix``'s smoke suite).
@@ -32,6 +37,19 @@ CELLS = [
 IDS = [f"{w}@{s}/{scheme}" for w, s, scheme in CELLS]
 
 
+def entry_mix(entries) -> dict[str, int]:
+    """:meth:`PackedTrace.dynamic_mix`, recounted entry by entry."""
+    kinds = Counter(entry.instr.kind for entry in entries)
+    return {
+        "total": len(entries),
+        "fp_executed": sum(1 for e in entries if e.subsystem is Subsystem.FP),
+        "loads": kinds[OpKind.LOAD],
+        "stores": kinds[OpKind.STORE],
+        "branches": kinds[OpKind.BRANCH],
+        "copies": kinds[OpKind.COPY],
+    }
+
+
 @pytest.fixture(scope="module")
 def captured():
     """(workload, scheme) -> (program, entries, pack); interpreted once."""
@@ -39,8 +57,9 @@ def captured():
     for workload, scale, scheme in CELLS:
         artifacts = prepare_program(workload, scheme, scale=scale)
         run = run_program(artifacts.program, collect_trace=True)
-        pack = pack_entries(run.trace, value=run.value)
-        runs[(workload, scheme)] = (artifacts.program, run.trace, pack)
+        assert run.packed.n == run.instructions
+        entries = run.packed.unpack_entries(artifacts.program)
+        runs[(workload, scheme)] = (artifacts.program, entries, run.packed)
     return runs
 
 
@@ -82,22 +101,40 @@ def test_decoded_pack_still_replays_identically(captured, workload, scale, schem
 @pytest.mark.parametrize(("workload", "scale", "scheme"), CELLS, ids=IDS)
 def test_dynamic_mix_matches(captured, workload, scale, scheme):
     _, entries, pack = captured[(workload, scheme)]
-    assert pack.dynamic_mix() == dynamic_mix(list(entries))
+    assert pack.dynamic_mix() == entry_mix(entries)
 
 
 @pytest.mark.parametrize(("workload", "scale", "scheme"), CELLS, ids=IDS)
 def test_unpack_reconstructs_the_entry_stream(captured, workload, scale, scheme):
-    program, entries, pack = captured[(workload, scheme)]
-    unpacked = pack.unpack_entries(program)
-    assert len(unpacked) == len(entries)
-    for got, want in zip(unpacked, entries):
-        assert got.pc == want.pc
-        assert got.subsystem is want.subsystem
-        assert got.reads == want.reads
-        assert got.writes == want.writes
-        assert got.mem_addr == want.mem_addr
-        assert got.taken == want.taken
-        assert got.instr is want.instr
+    """Each unpacked entry agrees with its static instruction: side,
+    operands as dependence tokens, and which dynamic fields it has."""
+    _, entries, _ = captured[(workload, scheme)]
+    for entry in entries:
+        instr, kind = entry.instr, entry.instr.kind
+        assert (entry.subsystem is Subsystem.FP) == bool(instr.info.fp_subsystem)
+        assert (entry.mem_addr is not None) == (
+            kind is OpKind.LOAD or kind is OpKind.STORE
+        )
+        assert (entry.taken is not None) == (kind is OpKind.BRANCH)
+        frames = {frame for frame, _ in entry.reads}
+        assert len(frames) <= 1, "one entry reads from one activation"
+        read_names = [name for _, name in entry.reads]
+        write_names = [name for _, name in entry.writes]
+        if kind is OpKind.PARAM:
+            assert read_names == ["@args"]
+        else:
+            assert read_names == [
+                r.name for r in instr.uses if r.name not in ("$zero", "$sp")
+            ]
+        if kind is OpKind.CALL:
+            assert write_names == ["@args"]
+            assert entry.writes[0][0] not in frames, "callee gets a new frame"
+        elif kind is OpKind.RET:
+            assert len(write_names) <= 1
+        else:
+            assert write_names == [r.name for r in instr.defs]
+            frames |= {frame for frame, _ in entry.writes}
+            assert len(frames) <= 1, "one entry touches one activation"
 
 
 class TestInterpretOnce:

@@ -103,20 +103,16 @@ class TestWorkloadCharacteristics:
         for name in INT_BENCHMARKS:
             program = compile_workload(name, TEST_SCALES[name])
             result = run_program(program, collect_trace=True)
-            from repro.runtime.trace import dynamic_mix
-
-            assert dynamic_mix(result.trace)["fp_executed"] == 0, name
+            assert result.packed.dynamic_mix()["fp_executed"] == 0, name
 
     def test_ldst_slice_near_half_for_integer_programs(self):
         """Palacharla & Smith: LdSt slices of integer programs account
         for close to 50% of dynamic instructions — the bound on FPa
         partition size (§4).  Loads+stores+address work should dominate."""
-        from repro.runtime.trace import dynamic_mix
-
         for name in INT_BENCHMARKS:
             program = compile_workload(name, TEST_SCALES[name])
             result = run_program(program, collect_trace=True)
-            mix = dynamic_mix(result.trace)
+            mix = result.packed.dynamic_mix()
             memory_fraction = (mix["loads"] + mix["stores"]) / mix["total"]
             # at CI scales initialization code dilutes some benchmarks,
             # so the lower bound is looser than the paper's ~50% claim
@@ -127,7 +123,8 @@ class TestWorkloadCharacteristics:
 
         program = compile_workload("li", TEST_SCALES["li"])
         result = run_program(program, collect_trace=True)
-        calls = sum(1 for t in result.trace if t.instr.kind is OpKind.CALL)
+        trace = result.packed.unpack_entries(program)
+        calls = sum(1 for t in trace if t.instr.kind is OpKind.CALL)
         assert calls / result.instructions > 0.05
 
     def test_ijpeg_has_small_multiply_fraction(self):
@@ -136,15 +133,14 @@ class TestWorkloadCharacteristics:
 
         program = compile_workload("ijpeg", TEST_SCALES["ijpeg"])
         result = run_program(program, collect_trace=True)
+        trace = result.packed.unpack_entries(program)
         muldiv = sum(
-            1 for t in result.trace if t.instr.kind in (OpKind.MUL, OpKind.DIV)
+            1 for t in trace if t.instr.kind in (OpKind.MUL, OpKind.DIV)
         )
         assert 0.0 < muldiv / result.instructions < 0.08
 
     def test_fp_workloads_use_fp_subsystem(self):
-        from repro.runtime.trace import dynamic_mix
-
         for name in FP_BENCHMARKS:
             program = compile_workload(name, TEST_SCALES[name])
             result = run_program(program, collect_trace=True)
-            assert dynamic_mix(result.trace)["fp_executed"] > 0, name
+            assert result.packed.dynamic_mix()["fp_executed"] > 0, name
