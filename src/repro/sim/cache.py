@@ -1,8 +1,12 @@
 """Set-associative LRU cache model.
 
 Timing-only (no data): an access returns its latency and updates tag
-state.  Used for both the I-cache (per fetch group) and the D-cache
-(per load/store issue).
+state.  Used for both the I-cache (once per fetched instruction) and
+the D-cache (per load/store issue).  The pipeline counts a fetch from
+the line the I-cache last accessed as a hit without calling
+:meth:`Cache.access`: that tag is already most recently used, so the
+access would change nothing but the hit count, which the pipeline adds
+to :attr:`Cache.hits` at the end of the run.
 """
 
 from __future__ import annotations

@@ -28,16 +28,23 @@ Per simulated cycle, in reverse pipeline order:
 
 The loop consumes a :class:`~repro.trace.pack.PackedTrace` — latency
 and control classes pre-resolved per static row, dependence tokens as
-dense integers — so the per-dynamic-instruction work is array indexing
-and integer dict lookups.  A traced interpreter run returns such a pack
-directly.  A ``list[TraceEntry]`` (hand-built test traces, or
+dense integers.  A traced interpreter run returns such a pack directly.
+A ``list[TraceEntry]`` (hand-built test traces, or
 :meth:`~repro.trace.pack.PackedTrace.unpack_entries` output for the
 timeline) is packed on entry with :func:`~repro.trace.pack.pack_entries`.
+
+State is flat integers.  An in-flight instruction is its sequence
+number ``s``: the fetch buffer, both windows, the ROB and the in-flight
+store list hold sequence numbers, and per-instruction state (completion
+cycle, static row, producers) lives in fixed-size ring lists indexed by
+``s & mask``.  The ring is at least twice the in-flight span, so memory
+stays O(window) whatever the trace length.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from typing import NamedTuple
 
 from repro.errors import SimulationError
 from repro.progress import report_progress
@@ -48,71 +55,27 @@ from repro.sim.config import MachineConfig
 from repro.sim.stats import SimStats
 from repro.trace.pack import (
     CTRL_BRANCH,
-    CTRL_JUMP,
-    LAT_DIV,
     LAT_LOAD,
     LAT_MUL,
+    LAT_SINGLE,
     LAT_STORE,
     PackedTrace,
     pack_entries,
 )
 
+#: completion cycle of an instruction that has not issued
+_INF = 1 << 62
 
-class _Dyn:
-    """Pipeline bookkeeping for one dynamic instruction.
 
-    Static properties (subsystem side, latency class, rename-register
-    demand) arrive pre-resolved from the packed trace's static table —
-    the constructor only copies integers.
-    """
+class StageTimes(NamedTuple):
+    """Stage cycles of one dynamic instruction (``record_timeline``)."""
 
-    __slots__ = (
-        "entry",
-        "seq",
-        "producers",
-        "complete",
-        "issued",
-        "lat_class",
-        "is_load",
-        "is_store",
-        "is_mem",
-        "fp_side",
-        "int_defs",
-        "fp_defs",
-        "mem_addr",
-        "fetched_at",
-        "dispatched_at",
-        "issued_at",
-        "retired_at",
-    )
-
-    def __init__(
-        self,
-        seq: int,
-        fp_side: bool,
-        lat_class: int,
-        int_defs: int,
-        fp_defs: int,
-        mem_addr: int,
-        entry: TraceEntry | None,
-    ):
-        self.seq = seq
-        self.fp_side = fp_side
-        self.lat_class = lat_class
-        self.is_load = lat_class == LAT_LOAD
-        self.is_store = lat_class == LAT_STORE
-        self.is_mem = self.is_load or self.is_store
-        self.int_defs = int_defs
-        self.fp_defs = fp_defs
-        self.mem_addr = mem_addr
-        self.entry = entry
-        self.producers: list[_Dyn] = []
-        self.complete: int | None = None
-        self.issued = False
-        self.fetched_at = -1
-        self.dispatched_at = -1
-        self.issued_at = -1
-        self.retired_at = -1
+    entry: TraceEntry | None
+    fetched_at: int
+    dispatched_at: int
+    issued_at: int
+    complete: int
+    retired_at: int
 
 
 class TimingSimulator:
@@ -134,9 +97,9 @@ class TimingSimulator:
             self.predictor = GSharePredictor(config.predictor)
         self.stats = SimStats()
         self.record_timeline = record_timeline
-        #: per-instruction stage timestamps, populated when
+        #: per-instruction :class:`StageTimes`, populated when
         #: ``record_timeline`` is set; see :mod:`repro.sim.timeline`
-        self.timeline: list[_Dyn] = []
+        self.timeline: list[StageTimes] = []
 
     # ------------------------------------------------------------------
     def run(
@@ -173,30 +136,87 @@ class TimingSimulator:
         taken_col = packed.taken
         roff, rtok = packed.read_offsets, packed.read_tokens
         woff, wtok = packed.write_offsets, packed.write_tokens
-        row_pc = packed.pcs
-        row_fp = packed.fp_side
-        row_lat = packed.row_lat
-        row_ctrl = packed.row_ctrl
-        row_int_defs = packed.int_defs
-        row_fp_defs = packed.fp_defs
+        # one tuple per static row:
+        # (pc, fp side, latency class, control class, int defs, fp defs)
+        rows = list(
+            zip(
+                packed.pcs,
+                packed.fp_side,
+                packed.row_lat,
+                packed.row_ctrl,
+                packed.int_defs,
+                packed.fp_defs,
+            )
+        )
+
+        fetch_width = config.fetch_width
+        decode_width = config.decode_width
+        retire_width = config.retire_width
+        int_cap = config.int_window
+        fp_cap = config.fp_window
+        max_inflight = config.max_inflight
+        int_units = config.int_units
+        fp_units = config.fp_units
+        ls_ports = config.ls_ports
+        mul_latency = config.mul_latency
+        div_latency = config.div_latency
+        redirect = config.mispredict_redirect
+        fetch_buffer_cap = 2 * fetch_width
+
+        # Ring state, indexed by ``s & mask``.  The ring's correctness
+        # rests on one invariant: a slot is read only for an instruction
+        # that is in flight, or for a producer p of an in-flight s with
+        # s - p <= max_inflight.  In flight (fetch buffer + ROB) are at
+        # most max_inflight + fetch_buffer_cap consecutive sequence
+        # numbers, so the newest fetched one is less than the ring size
+        # (>= 2x that) past such a p, and p's slot still holds p.  A
+        # producer further back cannot share the ROB with s: it has
+        # retired, hence completed, and its slot may hold a newer
+        # instruction, so dispatch must not look it up.
+        mask = (1 << (2 * (max_inflight + fetch_buffer_cap) - 1).bit_length()) - 1
+        complete = [_INF] * (mask + 1)  # completion cycle; _INF = not issued
+        row_of: list = [None] * (mask + 1)  # static row tuple
+        producers: list = [()] * (mask + 1)  # slots of incomplete producers
+
+        record = self.record_timeline
+        if record:
+            fetched_at = [-1] * n
+            dispatched_at = [-1] * n
+            issued_at = [-1] * n
+            done_at = [-1] * n
+            retired_at = [-1] * n
+
+        icache = self.icache
+        icache_access = icache.access
+        icache_line_bits = config.icache.line_bytes.bit_length() - 1
+        icache_hit_cycles = config.icache.hit_cycles
+        icache_last_line = -1
+        icache_fast_hits = 0
+        dcache_access = self.dcache.access
+        predict = self.predictor.update
 
         fetch_index = 0
-        fetch_buffer: deque[_Dyn] = deque()
-        fetch_buffer_cap = 2 * config.fetch_width
+        fetch_buffer: deque[int] = deque()
         fetch_stall_until = 0
-        blocking_branch: _Dyn | None = None
+        blocking_branch = -1
 
-        int_window: list[_Dyn] = []
-        fp_window: list[_Dyn] = []
-        rob: deque[_Dyn] = deque()
-        last_writer: dict[int, _Dyn] = {}
-        inflight_stores: list[_Dyn] = []
+        int_window: list[int] = []
+        fp_window: list[int] = []
+        rob: deque[int] = deque()
+        last_writer: dict[int, int] = {}
+        writer_of = last_writer.get
+        never = -_INF  # last_writer default: never within max_inflight
+        inflight_stores: deque[int] = deque()
+
+        int_issued = fp_issued = loads = stores = 0
+        branches = mispredicts = 0
+        int_busy = fp_busy = int_idle_fp_busy = 0
+        fetch_stalls = dispatch_stalls = 0
 
         free_int = config.rename_int
         free_fp = config.rename_fp
         retired = 0
         now = 0
-        hit_cycles = config.icache.hit_cycles
         limit = max_cycles if max_cycles is not None else 200 * n + 10_000
 
         while retired < n:
@@ -210,233 +230,253 @@ class TimingSimulator:
                 )
 
             # ---- retire ------------------------------------------------
-            width = config.retire_width
+            width = retire_width
             while rob and width:
-                head = rob[0]
-                if head.complete is None or head.complete > now:
+                s = rob[0]
+                slot = s & mask
+                if complete[slot] > now:
                     break
                 rob.popleft()
-                head.retired_at = now
-                free_int += head.int_defs
-                free_fp += head.fp_defs
-                if head.is_store:
-                    inflight_stores.remove(head)
+                row = row_of[slot]
+                free_int += row[4]
+                free_fp += row[5]
+                if row[2] == LAT_STORE:
+                    inflight_stores.popleft()  # stores retire in order
+                if record:
+                    retired_at[s] = now
                 retired += 1
                 width -= 1
 
             # ---- issue ---------------------------------------------------
-            int_issued_now = self._issue_int(int_window, inflight_stores, now)
-            fp_issued_now = self._issue_fp(fp_window, now)
-            if int_issued_now:
-                stats.int_busy_cycles += 1
-            if fp_issued_now:
-                stats.fp_busy_cycles += 1
-                if not int_issued_now:
-                    stats.int_idle_fp_busy_cycles += 1
-            if blocking_branch is not None and blocking_branch.complete is not None:
-                fetch_stall_until = max(
-                    fetch_stall_until,
-                    blocking_branch.complete + config.mispredict_redirect,
-                )
-                blocking_branch = None
+            issued_int = 0
+            if int_window:
+                budget = int_units
+                ls_budget = ls_ports
+                oldest_unissued_store = _INF
+                for st in inflight_stores:
+                    if complete[st & mask] == _INF:
+                        oldest_unissued_store = st
+                        break
+                remaining: list[int] = []
+                keep = remaining.append
+                for s in int_window:
+                    if not budget:
+                        keep(s)
+                        continue
+                    slot = s & mask
+                    for p in producers[slot]:
+                        if complete[p] > now:
+                            keep(s)
+                            break
+                    else:
+                        lat = row_of[slot][2]
+                        if lat == LAT_SINGLE:
+                            complete[slot] = now + 1
+                        elif lat == LAT_LOAD:
+                            if not ls_budget or oldest_unissued_store < s:
+                                keep(s)
+                                continue
+                            word = mem_col[s] >> 2
+                            conflict = False
+                            for st in inflight_stores:
+                                if st > s:
+                                    break
+                                if mem_col[st] >> 2 == word and complete[st & mask] > now:
+                                    conflict = True
+                                    break
+                            if conflict:
+                                keep(s)
+                                continue
+                            complete[slot] = now + dcache_access(mem_col[s])
+                            ls_budget -= 1
+                            loads += 1
+                        elif lat == LAT_STORE:
+                            if not ls_budget:
+                                keep(s)
+                                continue
+                            dcache_access(mem_col[s])
+                            complete[slot] = now + 1
+                            ls_budget -= 1
+                            stores += 1
+                            if oldest_unissued_store == s:
+                                oldest_unissued_store = _INF
+                                for st in inflight_stores:
+                                    if complete[st & mask] == _INF:
+                                        oldest_unissued_store = st
+                                        break
+                        elif lat == LAT_MUL:
+                            complete[slot] = now + mul_latency
+                        else:
+                            complete[slot] = now + div_latency
+                        if record:
+                            issued_at[s] = now
+                            done_at[s] = complete[slot]
+                        budget -= 1
+                        issued_int += 1
+                if issued_int:
+                    int_window = remaining
+                    int_issued += issued_int
+                    int_busy += 1
+            if fp_window:
+                budget = fp_units
+                issued_fp = 0
+                remaining = []
+                keep = remaining.append
+                for s in fp_window:
+                    if not budget:
+                        keep(s)
+                        continue
+                    slot = s & mask
+                    for p in producers[slot]:
+                        if complete[p] > now:
+                            keep(s)
+                            break
+                    else:
+                        # no load/store port or ordering checks on this
+                        # side, but FP-side memory rows still use the D-cache
+                        lat = row_of[slot][2]
+                        if lat == LAT_SINGLE:
+                            complete[slot] = now + 1
+                        elif lat == LAT_LOAD:
+                            complete[slot] = now + dcache_access(mem_col[s])
+                        elif lat == LAT_STORE:
+                            dcache_access(mem_col[s])
+                            complete[slot] = now + 1
+                        elif lat == LAT_MUL:
+                            complete[slot] = now + mul_latency
+                        else:
+                            complete[slot] = now + div_latency
+                        if record:
+                            issued_at[s] = now
+                            done_at[s] = complete[slot]
+                        budget -= 1
+                        issued_fp += 1
+                if issued_fp:
+                    fp_window = remaining
+                    fp_issued += issued_fp
+                    fp_busy += 1
+                    if not issued_int:
+                        int_idle_fp_busy += 1
+            if blocking_branch >= 0 and complete[blocking_branch & mask] != _INF:
+                resume = complete[blocking_branch & mask] + redirect
+                if resume > fetch_stall_until:
+                    fetch_stall_until = resume
+                blocking_branch = -1
 
             # ---- dispatch ------------------------------------------------
-            width = config.decode_width
-            dispatched_any = False
+            width = decode_width
             while fetch_buffer and width:
-                dyn = fetch_buffer[0]
-                window = fp_window if dyn.fp_side else int_window
-                window_cap = config.fp_window if dyn.fp_side else config.int_window
-                if len(window) >= window_cap:
+                s = fetch_buffer[0]
+                slot = s & mask
+                row = row_of[slot]
+                if row[1]:
+                    if len(fp_window) >= fp_cap:
+                        break
+                elif len(int_window) >= int_cap:
                     break
-                if len(rob) >= config.max_inflight:
+                if len(rob) >= max_inflight:
                     break
-                if dyn.int_defs > free_int or dyn.fp_defs > free_fp:
+                if row[4] > free_int or row[5] > free_fp:
                     break
                 fetch_buffer.popleft()
-                dyn.dispatched_at = now
-                free_int -= dyn.int_defs
-                free_fp -= dyn.fp_defs
-                s = dyn.seq
+                free_int -= row[4]
+                free_fp -= row[5]
+                waits = []
                 for ti in range(roff[s], roff[s + 1]):
-                    producer = last_writer.get(rtok[ti])
-                    if producer is not None and (
-                        producer.complete is None or producer.complete > now
-                    ):
-                        dyn.producers.append(producer)
+                    p = writer_of(rtok[ti], never)
+                    if s - p <= max_inflight and complete[p & mask] > now:
+                        waits.append(p & mask)
+                producers[slot] = waits
                 for ti in range(woff[s], woff[s + 1]):
-                    last_writer[wtok[ti]] = dyn
-                window.append(dyn)
-                rob.append(dyn)
-                if dyn.is_store:
-                    inflight_stores.append(dyn)
+                    last_writer[wtok[ti]] = s
+                if row[1]:
+                    fp_window.append(s)
+                else:
+                    int_window.append(s)
+                rob.append(s)
+                if row[2] == LAT_STORE:
+                    inflight_stores.append(s)
+                if record:
+                    dispatched_at[s] = now
                 width -= 1
-                dispatched_any = True
-            if fetch_buffer and not dispatched_any:
-                stats.dispatch_stall_cycles += 1
+            if fetch_buffer and width == decode_width:
+                dispatch_stalls += 1
 
             # ---- fetch ---------------------------------------------------
-            if now < fetch_stall_until or blocking_branch is not None:
+            if now < fetch_stall_until or blocking_branch >= 0:
                 if fetch_index < n:
-                    stats.fetch_stall_cycles += 1
+                    fetch_stalls += 1
                 continue
-            width = config.fetch_width
+            width = fetch_width
             while width and fetch_index < n and len(fetch_buffer) < fetch_buffer_cap:
-                sid = ids[fetch_index]
-                pc = row_pc[sid]
-                latency = self.icache.access(pc)
-                if latency > hit_cycles:
-                    fetch_stall_until = now + (latency - hit_cycles)
-                    break
-                dyn = _Dyn(
-                    fetch_index,
-                    row_fp[sid] == 1,
-                    row_lat[sid],
-                    row_int_defs[sid],
-                    row_fp_defs[sid],
-                    mem_col[fetch_index],
-                    entries[fetch_index] if entries is not None else None,
-                )
-                dyn.fetched_at = now
-                if self.record_timeline:
-                    self.timeline.append(dyn)
+                s = fetch_index
+                row = rows[ids[s]]
+                pc = row[0]
+                line = pc >> icache_line_bits
+                if line == icache_last_line:
+                    # the line is already most recently used: a hit that
+                    # leaves the LRU state as Cache.access would
+                    icache_fast_hits += 1
+                else:
+                    icache_last_line = line
+                    latency = icache_access(pc)
+                    if latency > icache_hit_cycles:
+                        fetch_stall_until = now + (latency - icache_hit_cycles)
+                        break
+                slot = s & mask
+                complete[slot] = _INF
+                row_of[slot] = row
+                if record:
+                    fetched_at[s] = now
                 fetch_index += 1
-                fetch_buffer.append(dyn)
+                fetch_buffer.append(s)
                 width -= 1
-                ctrl = row_ctrl[sid]
-                if ctrl == CTRL_BRANCH:
-                    raw = taken_col[dyn.seq]
+                ctrl = row[3]
+                if ctrl:
+                    if ctrl != CTRL_BRANCH:
+                        break  # taken control flow, perfectly predicted
+                    raw = taken_col[s]
                     taken = None if raw < 0 else raw == 1
-                    correct = self.predictor.update(pc, taken)
-                    stats.branches += 1
-                    if not correct:
-                        stats.branch_mispredicts += 1
-                        blocking_branch = dyn
+                    branches += 1
+                    if not predict(pc, taken):
+                        mispredicts += 1
+                        blocking_branch = s
                         break
                     if taken:
                         break  # cannot fetch past a taken branch this cycle
-                elif ctrl == CTRL_JUMP:
-                    break  # taken control flow, perfectly predicted
 
+        icache.hits += icache_fast_hits
         stats.cycles = now
         stats.retired = retired
-        stats.icache_hits = self.icache.hits
-        stats.icache_misses = self.icache.misses
+        stats.int_issued += int_issued
+        stats.fp_issued += fp_issued
+        stats.loads += loads
+        stats.stores += stores
+        stats.branches += branches
+        stats.branch_mispredicts += mispredicts
+        stats.int_busy_cycles += int_busy
+        stats.fp_busy_cycles += fp_busy
+        stats.int_idle_fp_busy_cycles += int_idle_fp_busy
+        stats.fetch_stall_cycles += fetch_stalls
+        stats.dispatch_stall_cycles += dispatch_stalls
+        stats.icache_hits = icache.hits
+        stats.icache_misses = icache.misses
         stats.dcache_hits = self.dcache.hits
         stats.dcache_misses = self.dcache.misses
+        if record:
+            self.timeline = [
+                StageTimes(
+                    entries[s] if entries is not None else None,
+                    fetched_at[s],
+                    dispatched_at[s],
+                    issued_at[s],
+                    done_at[s],
+                    retired_at[s],
+                )
+                for s in range(n)
+            ]
         report_progress(cycles=now, retired=retired)
         return stats
-
-    # ------------------------------------------------------------------
-    def _latency(self, dyn: _Dyn) -> int:
-        lat = dyn.lat_class
-        if lat == LAT_LOAD:
-            return self.dcache.access(dyn.mem_addr)
-        if lat == LAT_STORE:
-            self.dcache.access(dyn.mem_addr)
-            return 1
-        if lat == LAT_MUL:
-            return self.config.mul_latency
-        if lat == LAT_DIV:
-            return self.config.div_latency
-        return 1
-
-    @staticmethod
-    def _ready(dyn: _Dyn, now: int) -> bool:
-        for producer in dyn.producers:
-            if producer.complete is None or producer.complete > now:
-                return False
-        return True
-
-    def _issue_int(
-        self, window: list[_Dyn], inflight_stores: list[_Dyn], now: int
-    ) -> int:
-        """Issue from the INT window; returns number issued."""
-        budget = self.config.int_units
-        ls_budget = self.config.ls_ports
-        issued = 0
-        stats = self.stats
-        if not window:
-            return 0
-        oldest_unissued_store = None
-        for store in inflight_stores:
-            if not store.issued:
-                oldest_unissued_store = store.seq
-                break
-        remaining: list[_Dyn] = []
-        for dyn in window:
-            if budget == 0:
-                remaining.append(dyn)
-                continue
-            if dyn.is_mem and ls_budget == 0:
-                remaining.append(dyn)
-                continue
-            if not self._ready(dyn, now):
-                remaining.append(dyn)
-                continue
-            if dyn.is_load:
-                if (
-                    oldest_unissued_store is not None
-                    and oldest_unissued_store < dyn.seq
-                ):
-                    remaining.append(dyn)
-                    continue
-                conflict = False
-                word = dyn.mem_addr >> 2
-                for store in inflight_stores:
-                    if store.seq > dyn.seq:
-                        break
-                    if (
-                        store.mem_addr >> 2 == word
-                        and (store.complete is None or store.complete > now)
-                    ):
-                        conflict = True
-                        break
-                if conflict:
-                    remaining.append(dyn)
-                    continue
-            dyn.issued = True
-            dyn.issued_at = now
-            dyn.complete = now + self._latency(dyn)
-            if dyn.is_store and oldest_unissued_store == dyn.seq:
-                oldest_unissued_store = None
-                for store in inflight_stores:
-                    if not store.issued:
-                        oldest_unissued_store = store.seq
-                        break
-            budget -= 1
-            if dyn.is_mem:
-                ls_budget -= 1
-                if dyn.is_load:
-                    stats.loads += 1
-                else:
-                    stats.stores += 1
-            issued += 1
-            stats.int_issued += 1
-        window[:] = remaining
-        return issued
-
-    def _issue_fp(self, window: list[_Dyn], now: int) -> int:
-        """Issue from the FP window; returns number issued."""
-        budget = self.config.fp_units
-        issued = 0
-        if not window:
-            return 0
-        remaining: list[_Dyn] = []
-        for dyn in window:
-            if budget == 0 or not self._ready(dyn, now):
-                remaining.append(dyn)
-                continue
-            dyn.issued = True
-            dyn.issued_at = now
-            dyn.complete = now + self._latency(dyn)
-            budget -= 1
-            issued += 1
-            self.stats.fp_issued += 1
-        window[:] = remaining
-        return issued
-
-    # ------------------------------------------------------------------
 
 
 def simulate_trace(

@@ -17,45 +17,78 @@ from repro.sim.pipeline import simulate_trace
 _PC = 0x400000
 
 
+def _fp_reg():
+    return virtual_reg(0, RegClass.FP)
+
+
 @st.composite
-def random_trace(draw, max_len=120):
+def random_trace(draw, max_len=600):
     """A dependence-correct trace: every read refers to an earlier write
     (or is omitted), memory addresses are aligned, branches carry
-    outcomes."""
+    outcomes.
+
+    Up to 600 instructions: longer than the simulator's in-flight ring
+    on both machine widths (128 and 256 slots), so ring wrap-around is
+    exercised.  Reads pick either a recent value (a dependence chain) or
+    any earlier one, which in a long trace is usually hundreds of
+    instructions old.  Memory rows include ``l.s``/``s.s`` on either
+    subsystem: the interpreter records them as INT, and a hand-built FP
+    row drives the FP window's memory path.
+    """
     n = draw(st.integers(1, max_len))
     entries = []
     written: list[str] = []
     for i in range(n):
-        kind = draw(st.integers(0, 9))
+        kind = draw(st.integers(0, 13))
         reads = ()
-        if written and draw(st.booleans()):
-            reads = (
-                (0, written[draw(st.integers(0, len(written) - 1))]),
-            )
+        if written:
+            pick = draw(st.integers(0, 2))  # 0 none, 1 recent, 2 any earlier
+            if pick:
+                low = max(0, len(written) - 8) if pick == 1 else 0
+                reads = ((0, written[draw(st.integers(low, len(written) - 1))]),)
         pc = _PC + 4 * (i % 24)  # loop-ish pc reuse
         name = f"r{i}"
-        if kind <= 4:  # int ALU
+        writes = ((0, name),)
+        addr = None
+        if 7 <= kind <= 10:
+            addr = 0x1000 + 4 * draw(st.integers(0, 63))
+        if kind <= 2:  # int ALU
             instr = Instruction(Opcode.ADDU, defs=[virtual_reg(0)],
                                 uses=[virtual_reg(1)] * 2)
-            entry = TraceEntry(instr, pc, Subsystem.INT, reads, ((0, name),))
-        elif kind <= 6:  # fpa ALU
-            instr = Instruction(
-                Opcode.ADDU_A,
-                defs=[virtual_reg(0, RegClass.FP)],
-                uses=[virtual_reg(1, RegClass.FP)] * 2,
-            )
-            entry = TraceEntry(instr, pc, Subsystem.FP, reads, ((0, name),))
-        elif kind == 7:  # load
+            entry = TraceEntry(instr, pc, Subsystem.INT, reads, writes)
+        elif kind <= 4:  # fpa ALU
+            instr = Instruction(Opcode.ADDU_A, defs=[_fp_reg()],
+                                uses=[virtual_reg(1, RegClass.FP)] * 2)
+            entry = TraceEntry(instr, pc, Subsystem.FP, reads, writes)
+        elif kind == 5:  # int multiply
+            instr = Instruction(Opcode.MULT, defs=[virtual_reg(0)],
+                                uses=[virtual_reg(1)] * 2)
+            entry = TraceEntry(instr, pc, Subsystem.INT, reads, writes)
+        elif kind == 6:  # divide, on either side
+            fp = draw(st.booleans())
+            instr = Instruction(Opcode.DIV_S if fp else Opcode.DIV,
+                                defs=[_fp_reg() if fp else virtual_reg(0)],
+                                uses=[virtual_reg(1)] * 2)
+            entry = TraceEntry(instr, pc, Subsystem.FP if fp else Subsystem.INT,
+                               reads, writes)
+        elif kind == 7:  # int load
             instr = Instruction(Opcode.LW, defs=[virtual_reg(0)],
                                 uses=[virtual_reg(1)], imm=0)
-            addr = 0x1000 + 4 * draw(st.integers(0, 63))
-            entry = TraceEntry(instr, pc, Subsystem.INT, reads, ((0, name),),
+            entry = TraceEntry(instr, pc, Subsystem.INT, reads, writes,
                                mem_addr=addr)
-        elif kind == 8:  # store
+        elif kind == 8:  # int store
             instr = Instruction(Opcode.SW, uses=[virtual_reg(0), virtual_reg(1)], imm=0)
-            addr = 0x1000 + 4 * draw(st.integers(0, 63))
             entry = TraceEntry(instr, pc, Subsystem.INT, reads, (),
                                mem_addr=addr)
+        elif kind == 9:  # l.s into an FP register, on either subsystem
+            side = Subsystem.FP if draw(st.booleans()) else Subsystem.INT
+            instr = Instruction(Opcode.LS, defs=[_fp_reg()],
+                                uses=[virtual_reg(1)], imm=0)
+            entry = TraceEntry(instr, pc, side, reads, writes, mem_addr=addr)
+        elif kind == 10:  # s.s from an FP register, on either subsystem
+            side = Subsystem.FP if draw(st.booleans()) else Subsystem.INT
+            instr = Instruction(Opcode.SS, uses=[_fp_reg(), virtual_reg(1)], imm=0)
+            entry = TraceEntry(instr, pc, side, reads, (), mem_addr=addr)
         else:  # branch
             instr = Instruction(Opcode.BNE, uses=[virtual_reg(0)] * 2, target="x")
             entry = TraceEntry(instr, pc, Subsystem.INT, reads, (),
