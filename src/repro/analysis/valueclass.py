@@ -29,6 +29,7 @@ bounded interval is always a true statement about the wrapped value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.analysis.absint import (
     AbsintResult,
@@ -152,6 +153,54 @@ _ZERO_INFO = ValueInfo(interval=const(0))
 
 State = dict[Reg, ValueInfo]
 
+
+def _join_info(a: ValueInfo, b: ValueInfo) -> ValueInfo:
+    if a is b or a == b:
+        return a
+    return ValueInfo(
+        interval=join_interval(a.interval, b.interval),
+        origins=a.origins | b.origins,
+    )
+
+
+def _widen_info(old: ValueInfo, new: ValueInfo) -> ValueInfo:
+    if old is new or old == new:
+        return old
+    return ValueInfo(
+        interval=widen_interval(old.interval, join_interval(old.interval, new.interval)),
+        origins=old.origins | new.origins,
+    )
+
+
+def _merge(
+    a: State, b: State, combine: Callable[[ValueInfo, ValueInfo], ValueInfo]
+) -> State:
+    """Combine two states register by register; a register bound on one
+    side only combines with the unknown value.
+
+    ``a``'s ValueInfo objects are kept wherever the sides agree (the
+    common case near a fixed point), which keeps the engine's ``equal``
+    checks cheap.
+    """
+    if a is b:
+        return a
+    out = dict(a)
+    shared = 0
+    for reg, vb in b.items():
+        va = a.get(reg)
+        if va is None:
+            out[reg] = combine(_UNKNOWN, vb)
+            continue
+        shared += 1
+        if va is not vb:
+            out[reg] = combine(va, vb)
+    if shared < len(a):  # some registers are bound in ``a`` only
+        for reg, va in a.items():
+            if reg not in b:
+                out[reg] = combine(va, _UNKNOWN)
+    return out
+
+
 #: Fresh-value barriers: the defined value enters its file from another
 #: domain (memory, the caller), so operand origins do not flow through.
 _FRESH_KINDS = (OpKind.LOAD, OpKind.CALL, OpKind.PARAM)
@@ -181,36 +230,43 @@ class ValueClassDomain(AbstractDomain[State]):
         return {}
 
     def join(self, a: State, b: State) -> State:
-        out: State = {}
-        for reg in a.keys() | b.keys():
-            va = a.get(reg, _UNKNOWN)
-            vb = b.get(reg, _UNKNOWN)
-            out[reg] = ValueInfo(
-                interval=join_interval(va.interval, vb.interval),
-                origins=va.origins | vb.origins,
-            )
-        return out
+        return _merge(a, b, _join_info)
 
     def widen(self, old: State, new: State) -> State:
-        out: State = {}
-        for reg in old.keys() | new.keys():
-            vo = old.get(reg, _UNKNOWN)
-            vn = new.get(reg, _UNKNOWN)
-            out[reg] = ValueInfo(
-                interval=widen_interval(vo.interval, join_interval(vo.interval, vn.interval)),
-                origins=vo.origins | vn.origins,
-            )
-        return out
+        return _merge(old, new, _widen_info)
 
     # -- semantics -------------------------------------------------------
     def value_of(self, state: State, reg: Reg) -> ValueInfo:
-        if reg == ZERO:
+        # the name test skips the field-wise comparison for most registers
+        if reg.name == ZERO.name and reg == ZERO:
             return _ZERO_INFO
         return state.get(reg, _UNKNOWN)
 
     def transfer_instruction(self, instr: Instruction, state: State) -> State:
         if not instr.defs:
             return state
+        value = self._def_value(instr, state)
+        out = dict(state)
+        for reg in instr.defs:
+            out[reg] = value
+        return out
+
+    def transfer_block(self, func: Function, block: BasicBlock, state: State) -> State:
+        """:meth:`transfer_instruction` folded over the block, copying
+        the state once instead of once per defining instruction."""
+        out: State | None = None
+        for instr in block.instructions:
+            if not instr.defs:
+                continue
+            value = self._def_value(instr, state if out is None else out)
+            if out is None:
+                out = dict(state)
+            for reg in instr.defs:
+                out[reg] = value
+        return state if out is None else out
+
+    def _def_value(self, instr: Instruction, state: State) -> ValueInfo:
+        """Abstract value ``instr`` writes to each of its defs."""
         inputs = [self.value_of(state, reg) for reg in instr.uses]
         if instr.kind in _FRESH_KINDS:
             origins: frozenset[int] = frozenset()
@@ -221,11 +277,7 @@ class ValueClassDomain(AbstractDomain[State]):
             and instr.op is not Opcode.CP_TO_COMP
         ):
             origins = origins | {instr.uid}
-        interval = self._interval_of(instr, inputs)
-        out = dict(state)
-        for reg in instr.defs:
-            out[reg] = ValueInfo(interval=interval, origins=origins)
-        return out
+        return ValueInfo(interval=self._interval_of(instr, inputs), origins=origins)
 
     def _interval_of(self, instr: Instruction, inputs: list[ValueInfo]) -> Interval:
         op = instr.op

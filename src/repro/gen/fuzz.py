@@ -32,6 +32,7 @@ Oracle invariants, per program:
 
 from __future__ import annotations
 
+import pickle
 import time
 from dataclasses import dataclass, field
 
@@ -87,6 +88,8 @@ class _SchemeRun:
     cycles: int = 0
     retired: int = 0
     copies_added: int = 0
+    #: Block counts of the traced run.
+    profile: ExecutionProfile | None = None
 
 
 @dataclass(eq=False, slots=True)
@@ -153,18 +156,45 @@ class DifferentialOracle:
         self.simulate = simulate
 
     # -- pipeline legs ----------------------------------------------------
-    def _run_scheme(
-        self, source: str, scheme: str, violations: list[Violation]
-    ) -> _SchemeRun | None:
+    def _run_schemes(
+        self, source: str, violations: list[Violation]
+    ) -> dict[str, _SchemeRun | None]:
+        """Every requested scheme on one compile of ``source``.
+
+        The optimized program is compiled once and each scheme rewrites
+        a private copy of it.  The conventional scheme runs first: basic
+        and advanced take their block profile from its traced run, and
+        make their own profile run only when it is not requested (or
+        failed).
+        """
         try:
-            program = compile_source(source, optimize=True)
+            compiled = compile_source(source, optimize=True)
         except ReproError as exc:
-            violations.append(Violation("compile", f"{scheme}: {exc}"))
-            return None
+            for scheme in self.schemes:
+                violations.append(Violation("compile", f"{scheme}: {exc}"))
+            return dict.fromkeys(self.schemes)
+        frozen = pickle.dumps(compiled, pickle.HIGHEST_PROTOCOL)
+        runs: dict[str, _SchemeRun | None] = {}
+        profile: ExecutionProfile | None = None
+        for scheme in sorted(self.schemes, key=lambda s: s != "conventional"):
+            run = self._run_scheme(pickle.loads(frozen), scheme, profile, violations)
+            if run is not None and scheme == "conventional":
+                profile = run.profile
+            runs[scheme] = run
+        return {scheme: runs[scheme] for scheme in self.schemes}
+
+    def _run_scheme(
+        self,
+        program: Program,
+        scheme: str,
+        profile: ExecutionProfile | None,
+        violations: list[Violation],
+    ) -> _SchemeRun | None:
         run = _SchemeRun(program=program)
         try:
             if scheme != "conventional":
-                profile = run_program(program, fuel=self.fuel).profile
+                if profile is None:
+                    profile = run_program(program, fuel=self.fuel).profile
                 self._partition_and_audit(program, scheme, profile, run, violations)
             allocate_program(program)
             verify_program(program)
@@ -178,6 +208,7 @@ class DifferentialOracle:
             return None
         run.checksum = result.value
         run.dynamic = result.instructions
+        run.profile = result.profile
         if self.simulate:
             packed = result.packed
             stats = TimingSimulator(self.config).run(packed)
@@ -255,10 +286,7 @@ class DifferentialOracle:
         """All differential invariants for one program."""
         case = FuzzCase(seed=seed, source=source)
         violations = case.violations
-        runs: dict[str, _SchemeRun | None] = {
-            scheme: self._run_scheme(source, scheme, violations)
-            for scheme in self.schemes
-        }
+        runs = self._run_schemes(source, violations)
         conventional = runs.get("conventional")
         basic = runs.get("basic")
         advanced = runs.get("advanced")

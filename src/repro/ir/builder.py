@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from repro.ir.function import BasicBlock, Function
 from repro.ir.instructions import Immediate, Instruction
-from repro.ir.opcodes import Opcode, OpKind, OPCODES
+from repro.ir.opcodes import Opcode, OpKind
 from repro.ir.registers import Reg, RegClass
 
 
@@ -102,7 +102,7 @@ class IRBuilder:
 
         The destination register class follows the opcode's subsystem.
         """
-        info = OPCODES[op]
+        info = op.info
         if info.kind not in (OpKind.ALU, OpKind.MUL, OpKind.DIV):
             raise ValueError(f"emit_alu got non-ALU opcode {op}")
         if len(srcs) != info.n_uses:
@@ -116,7 +116,7 @@ class IRBuilder:
         return dest
 
     def load(self, base: Reg, offset: int = 0, op: Opcode = Opcode.LW) -> Reg:
-        info = OPCODES[op]
+        info = op.info
         if info.kind is not OpKind.LOAD:
             raise ValueError(f"load got non-load opcode {op}")
         rclass = RegClass.FP if op is Opcode.LS else RegClass.INT
@@ -125,13 +125,13 @@ class IRBuilder:
         return dest
 
     def store(self, value: Reg, base: Reg, offset: int = 0, op: Opcode = Opcode.SW) -> Instruction:
-        info = OPCODES[op]
+        info = op.info
         if info.kind is not OpKind.STORE:
             raise ValueError(f"store got non-store opcode {op}")
         return self.emit(Instruction(op, uses=[value, base], imm=offset))
 
     def branch(self, op: Opcode, *srcs: Reg, target: str) -> Instruction:
-        info = OPCODES[op]
+        info = op.info
         if info.kind is not OpKind.BRANCH:
             raise ValueError(f"branch got non-branch opcode {op}")
         if len(srcs) != info.n_uses:

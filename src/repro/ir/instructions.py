@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.ir.opcodes import Opcode, OpKind, OPCODES, OpInfo
+from repro.ir.opcodes import Opcode, OpKind, OpInfo
 from repro.ir.registers import Reg
 
 Immediate = int | float | str | None
@@ -54,11 +54,11 @@ class Instruction:
     @property
     def info(self) -> OpInfo:
         """Static metadata for this instruction's opcode."""
-        return OPCODES[self.op]
+        return self.op.info
 
     @property
     def kind(self) -> OpKind:
-        return OPCODES[self.op].kind
+        return self.op.info.kind
 
     @property
     def is_branch(self) -> bool:

@@ -27,7 +27,14 @@ from dataclasses import dataclass
 
 
 class Opcode(enum.Enum):
-    """All opcodes known to the IR. Values are the assembly mnemonics."""
+    """All opcodes known to the IR. Values are the assembly mnemonics.
+
+    Each member carries its :class:`OpInfo` as ``op.info`` (attached
+    below from :data:`OPCODES`), so hot paths read an attribute instead
+    of hashing the enum member into a dict.
+    """
+
+    info: OpInfo
 
     # --- integer ALU, register-register ---
     ADDU = "addu"
@@ -269,6 +276,10 @@ OPCODES: dict[Opcode, OpInfo] = {
     Opcode.CP_FROM_COMP: OpInfo(OpKind.COPY, 1, 1, fp_subsystem=True),
 }
 
+for _op, _info in OPCODES.items():
+    _op.info = _info
+del _op, _info
+
 #: The FPa extension opcodes (exactly 22, matching the paper's count).
 FPA_OPCODES: frozenset[Opcode] = frozenset(
     op for op, info in OPCODES.items() if info.fp_subsystem and info.twin is not None
@@ -289,7 +300,7 @@ def fpa_twin(op: Opcode) -> Opcode | None:
     for integer opcodes the FPa extension does not cover (mul/div, nor,
     variable shifts, byte memory ops, ...).
     """
-    info = OPCODES[op]
+    info = op.info
     if info.fp_subsystem or info.twin is None:
         return None
     return _BY_NAME[info.twin]
@@ -297,7 +308,7 @@ def fpa_twin(op: Opcode) -> Opcode | None:
 
 def int_twin(op: Opcode) -> Opcode | None:
     """The integer original of an ``.a`` opcode, or None."""
-    info = OPCODES[op]
+    info = op.info
     if not info.fp_subsystem or info.twin is None:
         return None
     return _BY_NAME[info.twin]

@@ -16,7 +16,7 @@ import re
 from repro.errors import ParseError
 from repro.ir.function import Function
 from repro.ir.instructions import Immediate, Instruction
-from repro.ir.opcodes import Opcode, OpKind, OPCODES, opcode_by_name
+from repro.ir.opcodes import Opcode, OpKind, opcode_by_name
 from repro.ir.program import Program
 from repro.ir.registers import Reg, parse_reg
 
@@ -90,7 +90,7 @@ def _parse_instruction(text: str, line: int) -> Instruction:
     except KeyError:
         raise ParseError(f"unknown opcode {mnemonic!r}", line) from None
     operands = _parse_operands(parts[1] if len(parts) > 1 else "", line)
-    info = OPCODES[op]
+    info = op.info
     kind = info.kind
 
     if kind is OpKind.RET:

@@ -46,6 +46,12 @@ class Reg:
     rclass: RegClass = RegClass.INT
     virtual: bool = True
 
+    def __hash__(self) -> int:
+        # consistent with the generated __eq__ (equal registers have
+        # equal names) and far cheaper than hashing the field tuple with
+        # its enum member
+        return hash(self.name)
+
     def __str__(self) -> str:
         return self.name
 

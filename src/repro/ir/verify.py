@@ -84,57 +84,68 @@ def expected_use_class(
     return None
 
 
-def _use_class_message(
-    instr: Instruction, pos: int, want: RegClass, where: str
-) -> str:
+def _use_class_message(instr: Instruction, pos: int, want: RegClass) -> str:
     """Error text for a use-class violation, kept specific per operand role."""
     kind = instr.kind
     if kind is OpKind.LOAD:
-        return f"{where}: load base must be {want.name}-class"
+        return f"load base must be {want.name}-class"
     if kind is OpKind.STORE:
         role = "base" if pos == 1 else "value"
-        return f"{where}: store {role} must be {want.name}-class"
+        return f"store {role} must be {want.name}-class"
     if kind is OpKind.RET:
-        return f"{where}: return value must be {want.name}-class"
-    return (
-        f"{where}: use {instr.uses[pos]} must be {want.name}-class for {instr.op}"
-    )
+        return f"return value must be {want.name}-class"
+    return f"use {instr.uses[pos]} must be {want.name}-class for {instr.op}"
 
 
-def verify_instruction(instr: Instruction, func: Function, labels: set[str]) -> None:
-    """Verify one instruction in the context of its function."""
+def _instruction_problem(
+    instr: Instruction, func: Function, labels: set[str]
+) -> str | None:
+    """The first structural problem of one instruction, or None."""
     info = instr.info
-    where = f"{func.name}: {instr!r}"
-
-    if info.n_uses >= 0:
-        _check(len(instr.uses) == info.n_uses, f"{where}: expected {info.n_uses} uses")
-    if info.n_defs >= 0:
-        _check(len(instr.defs) == info.n_defs, f"{where}: expected {info.n_defs} defs")
-    if info.has_imm:
-        _check(instr.imm is not None, f"{where}: missing immediate")
-    if info.has_target:
-        _check(instr.target is not None, f"{where}: missing target")
+    if info.n_uses >= 0 and len(instr.uses) != info.n_uses:
+        return f"expected {info.n_uses} uses"
+    if info.n_defs >= 0 and len(instr.defs) != info.n_defs:
+        return f"expected {info.n_defs} defs"
+    if info.has_imm and instr.imm is None:
+        return "missing immediate"
+    if info.has_target and instr.target is None:
+        return "missing target"
 
     for d in instr.defs:
-        _check(d != ZERO, f"{where}: writes $zero")
+        if d == ZERO:
+            return "writes $zero"
 
     expected = expected_def_class(instr, func)
     if expected is not None:
         for d in instr.defs:
-            _check(d.rclass is expected, f"{where}: def {d} must be {expected.name}-class")
+            if d.rclass is not expected:
+                return f"def {d} must be {expected.name}-class"
 
-    if info.kind is OpKind.RET:
-        _check(len(instr.uses) <= 1, f"{where}: ret takes at most one value")
+    if info.kind is OpKind.RET and len(instr.uses) > 1:
+        return "ret takes at most one value"
 
     # use-class constraints, one shared table for every operand position
     # (call arguments are callee-dependent and checked in verify_function)
     for pos, use in enumerate(instr.uses):
         want = expected_use_class(instr, pos)
-        if want is not None:
-            _check(use.rclass is want, _use_class_message(instr, pos, want, where))
+        if want is not None and use.rclass is not want:
+            return _use_class_message(instr, pos, want)
 
-    if info.has_target and info.kind in (OpKind.BRANCH, OpKind.JUMP):
-        _check(instr.target in labels, f"{where}: branch to unknown label {instr.target!r}")
+    if (
+        info.has_target
+        and info.kind in (OpKind.BRANCH, OpKind.JUMP)
+        and instr.target not in labels
+    ):
+        return f"branch to unknown label {instr.target!r}"
+    return None
+
+
+def verify_instruction(instr: Instruction, func: Function, labels: set[str]) -> None:
+    """Verify one instruction in the context of its function."""
+    problem = _instruction_problem(instr, func, labels)
+    if problem is not None:
+        # the printed instruction is only worth formatting on failure
+        raise IRError(f"{func.name}: {instr!r}: {problem}")
 
 
 def verify_function(func: Function, program: Program | None = None) -> None:

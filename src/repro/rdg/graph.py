@@ -47,6 +47,11 @@ class Node:
     uid: int
     part: Part = Part.WHOLE
 
+    def __hash__(self) -> int:
+        # the generated hash((uid, part)) exactly (an enum member hashes
+        # as its name), minus the Python-level Enum.__hash__ call
+        return hash((self.uid, self.part._name_))
+
     def __repr__(self) -> str:
         if self.part is Part.WHOLE:
             return f"n{self.uid}"

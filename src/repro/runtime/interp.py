@@ -21,7 +21,7 @@ reads and writes, keeping the dispatch loop tight.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ExecutionError, FuelExhausted
 from repro.ir.function import Function
@@ -169,12 +169,14 @@ class _Code:
     Alongside each instruction it keeps what the traced run needs: the
     laid-out pc, the register names the trace entry reads and writes
     (``None`` writes for ``call``/``ret``, whose written token belongs
-    to another activation and is emitted by the interpreter).
+    to another activation and is emitted by the interpreter), and the
+    ALU or branch function of its opcode (looked up once here rather
+    than per execution).
     """
 
     __slots__ = (
         "func", "instrs", "start_of", "block_start_label", "resolved_imm",
-        "pcs", "read_names", "write_names",
+        "pcs", "read_names", "write_names", "semantics",
     )
 
     def __init__(self, func: Function, program: Program, layout: ProgramLayout):
@@ -186,6 +188,7 @@ class _Code:
         self.pcs: list[int] = []
         self.read_names: list[tuple[str, ...]] = []
         self.write_names: list[tuple[str, ...] | None] = []
+        self.semantics: list[Callable | None] = []
         for blk in func.blocks:
             self.start_of[blk.label] = len(self.instrs)
             first = True
@@ -197,6 +200,7 @@ class _Code:
                 if isinstance(imm, str):
                     imm = program.global_address(imm)
                 self.resolved_imm.append(imm)
+                self.semantics.append(_ALU.get(instr.op) or _BRANCH.get(instr.op))
                 self.pcs.append(layout.pc_of[(func.name, instr.uid)])
                 kind = instr.kind
                 if kind is OpKind.PARAM:
@@ -217,6 +221,7 @@ class _Code:
                 self.instrs.append(Instruction(Opcode.NOP, uid=-2))
                 self.block_start_label.append(blk.label)
                 self.resolved_imm.append(None)
+                self.semantics.append(None)
                 self.pcs.append(-1)
                 self.read_names.append(())
                 self.write_names.append(())
@@ -408,7 +413,7 @@ class Interpreter:
                     a, b = read(uses[0]), code.resolved_imm[index]
                 else:
                     a, b = 0, code.resolved_imm[index]
-                regs[instr.defs[0].name] = _ALU[op](a, b)
+                regs[instr.defs[0].name] = code.semantics[index](a, b)
             elif kind is OpKind.LOAD:
                 addr = read(instr.uses[0]) + (code.resolved_imm[index] or 0)
                 if op is Opcode.LW or op is Opcode.LS:
@@ -433,7 +438,7 @@ class Interpreter:
                 uses = instr.uses
                 a = read(uses[0])
                 b = read(uses[1]) if len(uses) == 2 else 0
-                taken = _BRANCH[op](a, b)
+                taken = code.semantics[index](a, b)
                 if builder is not None:
                     taken_col[-1] = 1 if taken else 0
                 if taken:

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+from hypothesis import given, settings, strategies as st
+
+from repro.analysis.absint import AbstractDomain
 from repro.analysis.valueclass import (
     Interval,
+    ValueClassDomain,
+    ValueInfo,
     add_interval,
     analyze_values,
     const,
@@ -14,8 +19,12 @@ from repro.analysis.valueclass import (
     sub_interval,
     widen_interval,
 )
+from repro.gen.build import build_program
+from repro.ir.function import Function
 from repro.ir.opcodes import Opcode, OpKind
 from repro.ir.parser import parse_function, parse_program
+from repro.ir.registers import Reg, RegClass
+from repro.minic.compile import compile_source
 
 
 def instr_named(func, op):
@@ -224,3 +233,89 @@ entry:
         values = analyze_values(func)
         ret = instr_named(func, Opcode.RET)
         assert values.value_at(ret, ret.uses[0]).interval == const(7)
+
+
+# -- lattice operations against a naive reference ------------------------
+
+def _naive_join(a, b):
+    """Reference join: every register of either side, joined field-wise
+    (a register bound on one side only joins with the unknown value)."""
+    out = {}
+    for reg in a.keys() | b.keys():
+        va = a.get(reg, ValueInfo())
+        vb = b.get(reg, ValueInfo())
+        out[reg] = ValueInfo(
+            interval=join_interval(va.interval, vb.interval),
+            origins=va.origins | vb.origins,
+        )
+    return out
+
+
+def _naive_widen(old, new):
+    out = {}
+    for reg in old.keys() | new.keys():
+        vo = old.get(reg, ValueInfo())
+        vn = new.get(reg, ValueInfo())
+        out[reg] = ValueInfo(
+            interval=widen_interval(vo.interval, join_interval(vo.interval, vn.interval)),
+            origins=vo.origins | vn.origins,
+        )
+    return out
+
+
+_POOL = [Reg(f"v{i}") for i in range(6)] + [Reg(f"vf{i}", RegClass.FP) for i in range(2)]
+_BOUND = st.one_of(st.none(), st.integers(-3, 3))
+_VALUE = st.builds(
+    ValueInfo,
+    interval=st.builds(Interval, _BOUND, _BOUND),
+    origins=st.frozensets(st.integers(0, 3), max_size=2),
+)
+
+
+@st.composite
+def _state_pair(draw):
+    """Two states over a small register pool that share some ValueInfo
+    objects, bind some registers on one side only, and are sometimes the
+    very same dict."""
+    shared = draw(st.lists(_VALUE, min_size=1, max_size=4))
+    value = st.one_of(st.sampled_from(shared), _VALUE)
+    a = draw(st.dictionaries(st.sampled_from(_POOL), value, max_size=len(_POOL)))
+    if draw(st.integers(0, 4)) == 0:
+        return a, a
+    b = draw(st.dictionaries(st.sampled_from(_POOL), value, max_size=len(_POOL)))
+    return a, b
+
+
+class TestLattice:
+    @settings(max_examples=300, deadline=None)
+    @given(_state_pair())
+    def test_join_matches_naive_reference(self, pair):
+        a, b = pair
+        got = ValueClassDomain(Function("f")).join(a, b)
+        want = _naive_join(a, b)
+        assert set(got) == set(want)
+        assert got == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(_state_pair())
+    def test_widen_matches_naive_reference(self, pair):
+        old, new = pair
+        got = ValueClassDomain(Function("f")).widen(old, new)
+        want = _naive_widen(old, new)
+        assert set(got) == set(want)
+        assert got == want
+
+    def test_block_transfer_matches_instruction_fold(self):
+        """Copying the state once per block gives the same out-states as
+        folding the per-instruction transfer."""
+        for seed in (0, 5):
+            program = compile_source(build_program(seed), optimize=True)
+            for func in program.functions.values():
+                domain = ValueClassDomain(func)
+                fixpoint = analyze_values(func).fixpoint
+                for blk in func.blocks:
+                    state = fixpoint.in_states[blk.label]
+                    if state is None:
+                        continue
+                    folded = AbstractDomain.transfer_block(domain, func, blk, state)
+                    assert domain.transfer_block(func, blk, state) == folded

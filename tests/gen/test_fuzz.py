@@ -69,8 +69,8 @@ class _CannedOracle(DifferentialOracle):
         super().__init__(simulate=False)
         self._canned = runs
 
-    def _run_scheme(self, source, scheme, violations):
-        return self._canned[scheme]
+    def _run_schemes(self, source, violations):
+        return dict(self._canned)
 
 
 def _canned_run(checksum, dynamic):
@@ -130,5 +130,10 @@ def test_make_interesting_matches_kinds():
 
 def test_non_compiling_source_is_a_compile_violation():
     case = DifferentialOracle(simulate=False).check_source("int main( {")
-    kinds = {v.kind for v in case.violations}
-    assert kinds == {"compile"}
+    # compiled once, still reported once per requested scheme
+    assert [v.kind for v in case.violations] == ["compile"] * 3
+    assert [v.detail.split(":")[0] for v in case.violations] == [
+        "conventional",
+        "basic",
+        "advanced",
+    ]

@@ -10,7 +10,7 @@ is a pure performance transformation.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st, HealthCheck
+from hypothesis import example, given, settings, strategies as st, HealthCheck
 
 from repro.minic.compile import compile_source
 from repro.ir.verify import verify_program
@@ -117,12 +117,44 @@ def test_cost_parameters_never_break_semantics(source, params):
     assert got == baseline
 
 
+#: A drawn program whose advanced partition copies a constant 0 into the
+#: FP file and has a copy in a block the value ranges prove unreachable.
+_DEAD_COPY_SOURCE = """
+int arr[32];
+int main() {
+    int a = 3; int b = -7; int c = 11; int d = 0;
+    int i;
+    for (i = 0; i < 32; i = i + 1) { arr[i] = i * 5 - 64; }
+    for (i = 0; i < 6; i = i + 1) {
+        a = ((((((0) + (0))) + (((0) + (0))))) + (((((0) + (0))) + (((0) + (c))))));
+        if ((((0) + (0))) == (a)) { b = a; }
+        a = arr[a & 31];
+        d = d + 1;
+    }
+    return (a ^ b ^ c ^ d ^ arr[3] ^ arr[17]) & 0xffffff;
+}
+"""
+
+
+def _is_dead_copy_warning(diag) -> bool:
+    """The value-range rule's proved-dead-copy warning: wasted but legal
+    communication, which the fuzz oracle's lint contract also accepts."""
+    return (
+        diag.rule == "value-range"
+        and diag.severity is Severity.WARNING
+        and "copy is never executed" in diag.message
+    )
+
+
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(minic_program(), st.sampled_from(["basic", "advanced"]))
+@given(source=minic_program(), scheme=st.sampled_from(["basic", "advanced"]))
+@example(source=_DEAD_COPY_SOURCE, scheme="advanced")
 def test_partitioned_programs_lint_clean(source, scheme):
     """Every partitioned+rewritten random program passes all lint rules:
     the partition-level rules on the pre-rewrite partitions and the
-    dataflow rules on the rewritten IR."""
+    dataflow rules on the rewritten IR.  Notes, and the value-range
+    warning for a copy proved never executed, are allowed; any other
+    warning fails."""
     program = compile_source(source)
     partitions = {}
     for name, func in program.functions.items():
@@ -138,7 +170,12 @@ def test_partitioned_programs_lint_clean(source, scheme):
         apply_partition(func, partitions[name])
     verify_program(program)
     post = lint_program(program, scheme=scheme)
-    assert not post.failed(Severity.WARNING), render_text(post)
+    unexpected = [
+        diag
+        for diag in post.diagnostics
+        if diag.severity >= Severity.WARNING and not _is_dead_copy_warning(diag)
+    ]
+    assert not unexpected, render_text(post)
 
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
