@@ -29,7 +29,7 @@ Command line::
 
 from repro.bench.cache import ResultCache, cell_key, code_fingerprint
 from repro.bench.compare import compare_documents, format_report
-from repro.bench.harness import CellOutcome, RunReport, clear_memo, run_cells
+from repro.bench.harness import CellOutcome, clear_memo, run_cells
 from repro.bench.matrix import SUITES, Cell, suite_cells
 from repro.bench.results import (
     BENCH_SCHEMA,
@@ -44,7 +44,6 @@ __all__ = [
     "Cell",
     "CellOutcome",
     "ResultCache",
-    "RunReport",
     "SUITES",
     "build_document",
     "cell_key",

@@ -4,16 +4,15 @@ Examples::
 
     repro bench --suite fig8 --jobs 4
     repro bench --suite fig8 --jobs 4 --baseline benchmarks/baseline.json
-    repro bench --suite all --jobs 8 --timeout 300 --retries 2
-    repro bench --suite all --resume          # continue a killed sweep
+    repro bench --suite all --jobs 2 --timeout 60
     repro bench --validate BENCH_fig8.json
     repro bench --list
 
-A failing or hung cell no longer aborts the sweep: it is recorded in
-the document's ``failures`` section and the run exits 4 when the count
-exceeds ``--max-failures`` (default 0, so CI still fails loudly).  The
-run journal (``<output>.journal``) makes an interrupted sweep resumable
-with ``--resume``; it is deleted after a fully clean run.
+A failing, hung or crashed cell does not abort the sweep: it is
+recorded in the document's ``failures`` section and the run exits 4
+when the count exceeds ``--max-failures`` (default 0, so CI still fails
+loudly).  Rerunning a killed or failed sweep recomputes only what the
+on-disk result cache does not already hold.
 """
 
 from __future__ import annotations
@@ -83,41 +82,8 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         type=float,
         default=None,
         metavar="SECS",
-        help="per-cell stall limit; a cell whose heartbeat advances is "
-        "granted more time, a stalled cell is killed and recorded "
-        "(default: none)",
-    )
-    parser.add_argument(
-        "--hard-timeout",
-        type=float,
-        default=None,
-        metavar="SECS",
-        help="absolute per-cell wall-clock ceiling; kills the cell even "
-        "while it is still making progress (default: unlimited)",
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=1,
-        metavar="N",
-        help="extra attempts per failing cell before recording the "
-        "failure (default: 1)",
-    )
-    parser.add_argument(
-        "--breaker-threshold",
-        type=int,
-        default=0,
-        metavar="K",
-        help="open a (workload, scheme) family's circuit breaker after "
-        "K consecutive failed attempts and fail its remaining cells "
-        "fast (default: 0, disabled)",
-    )
-    parser.add_argument(
-        "--backoff",
-        type=float,
-        default=0.5,
-        metavar="SECS",
-        help="base of the exponential retry delay (default: 0.5)",
+        help="hard per-cell wall-clock limit; a cell still running at "
+        "the limit is killed and recorded as a timeout (default: none)",
     )
     parser.add_argument(
         "--max-failures",
@@ -126,12 +92,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help="tolerate up to N failed cells before exiting non-zero "
         "(default: 0 — any failure fails the run)",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="replay finished cells from the run journal of an "
-        "interrupted sweep, recomputing only the rest",
     )
     parser.add_argument(
         "--baseline",
@@ -168,16 +128,13 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
 
 
 def run(args: argparse.Namespace) -> int:
-    from repro.bench.cache import ResultCache, cell_key, code_fingerprint
+    from repro.bench.cache import ResultCache
     from repro.bench.compare import compare_documents, format_report
-    from repro.bench.harness import CellError, CellOutcome, RunReport, run_cells
-    from repro.bench.journal import RunJournal
-    from repro.bench.matrix import Cell, SUITES, suite_cells
+    from repro.bench.harness import CellError, run_cells
+    from repro.bench.matrix import SUITES, suite_cells
     from repro.bench.results import (
         build_document,
         load_document,
-        outcome_cell_doc,
-        result_from_dict,
         save_document,
         validate_document,
     )
@@ -218,53 +175,11 @@ def run(args: argparse.Namespace) -> int:
 
         os.environ[TRACE_CACHE_ENV] = args.trace_cache
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    code_version = code_fingerprint()
-
     output = args.output
     if output is None:
         output = f"BENCH_{args.suite}.json"
-    journal_name = output if output != "-" else f"BENCH_{args.suite}.json"
-    journal = RunJournal(f"{journal_name}.journal")
-
-    # -- resume: replay finished cells from an interrupted sweep -------
-    resumed: list[CellOutcome] = []
-    if args.resume and journal.matches(args.suite, code_version):
-        _, entries = journal.load()
-        replayable: dict[str, dict] = {}
-        for entry in entries:
-            if entry.get("status") == "ok" and entry.get("key"):
-                replayable[entry["key"]] = entry  # last write wins
-        for entry in replayable.values():
-            try:
-                result = result_from_dict(entry["result"])
-                cell = Cell.from_dict(entry)
-            except (ReproError, KeyError, TypeError):
-                continue  # damaged line: just recompute that cell
-            resumed.append(
-                CellOutcome(
-                    cell, result, entry["key"], True, "journal", 0.0,
-                    float(entry.get("compute_seconds", 0.0)),
-                )
-            )
-        if resumed and not args.quiet:
-            print(
-                f"resuming from {journal.path}: {len(resumed)} finished "
-                "cells replayed",
-                file=sys.stderr,
-            )
-    elif args.resume:
-        print(
-            f"note: no matching run journal at {journal.path}; "
-            "running the full suite",
-            file=sys.stderr,
-        )
-    resumed_keys = {o.key for o in resumed}
-    todo = [c for c in cells if cell_key(c) not in resumed_keys]
-
-    journal.start(args.suite, code_version, fresh=not resumed)
 
     def progress(outcome) -> None:
-        journal.record(outcome_cell_doc(outcome))
         if args.quiet:
             return
         if not outcome.ok:
@@ -288,27 +203,15 @@ def run(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     start = time.perf_counter()
-    run_report = RunReport()
-    try:
-        outcomes = resumed + run_cells(
-            todo,
-            jobs=jobs,
-            cache=cache,
-            force=args.force,
-            progress=progress,
-            timeout=args.timeout,
-            hard_timeout=args.hard_timeout,
-            retries=max(0, args.retries),
-            backoff=max(0.0, args.backoff),
-            breaker_threshold=max(0, args.breaker_threshold),
-            report=run_report,
-        )
-    finally:
-        journal.close()
+    outcomes = run_cells(
+        cells,
+        jobs=jobs,
+        cache=cache,
+        force=args.force,
+        progress=progress,
+        timeout=args.timeout,
+    )
     total_seconds = time.perf_counter() - start
-    # report in suite order, regardless of resume/completion order
-    by_key = {o.key: o for o in outcomes}
-    outcomes = [by_key[k] for k in dict.fromkeys(cell_key(c) for c in cells)]
 
     hits = sum(1 for o in outcomes if o.cached)
     doc = build_document(
@@ -323,8 +226,6 @@ def run(args: argparse.Namespace) -> int:
             "misses": len(outcomes) - hits,
             "hit_rate": hits / len(outcomes) if outcomes else 0.0,
         },
-        code_version=code_version,
-        breakers=run_report.breakers,
     )
     validate_document(doc)
 
@@ -336,9 +237,6 @@ def run(args: argparse.Namespace) -> int:
         save_document(doc, output)
 
     failures = doc["failures"]
-    if not failures:
-        journal.remove()  # clean run: nothing left to resume
-
     compute_total = sum(o.compute_seconds for o in outcomes)
     print(
         f"{len(outcomes)} cells in {total_seconds:.1f}s wall "
@@ -357,25 +255,10 @@ def run(args: argparse.Namespace) -> int:
             f"{error.get('message')}",
             file=sys.stderr,
         )
-        fail_progress = failure.get("progress")
-        if fail_progress:
-            detail = ", ".join(
-                f"{k}={v}" for k, v in sorted(fail_progress.items())
-            )
-            print(f"    progress: {detail}", file=sys.stderr)
-    for family, state in sorted((doc.get("breakers") or {}).items()):
-        if state.get("state") == "open":
-            print(
-                f"  breaker OPEN: {family} after "
-                f"{state.get('consecutive_failures')} consecutive failures "
-                f"({state.get('skipped_cells', 0)} cell(s) skipped)",
-                file=sys.stderr,
-            )
     if len(failures) > args.max_failures:
         print(
             f"error: {len(failures)} failed cell(s) exceed "
-            f"--max-failures {args.max_failures} "
-            f"(journal kept at {journal.path} for --resume)",
+            f"--max-failures {args.max_failures}",
             file=sys.stderr,
         )
         return EXIT_BENCH_FAILURES

@@ -17,7 +17,7 @@ uploads and gates on.  Layout (schema ``repro-bench/1``)::
           "workload": "compress", "scheme": "advanced",
           "width": 4, "scale": null,
           "key": "<cache key>", "cached": false, "source": "computed",
-          "status": "ok", "attempts": 1,
+          "status": "ok",
           "seconds": 1.9,            # time this run spent on the cell
           "compute_seconds": 1.9,    # fresh pipeline time (from cache)
           "throughput_ips": 130000.0,  # simulated instructions / compute s
@@ -30,19 +30,11 @@ uploads and gates on.  Layout (schema ``repro-bench/1``)::
           "width": 4, "scale": null,
           "key": "<cache key>", "cached": false, "source": "none",
           "status": "failed",        # or "timeout"
-          "attempts": 2,
           "seconds": 0.0, "compute_seconds": 0.0,
           "error": {"type": "PartitionError", "stage": "partition",
-                    "message": "..."},
-          "progress": {               # optional: last worker heartbeat
-            "stage": "simulate", "cycles": 41200, "retired": 158000
-          }
+                    "message": "..."}
         }, ...
-      ],
-      "breakers": {                  # optional: circuit-breaker report
-        "m88ksim/advanced": {"state": "open", "consecutive_failures": 3,
-                             "threshold": 3, "skipped_cells": 1}, ...
-      }
+      ]
     }
 
 Every numeric field of ``result`` is produced by the deterministic
@@ -51,6 +43,12 @@ for cell — that is what the CI baseline gate checks.  ``cells`` holds
 only clean results; a failed cell moves to ``failures`` (with the
 captured error instead of a result) so a partial run still yields a
 valid, gateable document.
+
+Documents written before the sweep supervisor was simplified may also
+carry ``attempts``, ``attempt_seconds`` and ``progress`` per cell and a
+top-level ``breakers`` block.  Nothing reads those fields any more, and
+the validator ignores them, so older documents (and the perf histories
+holding them) still load.
 """
 
 from __future__ import annotations
@@ -139,22 +137,16 @@ def host_info() -> dict:
 
 def outcome_cell_doc(outcome) -> dict:
     """JSON form of one :class:`~repro.bench.harness.CellOutcome` —
-    the ``cells``/``failures`` entry layout, also used by the run
-    journal so a resumed cell round-trips losslessly."""
+    the ``cells``/``failures`` entry layout."""
     doc = {
         **outcome.cell.as_dict(),
         "key": outcome.key,
         "cached": outcome.cached,
         "source": outcome.source,
         "status": outcome.status,
-        "attempts": outcome.attempts,
         "seconds": outcome.seconds,
         "compute_seconds": outcome.compute_seconds,
     }
-    if outcome.attempt_seconds:
-        # per-attempt wall clock: intra-run repeat data the perf-history
-        # noise-floor estimator (repro.perf.detect) derives thresholds from
-        doc["attempt_seconds"] = [round(s, 6) for s in outcome.attempt_seconds]
     if outcome.ok and outcome.result is not None:
         compute = outcome.compute_seconds
         doc["throughput_ips"] = (
@@ -168,10 +160,6 @@ def outcome_cell_doc(outcome) -> dict:
             if error is not None
             else {"type": "Unknown", "stage": "unknown", "message": ""}
         )
-        if getattr(outcome, "progress", None):
-            # last heartbeat of the failed worker: how far it got
-            # (stage, instructions, cycles)
-            doc["progress"] = dict(outcome.progress)
     return doc
 
 
@@ -182,17 +170,12 @@ def build_document(
     jobs: int,
     total_seconds: float,
     cache_stats: dict | None = None,
-    code_version: str | None = None,
-    breakers: dict | None = None,
 ) -> dict:
     """Assemble the BENCH document from harness outcomes.
 
     Failed outcomes land in ``failures`` instead of ``cells``, so every
     surviving cell is byte-identical to what a fault-free run of the
-    same code version would have produced.  ``breakers`` (from
-    :class:`~repro.bench.harness.RunReport`) records per-family circuit
-    breaker state; it is emitted only when non-empty so fault-free
-    documents are unchanged.
+    same code version would have produced.
     """
     from repro.bench.cache import code_fingerprint
 
@@ -200,13 +183,11 @@ def build_document(
     failures = [outcome_cell_doc(o) for o in outcomes if not o.ok]
     hits = sum(1 for o in outcomes if o.cached)
     total = len(cells) + len(failures)
-    doc = {
+    return {
         "schema": BENCH_SCHEMA,
         "suite": suite,
         "created_unix": time.time(),
-        "code_version": (
-            code_version if code_version is not None else code_fingerprint()
-        ),
+        "code_version": code_fingerprint(),
         "host": host_info(),
         "jobs": jobs,
         "total_seconds": total_seconds,
@@ -220,9 +201,6 @@ def build_document(
         "cells": cells,
         "failures": failures,
     }
-    if breakers:
-        doc["breakers"] = breakers
-    return doc
 
 
 _TOP_LEVEL_REQUIRED = (
@@ -316,17 +294,6 @@ def validate_document(doc: dict) -> None:
         error = failure.get("error")
         if error is not None and not isinstance(error, dict):
             problems.append(f"{where}.error must be an object")
-        progress = failure.get("progress")
-        if progress is not None and not isinstance(progress, dict):
-            problems.append(f"{where}.progress must be an object")
-    breakers = doc.get("breakers")
-    if breakers is not None:
-        if not isinstance(breakers, dict):
-            problems.append("breakers must be an object")
-        else:
-            for family, state in breakers.items():
-                if not isinstance(state, dict):
-                    problems.append(f"breakers[{family!r}] must be an object")
     if problems:
         raise ReproError(
             "invalid bench document:\n  " + "\n  ".join(problems)

@@ -134,10 +134,6 @@ def prepare_program(
         raise ReproError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     if degrade is None:
         degrade = _degrade_from_env()
-    # fault-point labels carry the scheme so a REPRO_FAULTS ``match=``
-    # can target e.g. only the advanced partition attempt
-    where = f"{name}/{scheme}"
-    fault_point("compile", where)
     program = compile_workload(name, scale)
     artifacts = PipelineArtifacts(program=program, scheme=scheme)
 
@@ -145,10 +141,11 @@ def prepare_program(
         profile: ExecutionProfile | None = None
         try:
             if use_profile and scheme == "advanced":
-                fault_point("profile", where)
                 profile = run_program(program).profile
                 artifacts.profile = profile
-            fault_point("partition", where)
+            # the label carries the scheme so a REPRO_FAULTS ``match=``
+            # can target e.g. only the advanced partition attempt
+            fault_point("partition", f"{name}/{scheme}")
             result = partition_program(
                 program,
                 scheme,
@@ -176,7 +173,6 @@ def prepare_program(
         artifacts.partition_summary = _summarize_partition(result)
 
     if regalloc:
-        fault_point("regalloc", where)
         allocate_program(program)
         verify_program(program)
     artifacts.static_instructions = program.instruction_count()

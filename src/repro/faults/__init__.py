@@ -1,4 +1,4 @@
-"""Seeded, deterministic fault injection for the experiment pipeline.
+"""Deterministic fault injection for the experiment pipeline.
 
 The benchmark pipeline is a long chain of deterministic stages; proving
 that the harness survives a crashed worker, a hang, or a corrupted cache
@@ -6,7 +6,7 @@ entry requires *causing* those events on demand and reproducibly.  This
 package injects faults at named pipeline-stage boundaries, driven by the
 ``REPRO_FAULTS`` environment variable::
 
-    REPRO_FAULTS="seed=7;execute:crash:match=m88ksim;simulate:hang:secs=60"
+    REPRO_FAULTS="execute:crash:match=m88ksim;simulate:hang:secs=60"
 
 See :mod:`repro.faults.spec` for the grammar and
 ``docs/robustness.md`` for the failure model.  With ``REPRO_FAULTS``
@@ -14,7 +14,7 @@ unset, every fault point is a near-free no-op — production runs pay one
 dict lookup per stage boundary.
 
 Injection is *per process*: worker processes parse the spec themselves,
-each with its own seeded RNG stream, so a given spec produces the same
+each with its own ``times=`` budgets, so a given spec produces the same
 faults run after run.
 """
 
@@ -31,7 +31,6 @@ from repro.faults.spec import (
     FAULT_KINDS,
     FAULT_SITES,
     FaultClause,
-    FaultPlan,
     parse_spec,
 )
 
@@ -39,7 +38,6 @@ __all__ = [
     "FAULT_KINDS",
     "FAULT_SITES",
     "FaultClause",
-    "FaultPlan",
     "FaultInjector",
     "active_injector",
     "corrupt_point",

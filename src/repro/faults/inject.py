@@ -6,19 +6,17 @@ cache read).  Both are no-ops unless ``REPRO_FAULTS`` is set.
 
 The active injector is built lazily from the environment and cached on
 the spec text, so tests can flip ``REPRO_FAULTS`` with ``monkeypatch``
-and get a fresh, deterministically seeded injector each time.  Firing
-decisions (``p=``) come from one ``random.Random(seed)`` stream per
-process; ``times=`` budgets are likewise per process.
+and get a fresh injector each time.  ``times=`` budgets are per
+process.
 """
 
 from __future__ import annotations
 
 import os
-import random
 import time
 
 from repro.errors import FaultInjected
-from repro.faults.spec import FaultClause, FaultPlan, parse_spec, resolve_error_type
+from repro.faults.spec import FaultClause, parse_spec, resolve_error_type
 
 #: Environment variable holding the fault spec.
 FAULTS_ENV = "REPRO_FAULTS"
@@ -28,31 +26,28 @@ CRASH_EXIT_CODE = 13
 
 
 class FaultInjector:
-    """Evaluates a :class:`FaultPlan` at fault points, statefully."""
+    """Evaluates parsed clauses at fault points, statefully."""
 
-    def __init__(self, plan: FaultPlan):
-        self.plan = plan
-        self.rng = random.Random(plan.seed)
-        self.fired: list[int] = [0] * len(plan.clauses)
+    def __init__(self, clauses: tuple[FaultClause, ...]):
+        self.clauses = clauses
+        self.fired: list[int] = [0] * len(clauses)
 
     def select(
         self, site: str, label: str = "", *, corrupt: bool = False
     ) -> FaultClause | None:
         """The first clause that fires at ``site`` for ``label``, if any.
 
-        Consumes the clause's ``times`` budget and (for ``p < 1``) one
-        RNG draw per eligible visit.  ``corrupt`` selects between data
-        corruption clauses and the error/hang/crash kinds, so a clause
-        never burns its budget at a point that would ignore it.
+        Consumes the clause's ``times`` budget.  ``corrupt`` selects
+        between data corruption clauses and the error/hang/crash kinds,
+        so a clause never burns its budget at a point that would ignore
+        it.
         """
-        for index, clause in enumerate(self.plan.clauses):
+        for index, clause in enumerate(self.clauses):
             if clause.site != site or (clause.kind == "corrupt") != corrupt:
                 continue
             if clause.match is not None and clause.match not in label:
                 continue
             if clause.times is not None and self.fired[index] >= clause.times:
-                continue
-            if clause.probability < 1.0 and self.rng.random() >= clause.probability:
                 continue
             self.fired[index] += 1
             return clause
@@ -76,7 +71,7 @@ def active_injector() -> FaultInjector | None:
 
 
 def reset_faults() -> None:
-    """Drop injector state (RNG stream, ``times`` budgets); tests."""
+    """Drop injector state (``times`` budgets); tests."""
     global _cached
     _cached = None
 

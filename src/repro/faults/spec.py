@@ -3,8 +3,7 @@
 A spec is a ``;``-separated list of clauses::
 
     spec    := clause (";" clause)*
-    clause  := "seed=" INT
-             | site ":" kind (":" key "=" value)*
+    clause  := site ":" kind (":" key "=" value)*
 
 ``site`` names a pipeline-stage boundary (see :data:`FAULT_SITES`),
 ``kind`` selects what happens when the clause fires:
@@ -23,13 +22,9 @@ corrupt   scramble the value flowing through a ``corrupt_point``
 
 Per-clause parameters:
 
-``p=<float>``
-    Firing probability per visit, drawn from the seeded RNG
-    (default 1.0 — always fire).
 ``times=<int>``
-    Maximum number of firings per process (default unlimited).  A
-    clause with ``times=1`` models a *transient* failure: the first
-    attempt fails, a retry succeeds.
+    Maximum number of firings per process (default unlimited), e.g.
+    ``cache.get:corrupt:times=1`` scrambles only the first cache read.
 ``match=<substring>``
     Only fire when the fault point's label contains the substring.
     Pipeline fault points use ``<workload>/<scheme>`` labels (so
@@ -46,7 +41,7 @@ Per-clause parameters:
 Example — crash every ``m88ksim`` worker, time out one ``compress``
 simulation, and make the first disk-cache read corrupt::
 
-    REPRO_FAULTS="seed=42;execute:crash:match=m88ksim;\
+    REPRO_FAULTS="execute:crash:match=m88ksim;\
 simulate:hang:secs=60:match=compress;cache.get:corrupt:times=1"
 """
 
@@ -58,10 +53,7 @@ from repro.errors import ReproError
 
 #: Named pipeline-stage boundaries that host a fault point.
 FAULT_SITES = (
-    "compile",
-    "profile",
     "partition",
-    "regalloc",
     "execute",
     "simulate",
     "cache.get",
@@ -78,7 +70,6 @@ class FaultClause:
 
     site: str
     kind: str
-    probability: float = 1.0
     times: int | None = None
     match: str | None = None
     secs: float = 30.0
@@ -86,21 +77,11 @@ class FaultClause:
 
     def describe(self) -> str:
         parts = [f"{self.site}:{self.kind}"]
-        if self.probability != 1.0:
-            parts.append(f"p={self.probability:g}")
         if self.times is not None:
             parts.append(f"times={self.times}")
         if self.match:
             parts.append(f"match={self.match}")
         return ":".join(parts)
-
-
-@dataclass(frozen=True, slots=True)
-class FaultPlan:
-    """A full parsed spec: RNG seed plus ordered clauses."""
-
-    seed: int
-    clauses: tuple[FaultClause, ...]
 
 
 def _parse_float(value: str, what: str) -> float:
@@ -133,12 +114,7 @@ def _parse_clause(text: str) -> FaultClause:
             raise ReproError(
                 f"REPRO_FAULTS: parameter {param!r} must be 'key=value'"
             )
-        if key == "p":
-            probability = _parse_float(value, "p")
-            if not 0.0 <= probability <= 1.0:
-                raise ReproError(f"REPRO_FAULTS: p must be in [0, 1], got {value}")
-            kwargs["probability"] = probability
-        elif key == "times":
+        if key == "times":
             try:
                 times = int(value)
             except ValueError:
@@ -162,24 +138,15 @@ def _parse_clause(text: str) -> FaultClause:
     return FaultClause(site, kind, **kwargs)
 
 
-def parse_spec(text: str) -> FaultPlan:
-    """Parse a full ``REPRO_FAULTS`` value; raises :class:`ReproError`."""
-    seed = 0
-    clauses: list[FaultClause] = []
-    for raw in text.split(";"):
-        part = raw.strip()
-        if not part:
-            continue
-        if part.startswith("seed="):
-            try:
-                seed = int(part[len("seed="):])
-            except ValueError:
-                raise ReproError(f"REPRO_FAULTS: bad seed in {part!r}")
-            continue
-        clauses.append(_parse_clause(part))
+def parse_spec(text: str) -> tuple[FaultClause, ...]:
+    """Parse a full ``REPRO_FAULTS`` value into its clauses, in order;
+    raises :class:`ReproError`."""
+    clauses = tuple(
+        _parse_clause(part.strip()) for part in text.split(";") if part.strip()
+    )
     if not clauses:
         raise ReproError("REPRO_FAULTS: spec contains no fault clauses")
-    return FaultPlan(seed=seed, clauses=tuple(clauses))
+    return clauses
 
 
 def resolve_error_type(name: str) -> type[ReproError]:

@@ -1,9 +1,9 @@
 """Shared primitives for the on-disk stores.
 
-Every durable artifact this package writes — cached cell results,
-packed traces, heartbeat files — uses the same publish discipline:
-write the full contents to a unique temporary file in the destination
-directory, fsync, then :func:`os.replace`.  The rename is atomic on
+Every durable artifact this package writes — cached cell results and
+packed traces — uses the same publish discipline: write the full
+contents to a unique temporary file in the destination directory,
+fsync, then :func:`os.replace`.  The rename is atomic on
 POSIX, so a reader never observes a torn file and a crashed writer
 leaves at worst an ignored ``*.tmp-*`` orphan.  Entries are addressed
 by :func:`content_key`, one canonical-JSON hash for every store.
@@ -34,12 +34,7 @@ def content_key(payload: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def atomic_write_bytes(
-    path: str | os.PathLike,
-    data: bytes,
-    *,
-    fsync: bool = True,
-) -> None:
+def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
     """Atomically publish ``data`` at ``path`` (tmp + ``os.replace``).
 
     Creates parent directories as needed.  Any failure removes the
@@ -52,8 +47,7 @@ def atomic_write_bytes(
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
             handle.flush()
-            if fsync:
-                os.fsync(handle.fileno())
+            os.fsync(handle.fileno())
         os.replace(tmp_name, target)
     except BaseException:
         try:

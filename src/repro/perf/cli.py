@@ -337,6 +337,8 @@ def _run_refresh(args: argparse.Namespace) -> int:
             f"history holds no clean cells for suite {args.suite!r}"
         )
 
+    # ``breakers`` is a run-report block older documents carry; it says
+    # nothing about the chosen cells, so it is not copied either
     baseline = {
         key: value
         for key, value in latest.items()

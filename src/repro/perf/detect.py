@@ -19,10 +19,9 @@ Three detectors cooperate; none uses a hard-coded tolerance:
 
 3. **A noise-floor estimator.**  Detection thresholds derive from the
    data: the residual spread of the fitted model, widened by the
-   measured noise floor — intra-run repeat timings (``attempt_seconds``
-   of retried cells) and cross-run scatter of runs that share a code
-   version and host (identical code must produce identical cycles, so
-   any wall-time spread there *is* noise).  Deterministic cycle counts
+   measured noise floor — the cross-run scatter of runs that share a
+   code version and host (identical code must produce identical cycles,
+   so any wall-time spread there *is* noise).  Deterministic cycle counts
    therefore get a tight threshold; noisy wall-clock series get a wide
    one, automatically.
 
@@ -334,27 +333,12 @@ def extract_series(
 def noise_floor(entries: list[HistoryEntry], metric: str) -> float:
     """Relative noise estimate from repeat data — never hard-coded.
 
-    Pools two sources of genuine repetition:
-
-    * intra-run: per-attempt wall timings (``attempt_seconds``) of
-      cells that were retried within one run;
-    * cross-run: the scatter of a cell's metric across runs that share
-      a ``code_version`` and host fingerprint — identical code on an
-      identical host re-measures the same quantity.
-
-    The pooled *median* relative spread is returned; for deterministic
-    cycle counts it is exactly zero.
+    The repeats are a cell's metric across runs that share a
+    ``code_version`` and host fingerprint — identical code on an
+    identical host re-measures the same quantity.  The *median*
+    relative spread over all such groups is returned; for
+    deterministic cycle counts it is exactly zero.
     """
-    rels: list[float] = []
-    if metric == METRIC_WALL:
-        for entry in entries:
-            doc = entry.document
-            for cell in doc.get("cells", []) + doc.get("failures", []):
-                samples = cell.get("attempt_seconds")
-                if isinstance(samples, list) and len(samples) >= 2:
-                    rel = _rel_spread([s for s in samples if s > 0])
-                    if rel is not None:
-                        rels.append(rel)
     groups: dict[tuple, list[float]] = {}
     for entry in entries:
         for cell in entry.document.get("cells", []):
@@ -370,14 +354,13 @@ def noise_floor(entries: list[HistoryEntry], metric: str) -> float:
                 cell_label(cell), entry.code_version, entry.host_fingerprint
             )
             groups.setdefault(group, []).append(float(value))
-    for samples in groups.values():
-        if len(samples) >= 2:
-            rel = _rel_spread(samples)
-            if rel is not None:
-                rels.append(rel)
+    rels = sorted(
+        rel
+        for samples in groups.values()
+        if (rel := _rel_spread(samples)) is not None
+    )
     if not rels:
         return 0.0
-    rels.sort()
     mid = len(rels) // 2
     if len(rels) % 2:
         return rels[mid]

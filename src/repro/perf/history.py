@@ -10,12 +10,12 @@ wrapped with the identity the degradation detectors key on:
      "host_fingerprint": "<sha256>", "unix": 1754400000.0,
      "code_version": "<sha256>", "document": { ...repro-bench/1... }}
 
-Durability follows the resume journal's discipline: every append is a
-single ``write`` of one line, flushed and fsynced, so killing the
-writer at any instant loses at most the line being written.  Loading
-tolerates a torn trailing line (and any other damaged line — each is
-skipped, never fatal), and an append onto a torn tail first terminates
-the tail with a newline so the damage cannot swallow the new entry.
+Durability: every append is a single ``write`` of one line, flushed
+and fsynced, so killing the writer at any instant loses at most the
+line being written.  Loading tolerates a torn trailing line (and any
+other damaged line — each is skipped, never fatal), and an append onto
+a torn tail first terminates the tail with a newline so the damage
+cannot swallow the new entry.
 The file is only ever appended to: the trajectory is data, history is
 never rewritten.
 """

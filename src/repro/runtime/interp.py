@@ -29,7 +29,6 @@ from repro.ir.instructions import Instruction
 from repro.ir.opcodes import Opcode, OpKind
 from repro.ir.program import Program
 from repro.partition.cost import ExecutionProfile
-from repro.progress import report_progress
 from repro.runtime.state import MachineState, s32
 from repro.runtime.trace import ProgramLayout
 
@@ -359,8 +358,6 @@ class Interpreter:
                 raise FuelExhausted(
                     f"exceeded fuel of {fuel} dynamic instructions"
                 )
-            if executed & 65535 == 0:
-                report_progress(executed=executed)
 
             regs = act.regs
             if builder is not None:

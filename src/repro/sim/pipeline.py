@@ -47,7 +47,6 @@ from collections import deque
 from typing import NamedTuple
 
 from repro.errors import SimulationError
-from repro.progress import report_progress
 from repro.runtime.trace import TraceEntry
 from repro.sim.branch_pred import GSharePredictor, PerfectPredictor
 from repro.sim.cache import Cache
@@ -220,8 +219,6 @@ class TimingSimulator:
         limit = max_cycles if max_cycles is not None else 200 * n + 10_000
 
         while retired < n:
-            if now & 1023 == 0:
-                report_progress(cycles=now, retired=retired)
             now += 1
             if now > limit:
                 raise SimulationError(
@@ -475,7 +472,6 @@ class TimingSimulator:
                 )
                 for s in range(n)
             ]
-        report_progress(cycles=now, retired=retired)
         return stats
 
 

@@ -75,10 +75,10 @@ class TestResolution:
 class TestMemoBound:
     def test_memo_is_lru_bounded(self, monkeypatch):
         """The process-wide memo evicts least-recently-used entries at
-        the ``REPRO_BENCH_MEMO_CAP`` bound instead of growing forever."""
+        the ``DEFAULT_MEMO_CAP`` bound instead of growing forever."""
         from repro.bench import harness
 
-        monkeypatch.setenv("REPRO_BENCH_MEMO_CAP", "2")
+        monkeypatch.setattr(harness, "DEFAULT_MEMO_CAP", 2)
         fake = object()
         harness._memo_put("a", (fake, 0.1))
         harness._memo_put("b", (fake, 0.1))
@@ -88,14 +88,6 @@ class TestMemoBound:
         assert harness._memo_get("b") is None  # LRU entry evicted
         assert harness._memo_get("a") is not None
         assert harness._memo_get("c") is not None
-
-    def test_bad_cap_value_falls_back_to_default(self, monkeypatch):
-        from repro.bench import harness
-
-        monkeypatch.setenv("REPRO_BENCH_MEMO_CAP", "many")
-        assert harness._memo_cap() == harness.DEFAULT_MEMO_CAP
-        monkeypatch.setenv("REPRO_BENCH_MEMO_CAP", "0")
-        assert harness._memo_cap() == 1  # clamped to something usable
 
 
 class TestParallel:

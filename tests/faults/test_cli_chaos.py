@@ -3,14 +3,11 @@
 The acceptance story: for every fault class the sweep still exits per
 the ``--max-failures`` gate and writes a *partial but valid* BENCH
 document — the failed cell in ``failures``, every surviving cell
-bit-identical to a fault-free run — and ``--resume`` recomputes only
-what the interrupted run had not finished.
+bit-identical to a fault-free run — and a rerun recomputes only what
+the result cache does not already hold.
 """
 
 from __future__ import annotations
-
-import json
-import os
 
 import pytest
 
@@ -68,7 +65,7 @@ class TestCrashGateAndResume:
         # every m88ksim worker dies: gate must fire, siblings must survive
         monkeypatch.setenv(FAULTS_ENV, "execute:crash:match=m88ksim")
         reset_faults()
-        code = bench(env, "--jobs", "2", "--retries", "1", "--backoff", "0.05")
+        code = bench(env, "--jobs", "2")
         assert code == EXIT_BENCH_FAILURES
 
         doc = load_document(env["out"])
@@ -84,14 +81,13 @@ class TestCrashGateAndResume:
         # surviving cells are bit-identical to the fault-free run
         survived = result_payloads(doc)
         assert survived == {k: v for k, v in clean.items() if k in survived}
-        journal = env["out"] + ".journal"
-        assert os.path.exists(journal)  # kept for --resume
 
-        # clear the fault and resume: only the crashed cells recompute
+        # clear the fault and rerun: the result cache resumes the sweep,
+        # so only the crashed cells recompute
         monkeypatch.delenv(FAULTS_ENV)
         reset_faults()
         clear_memo()
-        assert bench(env, "--resume") == 0
+        assert bench(env) == 0
         resumed = load_document(env["out"])
         validate_document(resumed)
         assert len(resumed["cells"]) == 6
@@ -100,10 +96,9 @@ class TestCrashGateAndResume:
             (c["workload"], c["scheme"]): c["source"] for c in resumed["cells"]
         }
         for scheme in ("conventional", "basic", "advanced"):
-            assert sources[("compress", scheme)] == "journal"
-            assert sources[("m88ksim", scheme)] != "journal"
+            assert sources[("compress", scheme)] == "disk"
+            assert sources[("m88ksim", scheme)] == "computed"
         assert result_payloads(resumed) == clean
-        assert not os.path.exists(journal)  # clean completion removes it
 
 
 class TestPartitionFailureGate:
@@ -113,7 +108,7 @@ class TestPartitionFailureGate:
         monkeypatch.setenv(
             FAULTS_ENV, "partition:error:type=PartitionError:match=m88ksim"
         )
-        assert bench(env, "--retries", "0", "--max-failures", "1") == (
+        assert bench(env, "--max-failures", "1") == (
             EXIT_BENCH_FAILURES
         )
         doc = load_document(env["out"])
@@ -126,7 +121,7 @@ class TestPartitionFailureGate:
         # same failures under a permissive gate: exit 0
         clear_memo()
         reset_faults()
-        assert bench(env, "--retries", "0", "--max-failures", "2") == 0
+        assert bench(env, "--max-failures", "2") == 0
 
     def test_degradation_keeps_the_sweep_green(self, monkeypatch, env):
         monkeypatch.setenv(
@@ -134,7 +129,7 @@ class TestPartitionFailureGate:
             "partition:error:type=PartitionError:match=m88ksim/advanced",
         )
         monkeypatch.setenv(DEGRADE_ENV, "1")
-        assert bench(env, "--retries", "0") == 0
+        assert bench(env) == 0
         doc = load_document(env["out"])
         assert doc["failures"] == []
         degraded = {
@@ -157,9 +152,7 @@ class TestHangGate:
         monkeypatch.setenv(
             FAULTS_ENV, "simulate:hang:secs=120:match=m88ksim"
         )
-        code = bench(
-            env, "--jobs", "2", "--timeout", "4", "--retries", "0"
-        )
+        code = bench(env, "--jobs", "2", "--timeout", "4")
         assert code == EXIT_BENCH_FAILURES
         doc = load_document(env["out"])
         validate_document(doc)
@@ -183,23 +176,3 @@ class TestCorruptCacheCli:
         assert all(c["source"] == "computed" for c in second["cells"])
         assert result_payloads(second) == result_payloads(first)
 
-
-class TestJournalIsCrashSafe:
-    def test_torn_trailing_line_is_ignored_on_resume(self, monkeypatch, env):
-        """Simulate a kill mid-append: the journal's last line is torn.
-        Resume must replay the intact cells and recompute the rest."""
-        monkeypatch.setenv(FAULTS_ENV, "execute:error:match=m88ksim")
-        assert bench(env, "--retries", "0") == EXIT_BENCH_FAILURES
-        journal = env["out"] + ".journal"
-        with open(journal, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-        # tear the last complete record in half
-        with open(journal, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines[:-1]) + "\n" + lines[-1][: len(lines[-1]) // 2])
-
-        monkeypatch.delenv(FAULTS_ENV)
-        reset_faults()
-        clear_memo()
-        assert bench(env, "--resume", "--no-cache") == 0
-        doc = load_document(env["out"])
-        assert len(doc["cells"]) == 6 and doc["failures"] == []

@@ -35,7 +35,7 @@ class TestActivation:
         monkeypatch.setenv(FAULTS_ENV, "simulate:error")
         second = active_injector()
         assert second is not first
-        assert second.plan.clauses[0].site == "simulate"
+        assert second.clauses[0].site == "simulate"
 
     def test_reset_faults_drops_state(self, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV, "execute:error:times=1")
@@ -71,20 +71,6 @@ class TestSelect:
         assert injector.select("cache.get", corrupt=False) is None
         assert injector.select("cache.get", corrupt=True) is not None
         assert injector.select("cache.get", corrupt=True) is None
-
-    def test_probability_stream_is_seed_deterministic(self):
-        spec = "seed=7;execute:error:p=0.5"
-        one = FaultInjector(parse_spec(spec))
-        two = FaultInjector(parse_spec(spec))
-        pattern_one = [one.select("execute") is not None for _ in range(64)]
-        pattern_two = [two.select("execute") is not None for _ in range(64)]
-        assert pattern_one == pattern_two  # same seed -> same decisions
-        assert any(pattern_one) and not all(pattern_one)
-        other_seed = FaultInjector(parse_spec("seed=8;execute:error:p=0.5"))
-        pattern_other = [
-            other_seed.select("execute") is not None for _ in range(64)
-        ]
-        assert pattern_one != pattern_other
 
 
 class TestFaultActions:

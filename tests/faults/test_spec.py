@@ -11,60 +11,53 @@ from repro.faults.spec import resolve_error_type
 
 class TestParseSpec:
     def test_minimal_clause(self):
-        plan = parse_spec("execute:error")
-        assert plan.seed == 0
-        assert len(plan.clauses) == 1
-        clause = plan.clauses[0]
+        [clause] = parse_spec("execute:error")
         assert clause.site == "execute"
         assert clause.kind == "error"
-        assert clause.probability == 1.0
         assert clause.times is None
         assert clause.match is None
         assert clause.error_type == "FaultInjected"
 
-    def test_seed_and_multiple_clauses(self):
-        plan = parse_spec("seed=42;execute:crash:match=m88ksim;cache.get:corrupt")
-        assert plan.seed == 42
-        assert [c.site for c in plan.clauses] == ["execute", "cache.get"]
-        assert [c.kind for c in plan.clauses] == ["crash", "corrupt"]
+    def test_multiple_clauses(self):
+        clauses = parse_spec("execute:crash:match=m88ksim;cache.get:corrupt")
+        assert [c.site for c in clauses] == ["execute", "cache.get"]
+        assert [c.kind for c in clauses] == ["crash", "corrupt"]
 
     def test_all_parameters(self):
-        plan = parse_spec(
-            "simulate:hang:p=0.5:times=3:match=compress:secs=1.5"
-        )
-        clause = plan.clauses[0]
-        assert clause.probability == 0.5
+        [clause] = parse_spec("simulate:hang:times=3:match=compress:secs=1.5")
         assert clause.times == 3
         assert clause.match == "compress"
         assert clause.secs == 1.5
 
     def test_error_type_parameter(self):
-        plan = parse_spec("partition:error:type=PartitionError")
-        assert plan.clauses[0].error_type == "PartitionError"
+        [clause] = parse_spec("partition:error:type=PartitionError")
+        assert clause.error_type == "PartitionError"
 
     def test_whitespace_and_empty_clauses_tolerated(self):
-        plan = parse_spec(" seed=7 ; execute:error ;; ")
-        assert plan.seed == 7
-        assert len(plan.clauses) == 1
+        assert len(parse_spec(" execute:error ;; ")) == 1
 
     def test_describe_round_trips_the_interesting_fields(self):
-        clause = parse_spec("execute:error:p=0.25:times=2:match=go").clauses[0]
-        assert clause.describe() == "execute:error:p=0.25:times=2:match=go"
+        [clause] = parse_spec("execute:error:times=2:match=go")
+        assert clause.describe() == "execute:error:times=2:match=go"
 
     @pytest.mark.parametrize(
         "bad",
         [
             "",  # no clauses at all
-            "seed=12",  # seed but no clauses
-            "seed=abc;execute:error",  # bad seed
+            "seed=12",  # retired seed clause
+            "seed=abc;execute:error",  # retired seed clause
             "execute",  # missing kind
             "teleport:error",  # unknown site
             "serve_admit:error",  # retired site (the HTTP daemon is gone)
             "ckpt_write:crash",  # retired site (checkpointing is gone)
+            "compile:error",  # retired site
+            "profile:error",  # retired site
+            "regalloc:error",  # retired site
             "execute:meltdown",  # unknown kind
             "execute:error:frobnicate=1",  # unknown parameter
             "execute:error:p",  # parameter without value
-            "execute:error:p=2.0",  # probability out of range
+            "execute:error:p=2.0",  # retired probability parameter
+            "execute:error:p=0.5",  # retired probability parameter
             "execute:error:times=0",  # times must be >= 1
             "execute:error:times=soon",  # non-integer times
             "simulate:hang:secs=-1",  # negative sleep
@@ -79,7 +72,7 @@ class TestParseSpec:
     def test_every_documented_site_and_kind_parses(self):
         for site in FAULT_SITES:
             for kind in FAULT_KINDS:
-                assert parse_spec(f"{site}:{kind}").clauses[0].site == site
+                assert parse_spec(f"{site}:{kind}")[0].site == site
 
 
 class TestResolveErrorType:

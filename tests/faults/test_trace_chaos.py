@@ -90,14 +90,15 @@ class TestReadPathErrors:
         assert outcome.error.stage == "trace_pack"
 
     def test_transient_error_survives_a_retry(self, monkeypatch, tmp_path):
+        """The failed read is recorded once; rerunning the cell (the
+        retry) replays the intact pack."""
         fresh = _seed_store(monkeypatch, tmp_path)
         monkeypatch.setenv(FAULTS_ENV, "trace_pack:error:times=1")
-        [outcome] = run_cells(
-            [Cell("compress", "conventional", 4, SMALL["compress"])],
-            retries=1,
-            backoff=0.0,
-        )
-        assert outcome.ok and outcome.attempts == 2
+        cell = Cell("compress", "conventional", 4, SMALL["compress"])
+        [failed] = run_cells([cell])
+        assert failed.status == "failed"
+        [outcome] = run_cells([cell])
+        assert outcome.ok
         assert result_to_dict(outcome.result) == result_to_dict(fresh)
 
     def test_site_is_dormant_without_the_store(self, monkeypatch):

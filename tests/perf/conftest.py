@@ -48,9 +48,8 @@ def make_cell(
     *,
     wall: float = 1.0,
     cached: bool = False,
-    attempt_seconds: list[float] | None = None,
 ) -> dict:
-    doc = {
+    return {
         "workload": workload,
         "scheme": scheme,
         "width": width,
@@ -59,15 +58,11 @@ def make_cell(
         "cached": cached,
         "source": "cache" if cached else "computed",
         "status": "ok",
-        "attempts": 1,
         "seconds": 0.0 if cached else wall,
         "compute_seconds": wall,
         "throughput_ips": 100_000 / wall,
         "result": make_result(workload, scheme, width, cycles),
     }
-    if attempt_seconds:
-        doc["attempt_seconds"] = list(attempt_seconds)
-    return doc
 
 
 def make_document(

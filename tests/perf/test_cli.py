@@ -184,3 +184,52 @@ class TestRefreshBaseline:
         assert status == 0
         [cell] = load_bench_document(output)["cells"]
         assert cell["result"]["cycles"] == int(BASE * 1.15)
+
+
+class TestLegacyDocuments:
+    def test_supervisor_fields_still_load(self, history_path, tmp_path):
+        """Documents from before the sweep supervisor was simplified carry
+        ``attempts``, ``attempt_seconds``, ``progress`` and ``breakers``;
+        histories hold them, so validate/append/check/refresh-baseline
+        must keep accepting them."""
+        from repro.__main__ import main as repro_main
+
+        cell = make_cell()
+        cell.update(attempts=2, attempt_seconds=[0.9, 1.1])
+        failure = {
+            key: cell[key] for key in ("workload", "scheme", "scale", "key")
+        }
+        failure.update(
+            width=8, cached=False, source="none", status="timeout",
+            attempts=2, attempt_seconds=[4.0, 4.0],
+            seconds=0.0, compute_seconds=0.0,
+            error={"type": "Timeout", "stage": "simulate", "message": "..."},
+            progress={"stage": "simulate", "cycles": 41_200},
+        )
+        doc = make_document([cell])
+        doc["failures"] = [failure]
+        doc["breakers"] = {
+            "compress/advanced": {
+                "state": "open", "consecutive_failures": 2,
+                "threshold": 2, "skipped_cells": 1,
+            }
+        }
+        validate_document(doc)
+        bench = tmp_path / "BENCH_old.json"
+        save_document(doc, bench)
+
+        for sha in ("a" * 40, "b" * 40):
+            assert repro_main(
+                ["perf", "append", str(bench), "--history", str(history_path),
+                 "--sha", sha, "--branch", "main"]
+            ) == 0
+        assert perf_main(["check", "--history", str(history_path)]) == 0
+        output = tmp_path / "baseline.json"
+        assert perf_main(
+            ["refresh-baseline", "--history", str(history_path),
+             "--output", str(output)]
+        ) == 0
+        baseline = load_bench_document(output)
+        validate_document(baseline)
+        assert "breakers" not in baseline
+        assert baseline["cells"][0]["result"] == cell["result"]

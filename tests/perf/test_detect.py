@@ -134,12 +134,6 @@ class TestNoiseFloor:
         entries = series_entries([50_000, 51_000, 52_000])
         assert noise_floor(entries, METRIC_CYCLES) == 0.0
 
-    def test_wall_noise_floor_from_attempt_seconds(self):
-        cells = [make_cell(wall=1.0, attempt_seconds=[0.9, 1.0, 1.1])]
-        entries = [make_entry(cells, sha="a" * 40)]
-        floor = noise_floor(entries, METRIC_WALL)
-        assert 0.05 < floor < 0.2  # ~10% relative spread of the repeats
-
     def test_wall_noise_floor_from_same_code_reruns(self):
         # two runs of the same code version on the same host: their wall
         # scatter is pure noise and must feed the floor
