@@ -48,7 +48,7 @@ from repro.bench.cache import ResultCache, cell_key
 from repro.bench.matrix import Cell
 from repro.bench.results import result_from_dict, result_to_dict
 from repro.errors import ReproError, error_stage
-from repro.experiments.runner import BenchmarkResult, run_benchmark
+from repro.experiments.runner import SCHEMES, BenchmarkResult, run_benchmark
 
 #: key -> (result, fresh compute seconds); one process-wide memo in LRU
 #: order, bounded by :data:`DEFAULT_MEMO_CAP` (one invocation resolves at
@@ -278,13 +278,15 @@ def run_cells(
 
     # All machine configs of one (workload, scheme, scale) share a packed
     # trace, so group them: the capture from the first config is still in
-    # the replay pool (or freshly on disk) when its siblings run.
-    # Outcomes are returned in input order regardless.
+    # the replay pool (or freshly on disk) when its siblings run.  Schemes
+    # run in SCHEMES order, so the advanced cell finds the conventional
+    # run's profile there too.  Outcomes are returned in input order
+    # regardless.
     pending.sort(
         key=lambda item: (
             item[0].workload,
-            item[0].scheme,
             -1 if item[0].scale is None else item[0].scale,
+            SCHEMES.index(item[0].scheme),
             item[0].width,
         )
     )

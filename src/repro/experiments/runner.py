@@ -32,7 +32,7 @@ from repro.runtime.interp import run_program
 from repro.sim.config import MachineConfig, eight_way, four_way
 from repro.sim.pipeline import TimingSimulator
 from repro.sim.stats import SimStats
-from repro.trace.pack import PackedTrace, program_fingerprint
+from repro.trace.pack import PackedTrace
 from repro.trace.store import load_trace, store_trace, trace_key
 from repro.workloads import compile_workload
 
@@ -110,6 +110,7 @@ def prepare_program(
     balance_limit: float | None = None,
     interprocedural: bool = False,
     degrade: bool | None = None,
+    profile: ExecutionProfile | None = None,
 ) -> PipelineArtifacts:
     """Compile (and for non-conventional schemes, partition) a workload.
 
@@ -129,6 +130,9 @@ def prepare_program(
             basic scheme (without a profile run), flagging the artifacts
             ``degraded`` instead of failing the run.  ``None`` reads the
             ``REPRO_DEGRADE`` environment opt-in.
+        profile: The advanced scheme's block profile, when the caller
+            already has it (e.g. from the conventional run of the same
+            program); ``None`` makes a profile run.
     """
     if scheme not in SCHEMES:
         raise ReproError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
@@ -138,11 +142,12 @@ def prepare_program(
     artifacts = PipelineArtifacts(program=program, scheme=scheme)
 
     if scheme != "conventional":
-        profile: ExecutionProfile | None = None
+        if scheme != "advanced" or not use_profile:
+            profile = None
+        elif profile is None:
+            profile = run_program(program).profile
+        artifacts.profile = profile
         try:
-            if use_profile and scheme == "advanced":
-                profile = run_program(program).profile
-                artifacts.profile = profile
             # the label carries the scheme so a REPRO_FAULTS ``match=``
             # can target e.g. only the advanced partition attempt
             fault_point("partition", f"{name}/{scheme}")
@@ -179,53 +184,89 @@ def prepare_program(
     return artifacts
 
 
-def _capture_or_replay(
+#: Pack ``meta`` fields a replayed result is built from.  A pack lacking
+#: any of them is a miss.
+_REPLAY_FIELDS = (
+    "workload",
+    "scheme",
+    "scale",
+    "partition_summary",
+    "static_instructions",
+    "degraded",
+)
+
+
+def _identity(meta: dict, name: str, scheme: str, scale: int | None) -> bool:
+    """Whether ``meta`` records a prepared (workload, scheme, scale)."""
+    return (
+        all(field in meta for field in _REPLAY_FIELDS)
+        and meta["workload"] == name
+        and meta["scheme"] == scheme
+        and meta["scale"] == scale
+    )
+
+
+def _conventional_profile(
+    name: str, scale: int | None, options: dict
+) -> ExecutionProfile | None:
+    """The block profile the conventional cell's traced run recorded.
+
+    The conventional program and the advanced scheme's profile-run input
+    are the same optimized IR (register allocation does not touch block
+    structure), so their block counts are identical; reusing them saves
+    the advanced cell its own profile run.  ``None`` when the sweep has
+    not captured that cell.
+    """
+    packed = load_trace(
+        trace_key(name, "conventional", scale=scale, **options),
+        label=f"{name}/conventional",
+        accept=lambda meta: "profile" in meta
+        and _identity(meta, name, "conventional", scale),
+    )
+    if packed is None:
+        return None
+    return ExecutionProfile({(f, label): n for f, label, n in packed.meta["profile"]})
+
+
+def _capture(
     name: str,
     scheme: str,
-    artifacts: PipelineArtifacts,
+    key: str,
     *,
     scale: int | None,
-    cost_params: CostParams | None,
-    use_profile: bool,
-    regalloc: bool,
-    balance_limit: float | None,
-    interprocedural: bool,
+    options: dict,
+    degrade: bool,
     where: str,
 ) -> PackedTrace:
-    """The packed dynamic trace for ``artifacts``, replayed when possible.
+    """Prepare and interpret the program; publish its pack under ``key``.
 
-    The trace depends only on the program (workload + partition options
-    + code version), never on the machine config, so the in-process pool
-    and the opt-in ``REPRO_TRACE_CACHE`` store let a sweep over machine
-    configurations interpret each (workload, scheme) exactly once.  A
-    replayed pack is trusted only when its recorded program fingerprint
-    matches the freshly prepared program — a stale or foreign pack falls
-    back to interpretation.
+    The pack's ``meta`` is the complete record of the prepared program,
+    so a later hit on ``key`` rebuilds the result without preparing it.
     """
-    key = trace_key(
-        name,
-        scheme,
-        scale=scale,
-        cost_params=cost_params,
-        use_profile=use_profile,
-        regalloc=regalloc,
-        balance_limit=balance_limit,
-        interprocedural=interprocedural,
-        degraded=artifacts.degraded,
+    report_progress(stage="prepare")
+    profile = None
+    if scheme == "advanced" and options["use_profile"]:
+        profile = _conventional_profile(name, scale, options)
+    artifacts = prepare_program(
+        name, scheme, scale=scale, degrade=degrade, profile=profile, **options
     )
-    fingerprint = program_fingerprint(artifacts.program)
-    packed = load_trace(key, label=where)
-    if packed is not None and packed.meta.get("program_sha256") == fingerprint:
-        return packed
+    fault_point("execute", where)
+    report_progress(stage="execute")
     run = run_program(artifacts.program, collect_trace=True)
     packed = run.packed
     packed.meta = {
-        "program_sha256": fingerprint,
         "workload": name,
         "scheme": scheme,
         "scale": scale,
-        "instructions": run.instructions,
+        "partition_summary": artifacts.partition_summary,
+        "static_instructions": artifacts.static_instructions,
+        "degraded": artifacts.degraded,
     }
+    if scheme == "conventional":
+        # sorted [function, label, count] rows: JSON-able and deterministic
+        packed.meta["profile"] = sorted(
+            [f, label, n] for (f, label), n in run.profile.counts.items()
+        )
     store_trace(key, packed, label=where)
     return packed
 
@@ -243,7 +284,19 @@ def run_benchmark(
     interprocedural: bool = False,
     degrade: bool | None = None,
 ) -> BenchmarkResult:
-    """Run the full pipeline for one benchmark configuration."""
+    """Run the full pipeline for one benchmark configuration.
+
+    Everything before the simulation is a pure function of the trace key
+    (workload + partition options + code version), never of the machine
+    config, so the in-process pool and the opt-in ``REPRO_TRACE_CACHE``
+    store let a sweep over machine configurations prepare and interpret
+    each (workload, scheme) exactly once: a hit goes straight to the
+    simulator.  A hit is trusted because the key determines the program;
+    the pack's ``meta`` must still name this workload, scheme and scale
+    and carry every replay field, or the hit is a miss.  A pack recording a degraded run replays only while
+    degradation is enabled; otherwise the cold path runs, and raises
+    the :class:`PartitionError` again.
+    """
     if config is None:
         if width == 4:
             config = four_way()
@@ -251,33 +304,31 @@ def run_benchmark(
             config = eight_way()
         else:
             raise ReproError(f"width must be 4 or 8, got {width}")
+    if degrade is None:
+        degrade = _degrade_from_env()
     where = f"{name}/{scheme}"
-    report_progress(stage="prepare")
-    artifacts = prepare_program(
-        name,
-        scheme,
-        scale=scale,
-        cost_params=cost_params,
-        use_profile=use_profile,
-        regalloc=regalloc,
-        balance_limit=balance_limit,
-        interprocedural=interprocedural,
-        degrade=degrade,
+    options = {
+        "cost_params": cost_params,
+        "use_profile": use_profile,
+        "regalloc": regalloc,
+        "balance_limit": balance_limit,
+        "interprocedural": interprocedural,
+    }
+    key = trace_key(name, scheme, scale=scale, **options)
+    packed = load_trace(
+        key,
+        label=where,
+        accept=lambda meta: _identity(meta, name, scheme, scale)
+        and (degrade or not meta["degraded"]),
     )
-    fault_point("execute", where)
-    report_progress(stage="execute")
-    packed = _capture_or_replay(
-        name,
-        scheme,
-        artifacts,
-        scale=scale,
-        cost_params=cost_params,
-        use_profile=use_profile,
-        regalloc=regalloc,
-        balance_limit=balance_limit,
-        interprocedural=interprocedural,
-        where=where,
-    )
+    if packed is None:
+        packed = _capture(
+            name, scheme, key,
+            scale=scale, options=options, degrade=degrade, where=where,
+        )
+    else:
+        fault_point("execute", where)
+    meta = packed.meta
     mix = packed.dynamic_mix()
     fault_point("simulate", where)
     report_progress(stage="simulate")
@@ -293,10 +344,10 @@ def run_benchmark(
         cycles=stats.cycles,
         ipc=stats.ipc,
         stats=stats,
-        partition_summary=dict(artifacts.partition_summary),
-        static_instructions=artifacts.static_instructions,
+        partition_summary=dict(meta["partition_summary"]),
+        static_instructions=meta["static_instructions"],
         mix=mix,
-        degraded=artifacts.degraded,
+        degraded=meta["degraded"],
     )
 
 

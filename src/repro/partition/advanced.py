@@ -109,15 +109,16 @@ class _AdvancedPartitioner:
             work.extend(self._real_parents(node))
 
     # -- phase 1 -----------------------------------------------------------
-    def _fpa_backward_slice(self, seed: Node) -> set[Node]:
-        """FPa nodes of ``Backward-Slice(G, seed)`` (stops at INT)."""
-        out: set[Node] = set()
+    def _fpa_backward_slice(self, seed: Node) -> dict[Node, None]:
+        """FPa nodes of ``Backward-Slice(G, seed)`` (stops at INT), in
+        visit order: phase 1 queues their children in this order."""
+        out: dict[Node, None] = {}
         work = [seed]
         while work:
             node = work.pop()
             if node in out or node in self.int_set:
                 continue
-            out.add(node)
+            out[node] = None
             work.extend(self._real_parents(node))
         return out
 
@@ -136,7 +137,7 @@ class _AdvancedPartitioner:
             self._is_conv(node, child) for child in self.rdg.succs[node]
         )
 
-    def _loss_of_moving(self, slice_p: set[Node]) -> float:
+    def _loss_of_moving(self, slice_p: dict[Node, None]) -> float:
         """The §6.3 ``loss`` of assigning ``slice_p`` to INT."""
         rdg = self.rdg
         decider = self.decider
@@ -165,7 +166,7 @@ class _AdvancedPartitioner:
                 loss -= decider.comm_cost(v)
         return loss
 
-    def _boundary_parents(self, slice_p: set[Node]) -> set[Node]:
+    def _boundary_parents(self, slice_p: dict[Node, None]) -> set[Node]:
         """INT nodes with a child inside ``slice_p`` (the set Q)."""
         out: set[Node] = set()
         for v in slice_p:
@@ -181,7 +182,9 @@ class _AdvancedPartitioner:
         processed: set[Node] = set()
 
         def enqueue_children_of_boundary() -> None:
-            for node in self.int_set:
+            # rdg.nodes order, not set order: a Node's hash is salted per
+            # process, and the work-list order decides the partition
+            for node in [n for n in self.rdg.nodes if n in self.int_set]:
                 if self._is_cut_src(node):
                     continue
                 for child in self._real_children(node):
@@ -203,7 +206,7 @@ class _AdvancedPartitioner:
                 continue  # immovable
             loss = self._loss_of_moving(slice_p)
             if loss < -_EPS:
-                self.int_set |= slice_p
+                self.int_set.update(slice_p)
                 processed.clear()  # loss values changed; allow re-examination
                 for v in slice_p:
                     for child in self._real_children(v):
@@ -229,7 +232,7 @@ class _AdvancedPartitioner:
         self.copies.clear()
         self.dups.clear()
         demand: deque[Node] = deque()
-        for node in self.int_set:
+        for node in [n for n in self.rdg.nodes if n in self.int_set]:
             if self._is_cut_src(node):
                 continue
             if any(c not in self.int_set for c in self._real_children(node)):

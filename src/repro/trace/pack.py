@@ -35,8 +35,8 @@ On-disk encoding (``to_bytes``/``from_bytes``)::
 The digest covers everything after itself, so a bit flip anywhere —
 header or payload — is detected.  The header carries the format
 version, byte order, array manifest, token-name string table, and
-arbitrary caller metadata (the trace store adds code/program
-fingerprints there).  Any validation failure raises
+arbitrary caller metadata (the prepared program's identity and
+summary, and the code fingerprint the trace store adds).  Any validation failure raises
 :class:`~repro.errors.TracePackError`; encode→decode→encode is
 byte-identical.
 """
@@ -140,8 +140,8 @@ class PackedTrace:
         hold interned token ids; ``token_frames``/``token_names`` (+ the
         ``names`` string list) map ids back to ``(frame_id, name)``.
 
-    ``meta`` carries caller metadata (program fingerprint, workload,
-    functional ``value``, ...), round-tripped through the encoding.
+    ``meta`` carries caller metadata (workload, scheme, partition
+    summary, ...), round-tripped through the encoding.
     """
 
     __slots__ = (
@@ -223,11 +223,6 @@ class PackedTrace:
             elif kind == copy:
                 out["copies"] += count
         return out
-
-    def matches_program(self, program) -> bool:
-        """Whether this pack was captured from ``program`` (by fingerprint)."""
-        recorded = self.meta.get("program_sha256")
-        return recorded is not None and recorded == program_fingerprint(program)
 
     # ------------------------------------------------------------------
     def unpack_entries(self, program) -> list[TraceEntry]:
@@ -516,9 +511,9 @@ def pack_entries(
 def program_fingerprint(program) -> str:
     """SHA-256 of the program's printed form.
 
-    Replay validates this against a freshly prepared program before
-    trusting a pack: two pipelines that print identical IR lay out
-    identical pcs and produce identical traces.
+    Two pipelines that print identical IR lay out identical pcs and
+    produce identical traces; the determinism tests compare it across
+    processes.
     """
     from repro.ir.printer import print_program
 

@@ -11,18 +11,29 @@ Two layers, both consulted by :func:`load_trace`:
 
 * :class:`TracePool` — a small in-process LRU of decoded
   :class:`~repro.trace.pack.PackedTrace` objects.  Always on (bounded
-  by ``REPRO_TRACE_POOL_CAP``, default 8 packs; ``0`` disables), so a
+  by ``REPRO_TRACE_POOL_CAP``, default 4 packs; ``0`` disables), so a
   serial sweep interprets each (workload, scheme) once even without any
   disk cache.
 * :class:`TraceStore` — ``REPRO_TRACE_CACHE=<dir>`` opt-in directory of
   encoded packs under ``<root>/<key[:2]>/<key>.rtp``, written atomically
   (tmp + ``os.replace``) like the bench result cache it composes with.
 
+A pack's ``meta`` is the complete record of the prepared program (see
+:func:`repro.experiments.runner.run_benchmark`), so a hit replaces
+compilation, partitioning and interpretation alike.  That is sound
+because the key determines the program: it covers the source, every
+partition option and the code version, and the pipeline is
+deterministic (``tests/trace/test_program_determinism.py`` prepares
+every paper cell under two hash seeds).  Nothing re-derives the program
+to compare it with the pack.
+
 Reads are defensive: a missing, truncated, bit-flipped, wrong-version or
-stale-fingerprint file is a *miss* (the caller re-interprets), never an
-error.  ``trace_pack`` is a fault site — ``REPRO_FAULTS`` can inject
-errors at the read path or corrupt the raw bytes flowing out of it, and
-the chaos suite proves the fallback holds.
+wrong-code-version file is a *miss* (the caller re-interprets), never an
+error, and so is a pack whose ``meta`` the caller's ``accept`` check
+rejects (a foreign identity or a missing field).  ``trace_pack`` is a
+fault site — ``REPRO_FAULTS`` can inject errors at the read path or
+corrupt the raw bytes flowing out of it, and the chaos suite proves the
+fallback holds.
 """
 
 from __future__ import annotations
@@ -30,6 +41,7 @@ from __future__ import annotations
 import os
 from collections import OrderedDict
 from pathlib import Path
+from typing import Callable
 
 from repro.errors import TracePackError
 from repro.faults import corrupt_point, fault_point
@@ -43,7 +55,14 @@ TRACE_CACHE_ENV = "REPRO_TRACE_CACHE"
 #: Environment variable bounding the in-process pool (decoded packs).
 TRACE_POOL_CAP_ENV = "REPRO_TRACE_POOL_CAP"
 
-DEFAULT_POOL_CAP = 8
+#: The harness runs a pack's machine-config siblings back to back and
+#: the schemes of one program in order, so a pack is wanted again only by
+#: its siblings or, for its profile, by the advanced cell two schemes
+#: later; a few packs suffice, and each one held costs megabytes.
+DEFAULT_POOL_CAP = 4
+
+#: A caller's check of a found pack's ``meta``.
+Accept = Callable[[dict], bool]
 
 
 def trace_key(
@@ -56,14 +75,14 @@ def trace_key(
     regalloc: bool = True,
     balance_limit: float | None = None,
     interprocedural: bool = False,
-    degraded: bool = False,
     code_version: str | None = None,
 ) -> str:
     """Content hash of one captured trace (machine-independent).
 
     Mirrors :func:`repro.bench.cache.cell_key` without the machine
-    fingerprint; ``degraded`` distinguishes an advanced run that fell
-    back to the basic scheme (its program — hence its trace — differs).
+    fingerprint.  An advanced run that fell back to the basic scheme
+    shares the key of the advanced run; its pack's ``meta`` records
+    ``degraded``.
     """
     from repro.bench.cache import code_fingerprint, sha256_text
     from repro.workloads import workload_source
@@ -82,7 +101,6 @@ def trace_key(
             "balance_limit": balance_limit,
             "interprocedural": interprocedural,
         },
-        "degraded": degraded,
         "code_version": code_version
         if code_version is not None
         else code_fingerprint(),
@@ -107,9 +125,9 @@ class TracePool:
         except (TypeError, ValueError):
             return DEFAULT_POOL_CAP
 
-    def get(self, key: str) -> PackedTrace | None:
+    def get(self, key: str, accept: Accept | None = None) -> PackedTrace | None:
         pack = self._packs.get(key)
-        if pack is None:
+        if pack is None or (accept is not None and not accept(pack.meta)):
             self.misses += 1
             return None
         self._packs.move_to_end(key)
@@ -178,8 +196,11 @@ class TraceStore:
     def path_for(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}{self.SUFFIX}"
 
-    def get(self, key: str, label: str = "") -> PackedTrace | None:
-        """The decoded pack, or ``None`` on miss, damage or staleness."""
+    def get(
+        self, key: str, label: str = "", accept: Accept | None = None
+    ) -> PackedTrace | None:
+        """The decoded pack, or ``None`` on miss, damage, staleness or
+        when ``accept(pack.meta)`` is false."""
         fault_point("trace_pack", label)
         path = self.path_for(key)
         try:
@@ -202,6 +223,9 @@ class TraceStore:
             if recorded != code_fingerprint():
                 self._miss()
                 return None
+        if accept is not None and not accept(pack.meta):
+            self._miss()
+            return None
         self.hits += 1
         return pack
 
@@ -233,15 +257,20 @@ class TraceStore:
         }
 
 
-def load_trace(key: str, label: str = "") -> PackedTrace | None:
-    """Resolve ``key`` through the pool, then the env-configured store."""
-    pack = _POOL.get(key)
+def load_trace(
+    key: str, label: str = "", accept: Accept | None = None
+) -> PackedTrace | None:
+    """Resolve ``key`` through the pool, then the env-configured store.
+
+    ``accept`` vets a found pack's ``meta``; a rejected pack is a miss.
+    """
+    pack = _POOL.get(key, accept)
     if pack is not None:
         return pack
     store = TraceStore.from_env()
     if store is None:
         return None
-    pack = store.get(key, label)
+    pack = store.get(key, label, accept)
     if pack is not None:
         _POOL.put(key, pack)
     return pack

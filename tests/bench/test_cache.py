@@ -89,7 +89,7 @@ class TestGoldenKeys:
 
     def test_trace_key_digest(self):
         assert trace_key("compress", "advanced", 150, code_version="golden") == (
-            "9de8ce8b9b0004a41d3ece8a6ce45af9be9b97d533f3f9933510d16d76059540"
+            "c312a9d9c50386012fe38ee67f4292dd1cc7d5d43ee165fe62098e4e59ed5986"
         )
 
     def test_content_key_ignores_insertion_order(self):

@@ -209,3 +209,34 @@ class TestGracefulDegradation:
         assert outcome.ok
         doc = result_to_dict(outcome.result)
         assert doc["degraded"] is True
+
+    @pytest.mark.parametrize("via", ["pool", "store"])
+    def test_degraded_run_replays_only_while_degradation_is_on(
+        self, monkeypatch, tmp_path, via
+    ):
+        """The pack of a degraded run replays as degraded; with
+        degradation off, the same warm trace takes the cold path and
+        fails as a cold run would."""
+        from repro.trace.store import TRACE_CACHE_ENV, clear_trace_pool
+
+        scale = SMALL["compress"]
+        monkeypatch.setenv(TRACE_CACHE_ENV, str(tmp_path))
+        monkeypatch.setenv(FAULTS_ENV, "partition:error:type=PartitionError")
+        monkeypatch.setenv(DEGRADE_ENV, "1")
+        reset_faults()
+        cold = run_benchmark("compress", "advanced", scale=scale)
+        assert cold.degraded is True
+        if via == "store":
+            clear_trace_pool()
+
+        from repro.experiments import runner
+
+        real_compile = runner.compile_workload
+        monkeypatch.setattr(runner, "compile_workload", None)  # replay only
+        replayed = run_benchmark("compress", "advanced", scale=scale)
+        assert result_to_dict(replayed) == result_to_dict(cold)
+
+        monkeypatch.setattr(runner, "compile_workload", real_compile)
+        monkeypatch.delenv(DEGRADE_ENV)
+        with pytest.raises(PartitionError):
+            run_benchmark("compress", "advanced", scale=scale)

@@ -185,3 +185,36 @@ class TestInterpretOnce:
         assert fresh.stats.to_counters() == first.stats.to_counters()
         assert fresh.checksum == first.checksum
         assert fresh.mix == first.mix
+
+
+class TestReplayNeedsNoProgram:
+    """A hit is the complete record of the prepared program: the result
+    replayed from it equals a cold run's field for field, and nothing
+    upstream of the simulator runs."""
+
+    @pytest.mark.parametrize(("workload", "scale", "scheme"), CELLS, ids=IDS)
+    def test_replayed_result_equals_cold(
+        self, monkeypatch, tmp_path, workload, scale, scheme
+    ):
+        from repro.bench.results import result_to_dict
+        from repro.experiments import runner
+
+        cold = {
+            width: result_to_dict(
+                runner.run_benchmark(workload, scheme, width=width, scale=scale)
+            )
+            for width in (4, 8)
+        }
+        clear_trace_pool()
+        monkeypatch.setenv(TRACE_CACHE_ENV, str(tmp_path))
+        runner.run_benchmark(workload, scheme, width=4, scale=scale)
+        clear_trace_pool()  # replay from disk, as a new process would
+
+        def upstream(*args, **kwargs):
+            raise AssertionError("a replayed cell re-derived its program")
+
+        monkeypatch.setattr(runner, "compile_workload", upstream)
+        monkeypatch.setattr(runner, "run_program", upstream)
+        for width in (4, 8):
+            replayed = runner.run_benchmark(workload, scheme, width=width, scale=scale)
+            assert result_to_dict(replayed) == cold[width]
