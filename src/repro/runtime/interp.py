@@ -5,6 +5,37 @@ MIPS-like semantics: 32-bit wrapping integer arithmetic, truncating
 division, sparse byte/word memory, and the explicit-operand call model
 (``call``/``param``/``ret``).
 
+Each function is decoded once, on its first call, into a *step table*
+(:class:`_Code`): one flat tuple per code position,
+``(kind, block, a, b, c, fn, target)``.  ``kind`` is a small int; ``a``
+is the register the step writes (a store's value register), ``b`` and
+``c`` its source registers or resolved immediate; ``fn`` is the opcode's
+``_ALU``/``_BRANCH`` function, looked up once; ``target`` is a branch or
+jump target already resolved to a position.  The run loop dispatches on
+the kind and reads registers straight from the activation's dict:
+
+* Every activation's dict is seeded with ``$zero`` = 0 and ``$sp`` = its
+  stack pointer.  ``$sp`` is constant for an activation's lifetime: it
+  only changes at ``call`` and is restored at ``ret``.  A write to
+  ``$zero`` or ``$sp`` decodes to a discard slot, so a read of ``$zero``
+  yields 0 and a read of ``$sp`` the stack pointer even in a program
+  that writes them (:func:`~repro.ir.verify.verify_program` rejects
+  writes to ``$zero``, but unverified programs can reach
+  :func:`run_program`).  A one-source branch decodes ``$zero`` as its
+  second source, and an ALU op without sources as its first.
+* ``block`` is the ``(function, label)`` profile key at a block's first
+  position and None elsewhere; the count goes into the profile as the
+  position starts, so block counts keep their insertion order.
+* Two step kinds are not instructions, and the loop recognises them
+  inside its block-entry test, so they cost instructions nothing: an
+  empty block's entry, and a *trap* — falling off the end of a function,
+  a branch to a missing label, a reference to a missing global — whose
+  ``block`` holds its error message and which raises only if executed.
+  A call of a missing function likewise raises :class:`ExecutionError`
+  when it executes.  Register reads are then the loop's only lookups
+  that can miss, and a miss is reported as a read of an undefined
+  register.
+
 Every run collects a basic-block execution profile (the cost model's
 input).  A run with ``collect_trace=True`` also records the dynamic
 trace (the timing simulator's input), packed as it executes: each
@@ -12,16 +43,16 @@ dynamic instruction is a few appends to the columns of a
 :class:`~repro.trace.pack.PackedTrace`, through a
 :class:`~repro.trace.pack.TraceBuilder` that interns a static row the
 first time a code position executes and a dependence token the first
-time an activation touches a register.  Per-function code is
-precompiled into flat instruction arrays with resolved jump targets,
-global addresses, laid-out pcs and the register names each trace entry
-reads and writes, keeping the dispatch loop tight.
+time an activation touches a register.  Beside the step table,
+:class:`_Code` keeps per position what a trace entry needs: the static
+row's key (instruction, laid-out pc, FP side) and the register names
+the entry reads and writes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.errors import ExecutionError, FuelExhausted
 from repro.ir.function import Function
@@ -158,96 +189,149 @@ _BRANCH.update(
 
 
 # ---------------------------------------------------------------------------
-# precompiled function code
+# step tables
 # ---------------------------------------------------------------------------
+
+# Step kinds, in the run loop's dispatch order (most frequent first); the
+# two that are not instructions come last.
+_ALU_RI = 0  # a = fn(r[b], c)
+_ALU_RR = 1  # a = fn(r[b], r[c])
+_BR = 2  # if fn(r[b], r[c]): go to target
+_SW = 3  # word at r[b] + c = r[a]  (sw, s.s)
+_J = 4  # go to target
+_LW = 5  # a = word at r[b] + c  (lw, l.s)
+_PARAM = 6  # a = argument c
+_CALL = 7  # a = call of function fn with arguments r[b...]
+_RET = 8  # return r[b], or nothing if b is None
+_LB = 9  # a = byte at r[b] + c, sign-extended if fn  (lb, lbu)
+_SB = 10  # byte at r[b] + c = r[a]
+_NOP = 11
+_SKIP = 12  # an empty block's entry: count it, go to the next position
+_TRAP = 13  # raise ExecutionError(block)
+
+#: Where writes to ``$zero`` and ``$sp`` go: a key no read names.
+_DISCARD = None
+
+
+def _step(
+    instr: Instruction, block: tuple[str, str] | None, program: Program, target_of
+) -> tuple:
+    """The step tuple of one instruction (see the module docstring)."""
+    op = instr.op
+    kind = op.info.kind
+    uses = [reg.name for reg in instr.uses]
+    a = instr.defs[0].name if instr.defs else _DISCARD
+    if a == "$zero" or a == "$sp":
+        a = _DISCARD
+    imm = instr.imm
+    if isinstance(imm, str):
+        if imm not in program.globals:
+            return (_TRAP, f"reference to undefined global {imm}", None, None, None, None, None)
+        imm = program.global_address(imm)
+    if kind is OpKind.ALU or kind is OpKind.MUL or kind is OpKind.DIV or kind is OpKind.COPY:
+        if len(uses) == 2:
+            return (_ALU_RR, block, a, uses[0], uses[1], _ALU.get(op), None)
+        b = uses[0] if len(uses) == 1 else "$zero"
+        return (_ALU_RI, block, a, b, imm, _ALU.get(op), None)
+    if kind is OpKind.LOAD:
+        if op is Opcode.LW or op is Opcode.LS:
+            return (_LW, block, a, uses[0], imm or 0, None, None)
+        return (_LB, block, a, uses[0], imm or 0, op is Opcode.LB, None)
+    if kind is OpKind.STORE:
+        step = _SB if op is Opcode.SB else _SW
+        return (step, block, uses[0], uses[1], imm or 0, None, None)
+    if kind is OpKind.BRANCH:
+        c = uses[1] if len(uses) == 2 else "$zero"
+        return (_BR, block, None, uses[0], c, _BRANCH.get(op), target_of(instr.target))
+    if kind is OpKind.JUMP:
+        return (_J, block, None, None, None, None, target_of(instr.target))
+    if kind is OpKind.PARAM:
+        return (_PARAM, block, a, None, imm, None, None)
+    if kind is OpKind.CALL:
+        return (_CALL, block, a, tuple(uses), None, instr.target, None)
+    if kind is OpKind.RET:
+        return (_RET, block, None, uses[0] if uses else None, None, None, None)
+    if kind is OpKind.NOP:
+        return (_NOP, block, None, None, None, None, None)
+    return (_TRAP, f"unhandled opcode {op}", None, None, None, None, None)
 
 
 class _Code:
-    """Flattened, target-resolved form of one function.
+    """One function decoded into a step table (see the module docstring).
 
-    Alongside each instruction it keeps what the traced run needs: the
-    laid-out pc, the register names the trace entry reads and writes
-    (``None`` writes for ``call``/``ret``, whose written token belongs
-    to another activation and is emitted by the interpreter), and the
-    ALU or branch function of its opcode (looked up once here rather
-    than per execution).
+    ``trace`` holds, per instruction position, what its trace entry
+    needs: the arguments of :meth:`~repro.trace.pack.TraceBuilder.row`
+    (instruction, laid-out pc, FP side), and the register names the
+    entry reads and writes (``None`` writes for ``call``/``ret``, whose
+    written token belongs to another activation and is emitted by the
+    run loop).  Empty-block entries and the traps after the last block
+    have ``None``.
     """
 
-    __slots__ = (
-        "func", "instrs", "start_of", "block_start_label", "resolved_imm",
-        "pcs", "read_names", "write_names", "semantics",
-    )
+    __slots__ = ("func", "steps", "trace")
 
     def __init__(self, func: Function, program: Program, layout: ProgramLayout):
         self.func = func
-        self.instrs: list[Instruction] = []
-        self.start_of: dict[str, int] = {}
-        self.block_start_label: list[str | None] = []
-        self.resolved_imm: list[int | float | None] = []
-        self.pcs: list[int] = []
-        self.read_names: list[tuple[str, ...]] = []
-        self.write_names: list[tuple[str, ...] | None] = []
-        self.semantics: list[Callable | None] = []
+        name = func.name
+        start_of: dict[str, int] = {}
+        end = 0
         for blk in func.blocks:
-            self.start_of[blk.label] = len(self.instrs)
-            first = True
+            start_of[blk.label] = end
+            end += len(blk.instructions) or 1
+        # the step at ``end`` traps falling off the end; traps for
+        # branches to missing labels follow it
+        traps = [f"fell off the end of function {name}"]
+
+        def target_of(label: str) -> int:
+            index = start_of.get(label)
+            if index is None:
+                index = end + len(traps)
+                start_of[label] = index
+                traps.append(f"{name}: branch to undefined label {label}")
+            return index
+
+        self.steps: list[tuple] = []
+        self.trace: list[tuple | None] = []
+        for blk in func.blocks:
+            block: tuple[str, str] | None = (name, blk.label)
+            if not blk.instructions:
+                self.steps.append((_SKIP, block, None, None, None, None, None))
+                self.trace.append(None)
             for instr in blk.instructions:
-                self.instrs.append(instr)
-                self.block_start_label.append(blk.label if first else None)
-                first = False
-                imm = instr.imm
-                if isinstance(imm, str):
-                    imm = program.global_address(imm)
-                self.resolved_imm.append(imm)
-                self.semantics.append(_ALU.get(instr.op) or _BRANCH.get(instr.op))
-                self.pcs.append(layout.pc_of[(func.name, instr.uid)])
+                self.steps.append(_step(instr, block, program, target_of))
+                block = None
                 kind = instr.kind
                 if kind is OpKind.PARAM:
-                    self.read_names.append(("@args",))
+                    reads: tuple[str, ...] = ("@args",)
                 else:
-                    self.read_names.append(
-                        tuple(
-                            r.name
-                            for r in instr.uses
-                            if r.name != "$zero" and r.name != "$sp"
-                        )
+                    reads = tuple(
+                        r.name for r in instr.uses if r.name != "$zero" and r.name != "$sp"
                     )
                 if kind is OpKind.CALL or kind is OpKind.RET:
-                    self.write_names.append(None)
+                    writes = None
                 else:
-                    self.write_names.append(tuple(r.name for r in instr.defs))
-            if first:  # empty block still needs a profile point
-                self.instrs.append(Instruction(Opcode.NOP, uid=-2))
-                self.block_start_label.append(blk.label)
-                self.resolved_imm.append(None)
-                self.semantics.append(None)
-                self.pcs.append(-1)
-                self.read_names.append(())
-                self.write_names.append(())
+                    writes = tuple(r.name for r in instr.defs)
+                row = (instr, layout.pc_of[(name, instr.uid)], bool(instr.info.fp_subsystem))
+                self.trace.append((row, reads, writes))
+        for message in traps:
+            self.steps.append((_TRAP, message, None, None, None, None, None))
+            self.trace.append(None)
 
 
-class _Activation:
-    """One function activation: registers plus a return point.
+class _Tokens(dict):
+    """One activation's register names -> dependence-token ids, interned
+    through the trace builder on first use."""
 
-    A traced run also gives it the static-row ids of its code (shared by
-    every activation of that code) and its register names' token ids.
-    """
+    __slots__ = ("frame", "intern")
 
-    __slots__ = (
-        "code", "regs", "args", "frame_id", "index", "call_instr", "sp_restore",
-        "rows", "tokens",
-    )
+    def __init__(self, frame: int, intern) -> None:
+        super().__init__()
+        self.frame = frame
+        self.intern = intern
 
-    def __init__(self, code: _Code, args: list, frame_id: int):
-        self.code = code
-        self.regs: dict[str, int | float] = {}
-        self.args = args
-        self.frame_id = frame_id
-        self.index = 0
-        self.call_instr: Instruction | None = None
-        self.sp_restore = 0
-        self.rows: list[int] | None = None
-        self.tokens: dict[str, int] = {}
+    def __missing__(self, name: str) -> int:
+        tid = self[name] = self.intern(self.frame, name)
+        return tid
 
 
 @dataclass(eq=False, slots=True)
@@ -274,8 +358,10 @@ class Interpreter:
     def code_of(self, name: str) -> _Code:
         code = self._code.get(name)
         if code is None:
-            code = _Code(self.program.function(name), self.program, self.layout)
-            self._code[name] = code
+            func = self.program.functions.get(name)
+            if func is None:
+                raise ExecutionError(f"call of undefined function {name}")
+            code = self._code[name] = _Code(func, self.program, self.layout)
         return code
 
     def run(
@@ -300,17 +386,34 @@ class Interpreter:
         state = MachineState(program)
         if profile is None:
             profile = ExecutionProfile()
-        builder = None
+        counts = profile.counts
+        memory = state.memory
+        load_word, store_word = memory.load_word, memory.store_word
+        load_byte, store_byte = memory.load_byte, memory.store_byte
+        code_of = self.code_of
+
+        # the current activation lives in locals; ``stack`` holds each
+        # caller's (code, position of its call, regs, args, tokens, rows)
+        code = code_of(entry or program.entry)
+        steps, trace = code.steps, code.trace
+        index = 0
+        regs: dict = {"$zero": 0, "$sp": state.sp}
+        args: list = []
+        stack: list[tuple] = []
+        next_frame = 1
+        executed = 0
+        result_value = None
+
+        # a traced run packs as it goes: static rows are interned on
+        # first sight per code position (``rows``, shared by every
+        # activation of that code), tokens per activation (``tokens``),
+        # then every dynamic instruction is a few appends to the columns
+        builder = rows = tokens = None
         if collect_trace:
-            # the trace is packed as it is produced: static rows and
-            # tokens are interned on first sight (per code position and
-            # per activation), then every dynamic instruction is a few
-            # appends to the pack's columns
             from repro.trace.pack import TraceBuilder
 
             builder = TraceBuilder()
-            row_of = builder.row
-            token_of = builder.token
+            row_of, token_of = builder.row, builder.token
             pack = builder.pack
             ids_append = pack.instr_ids.append
             mem_col, taken_col = pack.mem_addr, pack.taken
@@ -320,193 +423,124 @@ class Interpreter:
             roff_append = pack.read_offsets.append
             woff_append = pack.write_offsets.append
             rows_of: dict[_Code, list[int]] = {}
+            rows = rows_of[code] = [-1] * len(steps)
+            tokens = _Tokens(0, token_of)
 
-        entry_name = entry or program.entry
-        next_frame = 0
-        act = _Activation(self.code_of(entry_name), [], next_frame)
-        next_frame += 1
-        if builder is not None:
-            act.rows = rows_of[act.code] = [-1] * len(act.code.instrs)
-        stack = [act]
-        profile.record(entry_name, act.code.func.entry.label)
+        try:
+            while True:
+                kind, block, a, b, c, fn, target = steps[index]
+                if block is not None:
+                    if kind >= _SKIP:
+                        if kind == _TRAP:
+                            raise ExecutionError(block)
+                        counts[block] = counts.get(block, 0.0) + 1.0
+                        index += 1
+                        continue
+                    counts[block] = counts.get(block, 0.0) + 1.0
 
-        executed = 0
-        memory = state.memory
-        result_value: int | None = None
+                executed += 1
+                if executed > fuel:
+                    raise FuelExhausted(f"exceeded fuel of {fuel} dynamic instructions")
 
-        while True:
-            code = act.code
-            instrs = code.instrs
-            index = act.index
-            if index >= len(instrs):
-                raise ExecutionError(
-                    f"fell off the end of function {code.func.name}"
-                )
-            instr = instrs[index]
-            op = instr.op
-            kind = instr.kind
-
-            if instr.uid == -2:  # synthetic NOP for an empty block
-                act.index += 1
-                nxt = act.index
-                if nxt < len(instrs) and code.block_start_label[nxt]:
-                    profile.record(code.func.name, code.block_start_label[nxt])
-                continue
-
-            executed += 1
-            if executed > fuel:
-                raise FuelExhausted(
-                    f"exceeded fuel of {fuel} dynamic instructions"
-                )
-
-            regs = act.regs
-            if builder is not None:
-                rows = act.rows
-                sid = rows[index]
-                if sid < 0:
-                    sid = rows[index] = row_of(
-                        instr, code.pcs[index], bool(instr.info.fp_subsystem)
-                    )
-                ids_append(sid)
-                mem_append(-1)
-                taken_append(-1)
-                tokens = act.tokens
-                for name in code.read_names[index]:
-                    tid = tokens.get(name)
-                    if tid is None:
-                        tid = tokens[name] = token_of(act.frame_id, name)
-                    rtok_append(tid)
-                roff_append(len(read_tokens))
-                names = code.write_names[index]
-                if names is not None:  # call/ret append their own writes
-                    for name in names:
-                        tid = tokens.get(name)
-                        if tid is None:
-                            tid = tokens[name] = token_of(act.frame_id, name)
-                        wtok_append(tid)
-                    woff_append(len(write_tokens))
-
-            def read(reg):
-                name = reg.name
-                if name == "$zero":
-                    return 0
-                if name == "$sp":
-                    return state.sp
-                try:
-                    return regs[name]
-                except KeyError:
-                    raise ExecutionError(
-                        f"{code.func.name}: read of undefined register {name}"
-                    ) from None
-
-            next_index = index + 1
-
-            if kind is OpKind.ALU or kind is OpKind.MUL or kind is OpKind.DIV or kind is OpKind.COPY:
-                uses = instr.uses
-                n = len(uses)
-                if n == 2:
-                    a, b = read(uses[0]), read(uses[1])
-                elif n == 1:
-                    a, b = read(uses[0]), code.resolved_imm[index]
-                else:
-                    a, b = 0, code.resolved_imm[index]
-                regs[instr.defs[0].name] = code.semantics[index](a, b)
-            elif kind is OpKind.LOAD:
-                addr = read(instr.uses[0]) + (code.resolved_imm[index] or 0)
-                if op is Opcode.LW or op is Opcode.LS:
-                    value = memory.load_word(addr)
-                elif op is Opcode.LB:
-                    value = memory.load_byte(addr, signed=True)
-                else:  # LBU
-                    value = memory.load_byte(addr, signed=False)
-                regs[instr.defs[0].name] = value
-                if builder is not None:
-                    mem_col[-1] = addr
-            elif kind is OpKind.STORE:
-                value = read(instr.uses[0])
-                addr = read(instr.uses[1]) + (code.resolved_imm[index] or 0)
-                if op is Opcode.SB:
-                    memory.store_byte(addr, value)
-                else:
-                    memory.store_word(addr, value)
-                if builder is not None:
-                    mem_col[-1] = addr
-            elif kind is OpKind.BRANCH:
-                uses = instr.uses
-                a = read(uses[0])
-                b = read(uses[1]) if len(uses) == 2 else 0
-                taken = code.semantics[index](a, b)
-                if builder is not None:
-                    taken_col[-1] = 1 if taken else 0
-                if taken:
-                    next_index = code.start_of[instr.target]
-                    profile.record(code.func.name, instr.target)
-                    act.index = next_index
-                    continue
-            elif kind is OpKind.JUMP:
-                next_index = code.start_of[instr.target]
-                profile.record(code.func.name, instr.target)
-                act.index = next_index
-                continue
-            elif kind is OpKind.PARAM:
-                regs[instr.defs[0].name] = act.args[instr.imm]
-            elif kind is OpKind.CALL:
-                args = [read(r) for r in instr.uses]
-                callee = self.code_of(instr.target)
-                act.index = index  # resume here; RET advances past it
-                new_act = _Activation(callee, args, next_frame)
-                next_frame += 1
-                new_act.call_instr = instr
-                new_act.sp_restore = state.sp
-                state.sp -= callee.func.frame_size
-                stack.append(new_act)
-                if builder is not None:
-                    rows = rows_of.get(callee)
-                    if rows is None:
-                        rows = rows_of[callee] = [-1] * len(callee.instrs)
-                    new_act.rows = rows
-                    tid = new_act.tokens["@args"] = token_of(new_act.frame_id, "@args")
-                    wtok_append(tid)
-                    woff_append(len(write_tokens))
-                profile.record(instr.target, callee.func.entry.label)
-                act = new_act
-                continue
-            elif kind is OpKind.RET:
-                value = read(instr.uses[0]) if instr.uses else None
-                state.sp = act.sp_restore
-                finished = stack.pop()
-                if not stack:
-                    result_value = value
-                    if builder is not None:
+                if rows is not None:
+                    row, reads, writes = trace[index]
+                    sid = rows[index]
+                    if sid < 0:
+                        sid = rows[index] = row_of(*row)
+                    ids_append(sid)
+                    mem_append(-1)
+                    taken_append(-1)
+                    for name in reads:
+                        rtok_append(tokens[name])
+                    roff_append(len(read_tokens))
+                    if writes is not None:  # call/ret append their own
+                        for name in writes:
+                            wtok_append(tokens[name])
                         woff_append(len(write_tokens))
-                    break
-                caller = stack[-1]
-                call_instr = finished.call_instr
-                if call_instr is not None and call_instr.defs:
-                    name = call_instr.defs[0].name
-                    caller.regs[name] = value
-                    if builder is not None:
-                        tid = caller.tokens.get(name)
-                        if tid is None:
-                            tid = caller.tokens[name] = token_of(caller.frame_id, name)
-                        wtok_append(tid)
-                if builder is not None:
-                    woff_append(len(write_tokens))
-                act = caller
-                act.index += 1
-                nxt = act.index
-                code = act.code
-                if nxt < len(code.instrs) and code.block_start_label[nxt]:
-                    profile.record(code.func.name, code.block_start_label[nxt])
-                continue
-            elif kind is OpKind.NOP:
-                pass
-            else:  # pragma: no cover - defensive
-                raise ExecutionError(f"unhandled opcode {op}")
 
-            act.index = next_index
-            if next_index < len(instrs) and code.block_start_label[next_index]:
-                profile.record(code.func.name, code.block_start_label[next_index])
+                if kind == _ALU_RI:
+                    regs[a] = fn(regs[b], c)
+                elif kind == _ALU_RR:
+                    regs[a] = fn(regs[b], regs[c])
+                elif kind == _BR:
+                    if fn(regs[b], regs[c]):
+                        if rows is not None:
+                            taken_col[-1] = 1
+                        index = target
+                        continue
+                    if rows is not None:
+                        taken_col[-1] = 0
+                elif kind == _SW:
+                    value = regs[a]
+                    addr = regs[b] + c
+                    store_word(addr, value)
+                    if rows is not None:
+                        mem_col[-1] = addr
+                elif kind == _J:
+                    index = target
+                    continue
+                elif kind == _LW:
+                    addr = regs[b] + c
+                    regs[a] = load_word(addr)
+                    if rows is not None:
+                        mem_col[-1] = addr
+                elif kind == _PARAM:
+                    regs[a] = args[c]
+                elif kind == _CALL:
+                    call_args = [regs[name] for name in b]
+                    callee = code_of(fn)
+                    stack.append((code, index, regs, args, tokens, rows))
+                    code = callee
+                    steps, trace = code.steps, code.trace
+                    index = 0
+                    state.sp -= code.func.frame_size
+                    regs = {"$zero": 0, "$sp": state.sp}
+                    args = call_args
+                    if rows is not None:
+                        rows = rows_of.get(code)
+                        if rows is None:
+                            rows = rows_of[code] = [-1] * len(steps)
+                        tokens = _Tokens(next_frame, token_of)
+                        wtok_append(tokens["@args"])
+                        woff_append(len(write_tokens))
+                    next_frame += 1
+                    continue
+                elif kind == _RET:
+                    value = None if b is None else regs[b]
+                    if not stack:
+                        result_value = value
+                        if rows is not None:
+                            woff_append(len(write_tokens))
+                        break
+                    code, index, regs, args, tokens, rows = stack.pop()
+                    steps, trace = code.steps, code.trace
+                    state.sp = regs["$sp"]
+                    a = steps[index][2]  # the call's destination
+                    if a is not _DISCARD:
+                        regs[a] = value
+                    if rows is not None:
+                        call = trace[index][0][0]  # its row key's instruction
+                        if call.defs:
+                            wtok_append(tokens[call.defs[0].name])
+                        woff_append(len(write_tokens))
+                elif kind == _LB:
+                    addr = regs[b] + c
+                    regs[a] = load_byte(addr, fn)
+                    if rows is not None:
+                        mem_col[-1] = addr
+                elif kind == _SB:
+                    value = regs[a]
+                    addr = regs[b] + c
+                    store_byte(addr, value)
+                    if rows is not None:
+                        mem_col[-1] = addr
+                # else _NOP
+
+                index += 1
+        except KeyError as exc:  # only a register read can miss
+            raise ExecutionError(
+                f"{code.func.name}: read of undefined register {exc.args[0]}"
+            ) from None
 
         return RunResult(
             value=result_value,

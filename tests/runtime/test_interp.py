@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ExecutionError, FuelExhausted
 from repro.ir.parser import parse_program
 from repro.runtime.interp import run_program
+from repro.runtime.state import STACK_BASE
 from repro.runtime.trace import Subsystem
 
 
@@ -279,3 +280,114 @@ entry:
             globals_text="global t 12 = 7 8 9",
         )
         assert result.value == 8
+
+
+class TestErrorPaths:
+    """What a failing or unusual run reports, and the register conventions
+    the interpreter's decoding relies on."""
+
+    def test_undefined_register_names_function_and_register(self):
+        program = parse_program(
+            """
+func helper(0) returns {
+entry:
+  v1 = addu v7, v7
+  ret v1
+}
+
+func main(0) {
+entry:
+  v0 = call helper()
+  ret v0
+}
+"""
+        )
+        with pytest.raises(ExecutionError, match=r"^helper: read of undefined register v7$"):
+            run_program(program)
+
+    @pytest.mark.parametrize(
+        "lines,message",
+        [
+            (["v0 = li 4098", "v1 = lw v0, 0", "ret v1"], "unaligned word load at 0x1002"),
+            (["v0 = li 4096", "v1 = li 5", "sw v1, v0, 3", "ret v1"],
+             "unaligned word store at 0x1003"),
+        ],
+    )
+    def test_unaligned_word_access_names_the_address(self, lines, message):
+        with pytest.raises(ExecutionError, match=message):
+            _eval(lines)
+
+    def test_zero_source_reads_zero(self):
+        assert _eval(["v0 = li 7", "v1 = addu v0, $zero", "v2 = subu $zero, v1", "ret v2"]) == -7
+
+    def test_zero_reads_zero_after_a_write(self):
+        # the verifier rejects this program; the interpreter must not
+        # let the write through to later reads
+        assert _eval(["$zero = li 5", "v1 = addiu $zero, 1", "ret v1"]) == 1
+
+    def test_sp_spill_slots_survive_recursion(self):
+        # each activation spills its argument to its own frame and reloads
+        # it after the recursive call: sum(1..10) only if $sp is per frame
+        program = parse_program(
+            """
+func count(1) returns {
+entry:
+  v0 = param 0
+  sw v0, $sp, 0
+  blez v0, base
+rec:
+  v3 = addiu v0, -1
+  v4 = call count(v3)
+  v5 = lw $sp, 0
+  v6 = addu v4, v5
+  ret v6
+base:
+  ret v0
+}
+
+func main(0) {
+entry:
+  v0 = li 10
+  v1 = call count(v0)
+  ret v1
+}
+"""
+        )
+        program.function("count").frame_size = 8
+        result = run_program(program)
+        assert result.value == 55
+        assert result.state.sp == STACK_BASE
+
+    def test_fuel_boundary_is_exact(self, vector_sum_program):
+        needed = run_program(vector_sum_program).instructions
+        assert run_program(vector_sum_program, fuel=needed).instructions == needed
+        with pytest.raises(FuelExhausted):
+            run_program(vector_sum_program, fuel=needed - 1)
+
+    def test_branch_to_missing_label_is_not_a_register_error(self):
+        program = parse_program(
+            """
+func main(0) {
+entry:
+  v0 = li 1
+  bgtz v0, nowhere
+  ret v0
+}
+"""
+        )
+        with pytest.raises(ExecutionError, match="nowhere") as caught:
+            run_program(program)
+        assert "register" not in str(caught.value)
+
+    def test_missing_label_on_a_path_not_taken_is_harmless(self):
+        program = parse_program(
+            """
+func main(0) {
+entry:
+  v0 = li 1
+  bltz v0, nowhere
+  ret v0
+}
+"""
+        )
+        assert run_program(program).value == 1
