@@ -38,19 +38,41 @@ the kind and reads registers straight from the activation's dict:
 
 Every run collects a basic-block execution profile (the cost model's
 input).  A run with ``collect_trace=True`` also records the dynamic
-trace (the timing simulator's input), packed as it executes: each
-dynamic instruction is a few appends to the columns of a
-:class:`~repro.trace.pack.PackedTrace`, through a
-:class:`~repro.trace.pack.TraceBuilder` that interns a static row the
-first time a code position executes and a dependence token the first
-time an activation touches a register.  Beside the step table,
-:class:`_Code` keeps per position what a trace entry needs: the static
-row's key (instruction, laid-out pc, FP side) and the register names
-the entry reads and writes.
+trace (the timing simulator's input), packed as it executes by a
+:class:`~repro.trace.pack.TraceBuilder` a straight-line *segment* at a
+time.  A segment (:class:`_Segment`) starts at a block's first
+instruction or just after a call or control instruction, and ends with
+the first call, branch, jump or ``ret``, or at the end of its block;
+once started it runs to its end, or the run raises and returns no
+trace.
+
+* When a segment starts, the loop makes one ``array.extend`` of each of
+  ``instr_ids``, ``mem_addr``, ``taken``, ``read_tokens``,
+  ``write_tokens`` and the builder's per-entry read and write token
+  counts.  The static row ids are interned the first time the run
+  executes the segment (:class:`_Rows`); ``mem_addr`` and ``taken`` get
+  ``-1`` templates; the token ids come from a per-activation cache
+  (:class:`_Frame`) built from the activation's register -> token map
+  (:class:`_Tokens`), which interns a token the first time an
+  activation touches a register.
+* Loads and stores then patch their own ``mem_addr`` slot, and the
+  segment's closing branch sets ``taken[-1]``.  ``call`` and ``ret``
+  append the one token they write into another activation: the
+  callee's ``@args``, and the caller's result register, for which a
+  ``ret`` also raises its write count from 0 to 1.
+* Block entries start most segments.  The return to a mid-block call
+  site starts one, and so does the fall-through past a mid-block branch
+  (only an unverified program has one).
+* The offset columns are running sums of the count columns, derived
+  when the builder finishes.
+
+An untraced run tests for a trace only at block entries, memory
+operations, branches, calls and returns, never once per instruction.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -201,7 +223,7 @@ _SW = 3  # word at r[b] + c = r[a]  (sw, s.s)
 _J = 4  # go to target
 _LW = 5  # a = word at r[b] + c  (lw, l.s)
 _PARAM = 6  # a = argument c
-_CALL = 7  # a = call of function fn with arguments r[b...]
+_CALL = 7  # a = call of function fn with arguments r[b...]; c names a as written
 _RET = 8  # return r[b], or nothing if b is None
 _LB = 9  # a = byte at r[b] + c, sign-extended if fn  (lb, lbu)
 _SB = 10  # byte at r[b] + c = r[a]
@@ -248,7 +270,9 @@ def _step(
     if kind is OpKind.PARAM:
         return (_PARAM, block, a, None, imm, None, None)
     if kind is OpKind.CALL:
-        return (_CALL, block, a, tuple(uses), None, instr.target, None)
+        # ``c`` names the destination as written, for its trace token
+        dest = instr.defs[0].name if instr.defs else None
+        return (_CALL, block, a, tuple(uses), dest, instr.target, None)
     if kind is OpKind.RET:
         return (_RET, block, None, uses[0] if uses else None, None, None, None)
     if kind is OpKind.NOP:
@@ -256,22 +280,79 @@ def _step(
     return (_TRAP, f"unhandled opcode {op}", None, None, None, None, None)
 
 
+#: Instruction kinds that end a straight-line segment.
+_ENDS_SEGMENT = (OpKind.CALL, OpKind.BRANCH, OpKind.JUMP, OpKind.RET)
+
+
+class _Segment:
+    """A straight-line segment: what a traced run writes for it.
+
+    ``rows`` holds the arguments of
+    :meth:`~repro.trace.pack.TraceBuilder.row` per position (instruction,
+    laid-out pc, FP side); ``reads`` and ``writes`` the register names of
+    the segment's read and write tokens, flattened in order (a ``call``'s
+    or ``ret``'s written token belongs to another activation and is
+    appended by the run loop); ``names`` every name once, in the order
+    execution first touches it, which is the order its tokens are
+    interned; ``read_counts``/``write_counts`` each position's number of
+    tokens; ``mem``/``taken`` the ``-1`` columns that loads, stores and
+    the closing branch patch.
+    """
+
+    __slots__ = (
+        "rows", "names", "reads", "writes", "mem", "taken", "read_counts", "write_counts",
+    )
+
+    def __init__(self, instrs: list[Instruction], func: str, layout: ProgramLayout):
+        self.rows = []
+        self.read_counts = array("H")
+        self.write_counts = array("H")
+        names: dict[str, None] = {}
+        reads: list[str] = []
+        writes: list[str] = []
+        for instr in instrs:
+            kind = instr.kind
+            if kind is OpKind.PARAM:
+                r: list[str] = ["@args"]
+            else:
+                r = [reg.name for reg in instr.uses if reg.name != "$zero" and reg.name != "$sp"]
+            if kind is OpKind.CALL or kind is OpKind.RET:
+                w: list[str] = []
+                # a call writes the callee's @args; a ret, when it writes,
+                # its caller's result register
+                self.write_counts.append(1 if kind is OpKind.CALL else 0)
+            else:
+                w = [reg.name for reg in instr.defs]
+                self.write_counts.append(len(w))
+            self.read_counts.append(len(r))
+            pc = layout.pc_of[(func, instr.uid)]
+            self.rows.append((instr, pc, bool(instr.info.fp_subsystem)))
+            names.update(dict.fromkeys(r))
+            names.update(dict.fromkeys(w))
+            reads += r
+            writes += w
+        self.names = tuple(names)
+        self.reads = tuple(reads)
+        self.writes = tuple(writes)
+        self.mem = array("q", [-1]) * len(instrs)
+        self.taken = array("b", [-1]) * len(instrs)
+
+
 class _Code:
     """One function decoded into a step table (see the module docstring).
 
-    ``trace`` holds, per instruction position, what its trace entry
-    needs: the arguments of :meth:`~repro.trace.pack.TraceBuilder.row`
-    (instruction, laid-out pc, FP side), and the register names the
-    entry reads and writes (``None`` writes for ``call``/``ret``, whose
-    written token belongs to another activation and is emitted by the
-    run loop).  Empty-block entries and the traps after the last block
-    have ``None``.
+    :attr:`segments` maps each straight-line segment's first position to
+    its :class:`_Segment`.  A segment starts at a block's first
+    instruction or just after a call or control instruction, and runs to
+    the first call, branch, jump or ``ret``, or to the end of its block.
     """
 
-    __slots__ = ("func", "steps", "trace")
+    __slots__ = ("func", "steps", "layout", "_segments")
 
     def __init__(self, func: Function, program: Program, layout: ProgramLayout):
         self.func = func
+        self.layout = layout
+        self._segments: dict[int, _Segment] | None = None
         name = func.name
         start_of: dict[str, int] = {}
         end = 0
@@ -291,31 +372,32 @@ class _Code:
             return index
 
         self.steps: list[tuple] = []
-        self.trace: list[tuple | None] = []
         for blk in func.blocks:
             block: tuple[str, str] | None = (name, blk.label)
             if not blk.instructions:
                 self.steps.append((_SKIP, block, None, None, None, None, None))
-                self.trace.append(None)
             for instr in blk.instructions:
                 self.steps.append(_step(instr, block, program, target_of))
                 block = None
-                kind = instr.kind
-                if kind is OpKind.PARAM:
-                    reads: tuple[str, ...] = ("@args",)
-                else:
-                    reads = tuple(
-                        r.name for r in instr.uses if r.name != "$zero" and r.name != "$sp"
-                    )
-                if kind is OpKind.CALL or kind is OpKind.RET:
-                    writes = None
-                else:
-                    writes = tuple(r.name for r in instr.defs)
-                row = (instr, layout.pc_of[(name, instr.uid)], bool(instr.info.fp_subsystem))
-                self.trace.append((row, reads, writes))
         for message in traps:
             self.steps.append((_TRAP, message, None, None, None, None, None))
-            self.trace.append(None)
+
+    @property
+    def segments(self) -> dict[int, _Segment]:
+        """The segments, split the first time a traced run enters."""
+        if self._segments is None:
+            segments = self._segments = {}
+            name, layout = self.func.name, self.layout
+            position = 0  # of the block's first step
+            for blk in self.func.blocks:
+                instrs = blk.instructions
+                first = 0
+                for end, instr in enumerate(instrs, 1):
+                    if instr.kind in _ENDS_SEGMENT or end == len(instrs):
+                        segments[position + first] = _Segment(instrs[first:end], name, layout)
+                        first = end
+                position += len(instrs) or 1  # an empty block has its entry step
+        return self._segments
 
 
 class _Tokens(dict):
@@ -332,6 +414,86 @@ class _Tokens(dict):
     def __missing__(self, name: str) -> int:
         tid = self[name] = self.intern(self.frame, name)
         return tid
+
+
+class _Rows(dict):
+    """A traced run's segments -> their static row ids, interned through
+    the trace builder the first time the segment runs."""
+
+    __slots__ = ("intern",)
+
+    def __init__(self, intern) -> None:
+        super().__init__()
+        self.intern = intern
+
+    def __missing__(self, segment: _Segment) -> array:
+        intern = self.intern
+        sids = self[segment] = array("q", [intern(*row) for row in segment.rows])
+        return sids
+
+
+class _Frame(dict):
+    """One activation of a traced run: a segment's first position -> the
+    arrays a segment start extends the columns with (row ids, ``-1``
+    addresses and outcomes, read and write token ids, read and write
+    counts), built the first time this activation runs the segment."""
+
+    __slots__ = ("segments", "tokens", "rows")
+
+    def __init__(self, segments: dict[int, _Segment], tokens: _Tokens, rows: _Rows) -> None:
+        super().__init__()
+        self.segments = segments
+        self.tokens = tokens
+        self.rows = rows
+
+    def __missing__(self, start: int) -> tuple:
+        segment = self.segments[start]
+        token = self.tokens.__getitem__
+        for name in segment.names:
+            token(name)  # intern in execution order
+        parts = self[start] = (
+            self.rows[segment],
+            segment.mem,
+            segment.taken,
+            array("q", map(token, segment.reads)),
+            array("q", map(token, segment.writes)),
+            segment.read_counts,
+            segment.write_counts,
+        )
+        return parts
+
+
+def _segment_writer(builder):
+    """The function that starts a segment in a traced run.
+
+    ``start(frame, index)`` extends the builder's dynamic, token and
+    count columns with the arrays of ``frame``'s segment at ``index`` and
+    returns ``index`` minus the segment's first entry, which maps each
+    position of the segment to its entry.
+    """
+    pack = builder.pack
+    ids = pack.instr_ids
+    ids_extend = ids.extend
+    mem_extend = pack.mem_addr.extend
+    taken_extend = pack.taken.extend
+    rtok_extend = pack.read_tokens.extend
+    wtok_extend = pack.write_tokens.extend
+    rcount_extend = builder.read_counts.extend
+    wcount_extend = builder.write_counts.extend
+
+    def start(frame: _Frame, index: int) -> int:
+        sids, mem, taken, rtoks, wtoks, rcounts, wcounts = frame[index]
+        shift = index - len(ids)
+        ids_extend(sids)
+        mem_extend(mem)
+        taken_extend(taken)
+        rtok_extend(rtoks)
+        wtok_extend(wtoks)
+        rcount_extend(rcounts)
+        wcount_extend(wcounts)
+        return shift
+
+    return start
 
 
 @dataclass(eq=False, slots=True)
@@ -393,9 +555,9 @@ class Interpreter:
         code_of = self.code_of
 
         # the current activation lives in locals; ``stack`` holds each
-        # caller's (code, position of its call, regs, args, tokens, rows)
+        # caller's (code, position of its call, regs, args, frame)
         code = code_of(entry or program.entry)
-        steps, trace = code.steps, code.trace
+        steps = code.steps
         index = 0
         regs: dict = {"$zero": 0, "$sp": state.sp}
         args: list = []
@@ -404,27 +566,25 @@ class Interpreter:
         executed = 0
         result_value = None
 
-        # a traced run packs as it goes: static rows are interned on
-        # first sight per code position (``rows``, shared by every
-        # activation of that code), tokens per activation (``tokens``),
-        # then every dynamic instruction is a few appends to the columns
-        builder = rows = tokens = None
+        # a traced run writes the trace a segment at a time: as a segment
+        # starts, ``start`` extends the columns with what the current
+        # activation's ``frame`` holds for it, and returns the ``shift``
+        # from a position of the segment to its entry, for loads and
+        # stores to patch ``mem_addr``; the closing branch patches
+        # ``taken[-1]``
+        builder = frame = None
+        shift = 0
         if collect_trace:
             from repro.trace.pack import TraceBuilder
 
             builder = TraceBuilder()
-            row_of, token_of = builder.row, builder.token
-            pack = builder.pack
-            ids_append = pack.instr_ids.append
-            mem_col, taken_col = pack.mem_addr, pack.taken
-            mem_append, taken_append = mem_col.append, taken_col.append
-            read_tokens, write_tokens = pack.read_tokens, pack.write_tokens
-            rtok_append, wtok_append = read_tokens.append, write_tokens.append
-            roff_append = pack.read_offsets.append
-            woff_append = pack.write_offsets.append
-            rows_of: dict[_Code, list[int]] = {}
-            rows = rows_of[code] = [-1] * len(steps)
-            tokens = _Tokens(0, token_of)
+            token_of = builder.token
+            rows = _Rows(builder.row)
+            start = _segment_writer(builder)
+            mem_col, taken_col = builder.pack.mem_addr, builder.pack.taken
+            wtok_append = builder.pack.write_tokens.append
+            write_counts = builder.write_counts
+            frame = _Frame(code.segments, _Tokens(0, token_of), rows)
 
         try:
             while True:
@@ -437,26 +597,12 @@ class Interpreter:
                         index += 1
                         continue
                     counts[block] = counts.get(block, 0.0) + 1.0
+                    if frame is not None:  # a segment starts
+                        shift = start(frame, index)
 
                 executed += 1
                 if executed > fuel:
                     raise FuelExhausted(f"exceeded fuel of {fuel} dynamic instructions")
-
-                if rows is not None:
-                    row, reads, writes = trace[index]
-                    sid = rows[index]
-                    if sid < 0:
-                        sid = rows[index] = row_of(*row)
-                    ids_append(sid)
-                    mem_append(-1)
-                    taken_append(-1)
-                    for name in reads:
-                        rtok_append(tokens[name])
-                    roff_append(len(read_tokens))
-                    if writes is not None:  # call/ret append their own
-                        for name in writes:
-                            wtok_append(tokens[name])
-                        woff_append(len(write_tokens))
 
                 if kind == _ALU_RI:
                     regs[a] = fn(regs[b], c)
@@ -464,76 +610,75 @@ class Interpreter:
                     regs[a] = fn(regs[b], regs[c])
                 elif kind == _BR:
                     if fn(regs[b], regs[c]):
-                        if rows is not None:
+                        if frame is not None:
                             taken_col[-1] = 1
                         index = target
                         continue
-                    if rows is not None:
+                    if frame is not None:
                         taken_col[-1] = 0
+                        index += 1
+                        if steps[index][1] is None:  # falls into the rest of its block
+                            shift = start(frame, index)
+                        continue
                 elif kind == _SW:
                     value = regs[a]
                     addr = regs[b] + c
                     store_word(addr, value)
-                    if rows is not None:
-                        mem_col[-1] = addr
+                    if frame is not None:
+                        mem_col[index - shift] = addr
                 elif kind == _J:
                     index = target
                     continue
                 elif kind == _LW:
                     addr = regs[b] + c
                     regs[a] = load_word(addr)
-                    if rows is not None:
-                        mem_col[-1] = addr
+                    if frame is not None:
+                        mem_col[index - shift] = addr
                 elif kind == _PARAM:
                     regs[a] = args[c]
                 elif kind == _CALL:
                     call_args = [regs[name] for name in b]
                     callee = code_of(fn)
-                    stack.append((code, index, regs, args, tokens, rows))
+                    stack.append((code, index, regs, args, frame))
                     code = callee
-                    steps, trace = code.steps, code.trace
+                    steps = code.steps
                     index = 0
                     state.sp -= code.func.frame_size
                     regs = {"$zero": 0, "$sp": state.sp}
                     args = call_args
-                    if rows is not None:
-                        rows = rows_of.get(code)
-                        if rows is None:
-                            rows = rows_of[code] = [-1] * len(steps)
-                        tokens = _Tokens(next_frame, token_of)
-                        wtok_append(tokens["@args"])
-                        woff_append(len(write_tokens))
+                    if frame is not None:
+                        frame = _Frame(code.segments, _Tokens(next_frame, token_of), rows)
+                        wtok_append(frame.tokens["@args"])
                     next_frame += 1
                     continue
                 elif kind == _RET:
                     value = None if b is None else regs[b]
                     if not stack:
                         result_value = value
-                        if rows is not None:
-                            woff_append(len(write_tokens))
                         break
-                    code, index, regs, args, tokens, rows = stack.pop()
-                    steps, trace = code.steps, code.trace
+                    code, index, regs, args, frame = stack.pop()
+                    steps = code.steps
                     state.sp = regs["$sp"]
-                    a = steps[index][2]  # the call's destination
+                    _, _, a, _, dest, _, _ = steps[index]  # the call
                     if a is not _DISCARD:
                         regs[a] = value
-                    if rows is not None:
-                        call = trace[index][0][0]  # its row key's instruction
-                        if call.defs:
-                            wtok_append(tokens[call.defs[0].name])
-                        woff_append(len(write_tokens))
+                    if frame is not None:
+                        if dest is not None:  # the ret's write token
+                            wtok_append(frame.tokens[dest])
+                            write_counts[-1] = 1
+                        if steps[index + 1][1] is None:  # the call was mid-block
+                            shift = start(frame, index + 1)
                 elif kind == _LB:
                     addr = regs[b] + c
                     regs[a] = load_byte(addr, fn)
-                    if rows is not None:
-                        mem_col[-1] = addr
+                    if frame is not None:
+                        mem_col[index - shift] = addr
                 elif kind == _SB:
                     value = regs[a]
                     addr = regs[b] + c
                     store_byte(addr, value)
-                    if rows is not None:
-                        mem_col[-1] = addr
+                    if frame is not None:
+                        mem_col[index - shift] = addr
                 # else _NOP
 
                 index += 1

@@ -18,11 +18,12 @@ column-wise in :mod:`array` arrays —
   lossless.
 
 :class:`TraceBuilder` owns the interning and fills the columns.  The
-interpreter appends to it as it executes (see
-:mod:`repro.runtime.interp`), so a traced run returns a finished pack and
-no per-instruction objects are built; :func:`pack_entries` feeds it a
-list of :class:`~repro.runtime.trace.TraceEntry` objects instead (hand-
-built traces, tests), and :meth:`PackedTrace.unpack_entries` goes back.
+interpreter writes to it a straight-line segment at a time as it
+executes (see :mod:`repro.runtime.interp`), so a traced run returns a
+finished pack and no per-instruction objects are built;
+:func:`pack_entries` feeds it a list of
+:class:`~repro.runtime.trace.TraceEntry` objects instead (hand-built
+traces, tests), and :meth:`PackedTrace.unpack_entries` goes back.
 The timing simulator consumes the columns directly — integer token ids
 instead of tuple hashing, pre-resolved latency/control classes instead
 of per-entry ``OpKind`` tests (see :mod:`repro.sim.pipeline`).
@@ -47,6 +48,7 @@ import hashlib
 import json
 import sys
 from array import array
+from itertools import accumulate
 
 from repro.errors import TracePackError
 from repro.ir.opcodes import OpKind
@@ -410,25 +412,32 @@ class PackedTrace:
 
 
 class TraceBuilder:
-    """Appends dynamic instructions to the columns of a :class:`PackedTrace`.
+    """Writes dynamic instructions to the columns of a :class:`PackedTrace`.
 
     Owns the interning: static rows are deduplicated on instruction
     identity *and* (pc, FP side), so hand-built traces that reuse a pc
     across distinct instruction objects keep distinct rows; tokens and
     their register names get dense ids in first-seen order.
 
+    The offset columns are derived at :meth:`finish`:
+    :attr:`read_counts`/:attr:`write_counts` hold each entry's number of
+    read and write tokens, and ``read_offsets``/``write_offsets`` are
+    their running sums.
+
     :meth:`append` adds one whole dynamic instruction.  The interpreter
-    instead writes the dynamic columns of :attr:`pack` itself, interning
-    through :meth:`row` and :meth:`token` on first sight only; both
-    routes produce byte-identical packs for the same instruction stream.
+    instead extends the dynamic, token and count columns a straight-line
+    segment at a time, interning through :meth:`row` and :meth:`token`
+    the first time a segment runs (see :mod:`repro.runtime.interp`).
+    Both routes produce byte-identical packs for the same instruction
+    stream.
     """
 
-    __slots__ = ("pack", "_rows", "_tokens", "_names")
+    __slots__ = ("pack", "read_counts", "write_counts", "_rows", "_tokens", "_names")
 
     def __init__(self) -> None:
         self.pack = PackedTrace()
-        self.pack.read_offsets.append(0)
-        self.pack.write_offsets.append(0)
+        self.read_counts = array("H")
+        self.write_counts = array("H")
         self._rows: dict[tuple[int, int, bool], int] = {}
         self._tokens: dict[tuple[int, str], int] = {}
         self._names: dict[str, int] = {}
@@ -478,16 +487,18 @@ class TraceBuilder:
         read_tokens, write_tokens = pack.read_tokens, pack.write_tokens
         for frame, name in entry.reads:
             read_tokens.append(token(frame, name))
-        pack.read_offsets.append(len(read_tokens))
+        self.read_counts.append(len(entry.reads))
         for frame, name in entry.writes:
             write_tokens.append(token(frame, name))
-        pack.write_offsets.append(len(write_tokens))
+        self.write_counts.append(len(entry.writes))
 
     def finish(
         self, *, value: int | None = None, meta: dict | None = None
     ) -> PackedTrace:
-        """The finished pack; the builder must not be appended to after."""
+        """The finished pack; the builder must not be written to after."""
         pack = self.pack
+        pack.read_offsets = array("q", accumulate(self.read_counts, initial=0))
+        pack.write_offsets = array("q", accumulate(self.write_counts, initial=0))
         pack.value = value
         if meta:
             pack.meta = dict(meta)
