@@ -12,7 +12,7 @@ Usage::
     python -m repro report [fig8 fig9 ...]     # regenerate paper artifacts
     python -m repro bench --suite fig8 -j 4    # benchmark matrix -> BENCH JSON
     python -m repro perf append BENCH_fig8.json  # record run in perf history
-    python -m repro perf check                 # statistical degradation gate
+    python -m repro perf check                 # wall-time degradation report
     python -m repro fuzz --seeds 200           # differential partition fuzzing
     python -m repro fuzz --replay              # replay the regression corpus
 
@@ -26,8 +26,9 @@ are accepted anywhere a workload name is.
 Exit codes are documented per error class — 0 success, 1 generic
 failure, 2 usage, 3 unreadable input file, 4 the bench failure gate,
 10-25 the :mod:`repro.errors` hierarchy, including 23 for a confirmed
-performance degradation from ``perf check`` and 25 for a differential
-fuzzing violation (see ``docs/robustness.md``).
+wall-time degradation from ``perf check --gate-wall`` and 25 for a
+differential fuzzing violation (see ``docs/robustness.md``).  ``bench
+--baseline`` exits 1 when any result field differs from the baseline.
 """
 
 from __future__ import annotations
@@ -523,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "perf",
-        help="per-branch performance history and degradation detection",
+        help="per-branch wall-time history and degradation detection",
     )
     from repro.perf.cli import configure_parser as configure_perf_parser
 

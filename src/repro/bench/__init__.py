@@ -19,7 +19,7 @@ parallel and perfectly cacheable:
 * :mod:`repro.bench.results` serializes results and builds the
   versioned, machine-readable ``BENCH_<suite>.json`` documents.
 * :mod:`repro.bench.compare` gates a fresh document against a
-  committed baseline with a slowdown tolerance (the CI perf gate).
+  committed baseline, field for field and exactly (the CI numbers gate).
 
 Command line::
 

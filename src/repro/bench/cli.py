@@ -97,15 +97,8 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         "--baseline",
         default=None,
         metavar="PATH",
-        help="compare against this committed BENCH JSON; exit 1 on slowdown",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=10.0,
-        metavar="PCT",
-        help="allowed cycle-count slowdown vs the baseline, in percent "
-        "(default: 10)",
+        help="compare against this committed BENCH JSON; exit 1 when any "
+        "result field of any baseline cell differs",
     )
     parser.add_argument(
         "--validate",
@@ -134,6 +127,7 @@ def run(args: argparse.Namespace) -> int:
     from repro.bench.matrix import SUITES, suite_cells
     from repro.bench.results import (
         build_document,
+        cell_label,
         load_document,
         save_document,
         validate_document,
@@ -249,8 +243,7 @@ def run(args: argparse.Namespace) -> int:
     for failure in failures:
         error = failure.get("error", {})
         print(
-            f"  failure: {failure['workload']}/{failure['scheme']}/"
-            f"{failure['width']}-way [{failure['status']}] "
+            f"  failure: {cell_label(failure)} [{failure['status']}] "
             f"{error.get('type')} at {error.get('stage')}: "
             f"{error.get('message')}",
             file=sys.stderr,
@@ -266,7 +259,7 @@ def run(args: argparse.Namespace) -> int:
     if args.baseline is not None:
         baseline = load_document(args.baseline)
         validate_document(baseline)
-        report = compare_documents(doc, baseline, tolerance=args.tolerance / 100.0)
+        report = compare_documents(doc, baseline)
         print(format_report(report))
         if not report.ok:
             return 1

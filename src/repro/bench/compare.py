@@ -1,51 +1,44 @@
-"""Baseline comparison — the CI perf gate.
+"""Baseline comparison — the CI numbers gate.
 
 Compares a freshly produced BENCH document against a committed baseline
 (``benchmarks/baseline.json``).  Cells are matched on
-(workload, scheme, width, scale); for each match the *simulated* cycle
-count is compared with a relative tolerance.  Cycle counts are
-deterministic, so on unchanged code they agree exactly; the tolerance
-is headroom for intentional compiler/partitioner changes that move
-cycles a little without being a regression.  Functional checksums must
-match exactly — a checksum drift means the pipeline computes different
-answers, which no tolerance excuses.
+(workload, scheme, width, scale), and each matched cell's whole
+``result`` block must equal the baseline's exactly: checksum, cycles,
+instruction counts, IPC, offload fraction, every ``mix``,
+``partition_summary`` and ``stats`` entry, and the ``degraded`` flag.
+The pipeline is deterministic, so unchanged code reproduces every field
+bit for bit; a change that means to move the numbers regenerates the
+baseline (``repro bench --suite fig8 --force -o benchmarks/baseline.json``)
+and says why.
+
+Both sides are normalised through ``result_from_dict`` →
+``result_to_dict`` first, so a baseline written before a field existed
+(``degraded``) reads as that field's default.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-
-def _identity(cell: dict) -> tuple:
-    return (cell["workload"], cell["scheme"], cell["width"], cell.get("scale"))
+from repro.bench.results import cell_label, result_from_dict, result_to_dict
 
 
-def _label(identity: tuple) -> str:
-    workload, scheme, width, scale = identity
-    suffix = f"@{scale}" if scale is not None else ""
-    return f"{workload}/{scheme}/{width}-way{suffix}"
-
-
-@dataclass(frozen=True, slots=True)
-class CellDelta:
-    """Cycle comparison of one matched cell."""
-
-    label: str
-    baseline_cycles: int
-    current_cycles: int
-
-    @property
-    def ratio(self) -> float:
-        return self.current_cycles / self.baseline_cycles
+def _fields(result: dict) -> dict:
+    """Dotted field name -> value of one normalised ``result`` block."""
+    flat = {}
+    for key, value in result_to_dict(result_from_dict(result)).items():
+        if isinstance(value, dict):
+            flat.update((f"{key}.{sub}", v) for sub, v in value.items())
+        else:
+            flat[key] = value
+    return flat
 
 
 @dataclass(eq=False, slots=True)
 class ComparisonReport:
-    tolerance: float
-    matched: list[CellDelta] = field(default_factory=list)
-    regressions: list[CellDelta] = field(default_factory=list)
-    improvements: list[CellDelta] = field(default_factory=list)
-    checksum_mismatches: list[str] = field(default_factory=list)
+    matched: int = 0
+    #: One ``label: field baseline -> current`` line per moved field.
+    mismatches: list[str] = field(default_factory=list)
     missing_in_current: list[str] = field(default_factory=list)
     missing_in_baseline: list[str] = field(default_factory=list)
     #: Labels of cells the current run recorded in ``failures``.
@@ -56,73 +49,48 @@ class ComparisonReport:
 
     @property
     def ok(self) -> bool:
-        """True when nothing got slower and nothing computes differently.
+        """True when every baseline cell is present and equal.
 
         Cells missing from the *current* run also fail: silently
         dropping a benchmark is how regressions hide.
         """
-        return not (
-            self.regressions or self.checksum_mismatches or self.missing_in_current
-        )
+        return not (self.mismatches or self.missing_in_current)
 
 
-def compare_documents(
-    current: dict, baseline: dict, tolerance: float = 0.10
-) -> ComparisonReport:
+def compare_documents(current: dict, baseline: dict) -> ComparisonReport:
     """Gate ``current`` against ``baseline`` (see module docstring)."""
-    report = ComparisonReport(tolerance=tolerance)
-    current_cells = {_identity(c): c for c in current.get("cells", [])}
-    baseline_cells = {_identity(c): c for c in baseline.get("cells", [])}
+    report = ComparisonReport()
+    current_cells = {cell_label(c): c for c in current.get("cells", [])}
+    baseline_cells = {cell_label(c): c for c in baseline.get("cells", [])}
     for failure in current.get("failures", []):
         report.failed_in_current.append(
-            f"{_label(_identity(failure))} ({failure.get('status', 'failed')})"
+            f"{cell_label(failure)} ({failure.get('status', 'failed')})"
         )
+    report.missing_in_current = sorted(set(baseline_cells) - set(current_cells))
+    report.missing_in_baseline = sorted(set(current_cells) - set(baseline_cells))
 
-    for identity in sorted(set(baseline_cells) - set(current_cells)):
-        report.missing_in_current.append(_label(identity))
-    for identity in sorted(set(current_cells) - set(baseline_cells)):
-        report.missing_in_baseline.append(_label(identity))
-
-    for identity in sorted(set(baseline_cells) & set(current_cells)):
-        base = baseline_cells[identity]["result"]
-        cur = current_cells[identity]["result"]
-        label = _label(identity)
-        if base.get("checksum") != cur.get("checksum"):
-            report.checksum_mismatches.append(
-                f"{label}: checksum {base.get('checksum')} -> {cur.get('checksum')}"
-            )
-            continue
-        delta = CellDelta(label, base["cycles"], cur["cycles"])
-        report.matched.append(delta)
-        if delta.current_cycles > delta.baseline_cycles * (1.0 + tolerance):
-            report.regressions.append(delta)
-        elif delta.current_cycles < delta.baseline_cycles * (1.0 - tolerance):
-            report.improvements.append(delta)
+    for label in sorted(set(baseline_cells) & set(current_cells)):
+        base = _fields(baseline_cells[label]["result"])
+        cur = _fields(current_cells[label]["result"])
+        report.matched += 1
+        for name in sorted(set(base) | set(cur)):
+            before, after = base.get(name, "absent"), cur.get(name, "absent")
+            if before != after:
+                report.mismatches.append(f"{label}: {name} {before} -> {after}")
     return report
 
 
 def format_report(report: ComparisonReport) -> str:
-    pct = 100.0 * report.tolerance
     lines = [
-        f"baseline comparison (tolerance ±{pct:.0f}% on simulated cycles):",
-        f"  matched cells : {len(report.matched)}",
+        "baseline comparison (exact, every result field):",
+        f"  matched cells : {report.matched}",
     ]
-    for delta in report.regressions:
-        lines.append(
-            f"  REGRESSION    : {delta.label}: {delta.baseline_cycles} -> "
-            f"{delta.current_cycles} cycles ({100 * (delta.ratio - 1):+.1f}%)"
-        )
-    for mismatch in report.checksum_mismatches:
-        lines.append(f"  CHECKSUM      : {mismatch}")
+    for mismatch in report.mismatches:
+        lines.append(f"  MISMATCH      : {mismatch}")
     for label in report.missing_in_current:
         lines.append(f"  MISSING       : {label} (in baseline, not in this run)")
     for label in report.failed_in_current:
         lines.append(f"  failed        : {label} (recorded in failures)")
-    for delta in report.improvements:
-        lines.append(
-            f"  improvement   : {delta.label}: {delta.baseline_cycles} -> "
-            f"{delta.current_cycles} cycles ({100 * (delta.ratio - 1):+.1f}%)"
-        )
     for label in report.missing_in_baseline:
         lines.append(f"  new cell      : {label} (not in baseline)")
     lines.append("  verdict       : " + ("OK" if report.ok else "FAIL"))

@@ -37,9 +37,9 @@ uploads and gates on.  Layout (schema ``repro-bench/1``)::
       ]
     }
 
-Every numeric field of ``result`` is produced by the deterministic
-pipeline, so two documents for the same code version must agree cell
-for cell — that is what the CI baseline gate checks.  ``cells`` holds
+Every field of ``result`` is produced by the deterministic pipeline,
+so two documents for the same code version must agree cell for cell,
+field for field — that is what the CI baseline gate checks.  ``cells`` holds
 only clean results; a failed cell moves to ``failures`` (with the
 captured error instead of a result) so a partial run still yields a
 valid, gateable document.
@@ -106,6 +106,14 @@ def result_from_dict(doc: dict) -> BenchmarkResult:
         )
     except KeyError as exc:
         raise ReproError(f"malformed benchmark result: missing {exc}") from None
+
+
+def cell_label(cell: dict) -> str:
+    """Canonical ``workload/scheme/width-way[@scale]`` label of a
+    ``cells`` or ``failures`` entry."""
+    scale = cell.get("scale")
+    suffix = f"@{scale}" if scale is not None else ""
+    return f"{cell['workload']}/{cell['scheme']}/{cell['width']}-way{suffix}"
 
 
 #: Host-identity fields the fingerprint is computed over, in order.

@@ -134,13 +134,14 @@ class TracePackError(ReproError):
 
 
 class PerfDegradation(ReproError):
-    """``repro perf check`` confirmed a statistical performance
-    degradation against the per-branch history (see
+    """``repro perf check --gate-wall`` confirmed a statistical
+    wall-time degradation against the per-branch history (see
     :mod:`repro.perf.detect`).
 
-    Raised (and mapped to exit code 23) only when the detectors agree
-    the change is a real regression, not noise — the message names the
-    degraded cell(s), the magnitude and the change-point sha.
+    Exit code 23 occurs only under ``--gate-wall``, and only when the
+    detectors agree the change is a real regression, not noise — the
+    message names the degraded cell(s), the magnitude and the
+    change-point sha.
     """
 
     exit_code = 23

@@ -1,10 +1,12 @@
-"""Per-branch performance history and statistical degradation detection.
+"""Per-branch wall-time history and statistical degradation detection.
 
 The package behind ``repro perf``: an append-only JSONL store of
 validated benchmark documents (:mod:`repro.perf.history`), a
 change-point/drift/spike detection engine with data-derived thresholds
-(:mod:`repro.perf.detect`), and the ``repro-perf/1`` verdict document
-(:mod:`repro.perf.report`).
+over each cell's wall time (:mod:`repro.perf.detect`), and the
+``repro-perf/1`` verdict document (:mod:`repro.perf.report`).  The
+deterministic result fields (cycles, checksums, counters) are not
+judged here: ``repro bench --baseline`` compares them exactly.
 """
 
 from repro.perf.detect import (

@@ -1,19 +1,20 @@
-"""``repro perf`` — per-branch performance history and degradation gate.
+"""``repro perf`` — per-branch wall-time history and degradation report.
 
 Examples::
 
     repro perf append BENCH_fig8.json            # record a run
-    repro perf check                             # exit 23 on degradation
+    repro perf check                             # report wall-time changes
+    repro perf check --gate-wall                 # exit 23 on degradation
     repro perf check --json > perf-verdict.json  # machine-readable verdict
     repro perf check --report perf-report.txt    # human-readable artifact
     repro perf log --suite fig8                  # recorded trajectory
-    repro perf refresh-baseline --suite fig8     # accept an improvement
 
 ``check`` runs the statistical detectors of :mod:`repro.perf.detect`
-over every cell's recorded series.  Cycle counts gate the run: a
-confirmed degradation exits with code 23 naming the cell, the
-magnitude and the first sha showing the new behaviour.  Wall time is
-analyzed and reported but gates only with ``--gate-wall``.
+over every cell's recorded wall-time (``compute_seconds``) series and
+reports each confirmed change with the cell, the magnitude and the
+first sha showing the new behaviour.  It exits 23 on a degradation
+only with ``--gate-wall``.  Simulated cycles and every other result
+field are deterministic; ``repro bench --baseline`` pins them exactly.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     )
 
     p_check = sub.add_parser(
-        "check", help="statistical degradation check (exit 23 on regression)"
+        "check", help="statistical wall-time degradation check"
     )
     history_arg(p_check)
     p_check.add_argument(
@@ -62,28 +63,9 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         help="suite to check (default: every suite in the history)",
     )
     p_check.add_argument(
-        "--window", type=int, default=10, metavar="N",
-        help="moving-average window in runs (default: 10)",
-    )
-    p_check.add_argument(
-        "--min-runs", type=int, default=5, metavar="N",
-        help="minimum recorded runs before a cell is judged (default: 5)",
-    )
-    p_check.add_argument(
-        "--z", type=float, default=4.0, metavar="Z",
-        help="confidence multiplier on the estimated noise (default: 4.0)",
-    )
-    p_check.add_argument(
-        "--min-change", type=float, default=0.5, metavar="PCT",
-        help="floor on the relative-change threshold, percent (default: 0.5)",
-    )
-    p_check.add_argument(
-        "--max-runs", type=int, default=50, metavar="N",
-        help="analyze at most the newest N runs (default: 50)",
-    )
-    p_check.add_argument(
         "--gate-wall", action="store_true",
-        help="also gate (exit 23) on wall-time degradation, not only cycles",
+        help="exit 23 on a confirmed wall-time degradation "
+        "(default: report only)",
     )
     p_check.add_argument(
         "--json", action="store_true", dest="as_json",
@@ -101,30 +83,8 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     )
     p_log.add_argument(
         "--cell", default=None, metavar="LABEL",
-        help="also print per-run cycles of one workload/scheme/width cell",
-    )
-
-    p_refresh = sub.add_parser(
-        "refresh-baseline",
-        help="regenerate benchmarks/baseline.json from the history median",
-    )
-    history_arg(p_refresh)
-    p_refresh.add_argument(
-        "--suite", default="fig8", metavar="NAME",
-        help="suite to rebuild the baseline from (default: fig8)",
-    )
-    p_refresh.add_argument(
-        "--output", default="benchmarks/baseline.json", metavar="PATH",
-        help="baseline path to write (default: benchmarks/baseline.json)",
-    )
-    p_refresh.add_argument(
-        "--window", type=int, default=10, metavar="N",
-        help="median over the newest N runs (default: 10)",
-    )
-    p_refresh.add_argument(
-        "--allow-regression", action="store_true",
-        help="refresh even while the detectors report a degradation "
-        "(accepting an intentional performance change)",
+        help="also print per-run compute seconds of one "
+        "workload/scheme/width cell",
     )
 
 
@@ -140,7 +100,6 @@ def run(args: argparse.Namespace) -> int:
         "append": _run_append,
         "check": _run_check,
         "log": _run_log,
-        "refresh-baseline": _run_refresh,
     }
     return handlers[args.perf_command](args)
 
@@ -165,20 +124,8 @@ def _run_append(args: argparse.Namespace) -> int:
     return 0
 
 
-def _detector_config(args: argparse.Namespace):
-    from repro.perf.detect import DetectorConfig
-
-    return DetectorConfig(
-        window=max(2, args.window),
-        min_runs=max(2, args.min_runs),
-        z=max(0.1, args.z),
-        min_rel_change=max(0.0, args.min_change / 100.0),
-        max_runs=max(2, args.max_runs),
-    )
-
-
 def _run_check(args: argparse.Namespace) -> int:
-    from repro.perf.detect import METRIC_CYCLES, METRIC_WALL, check_history
+    from repro.perf.detect import check_history
     from repro.perf.history import git_branch, git_sha
     from repro.perf.report import (
         build_verdict_document,
@@ -190,8 +137,6 @@ def _run_check(args: argparse.Namespace) -> int:
     entries = history.entries()
     suites = [args.suite] if args.suite else sorted({e.suite for e in entries})
     sha, branch = git_sha(), git_branch()
-    config = _detector_config(args)
-    gated = (METRIC_CYCLES, METRIC_WALL) if args.gate_wall else (METRIC_CYCLES,)
 
     if not suites:
         print(
@@ -204,26 +149,15 @@ def _run_check(args: argparse.Namespace) -> int:
 
     documents, texts, failing = [], [], []
     for suite in suites:
-        report = check_history(entries, suite=suite, config=config)
+        report = check_history(entries, suite=suite)
         doc = build_verdict_document(
-            report,
-            sha=sha,
-            branch=branch,
-            gated_metrics=gated,
-            config={
-                "window": config.window,
-                "min_runs": config.min_runs,
-                "z": config.z,
-                "min_rel_change": config.min_rel_change,
-                "max_runs": config.max_runs,
-            },
+            report, sha=sha, branch=branch, gate_wall=args.gate_wall
         )
         validate_verdict_document(doc)
         documents.append(doc)
         texts.append(render_text_report(report, sha=sha, branch=branch))
-        failing.extend(
-            v for v in report.degraded() if v.metric in gated
-        )
+        if args.gate_wall:
+            failing.extend(report.degraded())
 
     text = "\n".join(texts)
     if args.report:
@@ -239,7 +173,7 @@ def _run_check(args: argparse.Namespace) -> int:
         worst = max(failing, key=lambda v: abs(v.delta_pct or 0.0))
         since = f" since {worst.change_sha[:12]}" if worst.change_sha else ""
         print(
-            f"error: confirmed performance degradation in "
+            f"error: confirmed wall-time degradation in "
             f"{len(failing)} cell(s); worst is {worst.cell} "
             f"[{worst.metric}] {worst.delta_pct:+.1f}%{since}",
             file=sys.stderr,
@@ -249,7 +183,7 @@ def _run_check(args: argparse.Namespace) -> int:
 
 
 def _run_log(args: argparse.Namespace) -> int:
-    from repro.perf.detect import cell_label
+    from repro.bench.results import cell_label
 
     history = _history(args)
     entries = history.entries(args.suite)
@@ -269,91 +203,15 @@ def _run_log(args: argparse.Namespace) -> int:
         if failures:
             line += f"  {len(failures)} FAILED"
         if args.cell:
-            value = next(
-                (
-                    c.get("result", {}).get("cycles")
-                    for c in cells
-                    if cell_label(c) == args.cell
-                ),
-                None,
-            )
-            line += (
-                f"  {args.cell}: "
-                + (f"{value} cycles" if value is not None else "absent")
-            )
+            cell = next((c for c in cells if cell_label(c) == args.cell), None)
+            if cell is None:
+                value = "absent"
+            elif cell.get("cached"):
+                value = "cached"
+            else:
+                value = f"{cell.get('compute_seconds', 0.0):.3f}s"
+            line += f"  {args.cell}: {value}"
         print(line)
-    return 0
-
-
-def _run_refresh(args: argparse.Namespace) -> int:
-    from repro.bench.results import save_document, validate_document
-    from repro.perf.detect import METRIC_CYCLES, cell_label, check_history
-
-    history = _history(args)
-    entries = history.entries(args.suite)
-    if not entries:
-        raise ReproError(
-            f"no recorded runs for suite {args.suite!r} at {history.path}"
-        )
-
-    report = check_history(entries, suite=args.suite)
-    degraded = report.degraded(METRIC_CYCLES)
-    if degraded and not args.allow_regression:
-        for v in degraded:
-            print(
-                f"  DEGRADED {v.cell}: {v.reason}",
-                file=sys.stderr,
-            )
-        print(
-            "error: history shows a confirmed cycle degradation; "
-            "re-run with --allow-regression to accept it into the baseline",
-            file=sys.stderr,
-        )
-        return EXIT_PERF_DEGRADED
-
-    # Per cell, take the run achieving the (lower) median cycle count of
-    # the newest --window runs, so one outlier run cannot become the
-    # committed reference.
-    window = entries[-max(2, args.window):]
-    per_cell: dict[str, list[tuple[float, dict]]] = {}
-    for entry in window:
-        for cell in entry.document.get("cells", []):
-            cycles = cell.get("result", {}).get("cycles")
-            if isinstance(cycles, (int, float)) and cycles > 0:
-                per_cell.setdefault(cell_label(cell), []).append(
-                    (float(cycles), cell)
-                )
-    latest = entries[-1].document
-    chosen = []
-    for label in sorted(
-        cell_label(c) for c in latest.get("cells", [])
-    ):
-        samples = sorted(per_cell.get(label, []), key=lambda s: s[0])
-        if not samples:
-            continue
-        chosen.append(samples[(len(samples) - 1) // 2][1])
-    if not chosen:
-        raise ReproError(
-            f"history holds no clean cells for suite {args.suite!r}"
-        )
-
-    # ``breakers`` is a run-report block older documents carry; it says
-    # nothing about the chosen cells, so it is not copied either
-    baseline = {
-        key: value
-        for key, value in latest.items()
-        if key not in ("cells", "failures", "breakers")
-    }
-    baseline["cells"] = chosen
-    baseline["failures"] = []
-    validate_document(baseline)
-    save_document(baseline, args.output)
-    print(
-        f"wrote {args.output}: {len(chosen)} cells, per-cell median of the "
-        f"newest {len(window)} run(s) of suite {args.suite!r}"
-        + (" (regression accepted)" if degraded else ""),
-        file=sys.stderr,
-    )
     return 0
 
 

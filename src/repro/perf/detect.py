@@ -1,4 +1,9 @@
-"""Statistical degradation detection over a performance history.
+"""Statistical degradation detection over a wall-time history.
+
+The series judged here are wall clock: each cell's fresh-computation
+time (``compute_seconds``) on one host.  Simulated cycles, checksums
+and every other result field are deterministic and need no statistics
+— the exact baseline gate (:mod:`repro.bench.compare`) pins them.
 
 Three detectors cooperate; none uses a hard-coded tolerance:
 
@@ -20,15 +25,13 @@ Three detectors cooperate; none uses a hard-coded tolerance:
 3. **A noise-floor estimator.**  Detection thresholds derive from the
    data: the residual spread of the fitted model, widened by the
    measured noise floor — the cross-run scatter of runs that share a
-   code version and host (identical code must produce identical cycles,
-   so any wall-time spread there *is* noise).  Deterministic cycle counts
-   therefore get a tight threshold; noisy wall-clock series get a wide
-   one, automatically.
+   code version and host (identical code re-measures the same
+   quantity, so any spread there *is* noise).  A quiet host gets a
+   tight threshold and a noisy one a wide threshold, automatically.
 
-Cycle counts are the gating metric (deterministic, host-independent);
-wall time is analyzed per host fingerprint and reported, but only
-gates when explicitly requested — CI runners are too heterogeneous for
-wall time to block a merge by default.
+Wall time is analyzed per host fingerprint and reported, but gates only
+when explicitly requested (``repro perf check --gate-wall``) — CI
+runners are too heterogeneous for wall time to block a merge by default.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.bench.results import cell_label
 from repro.perf.history import HistoryEntry
 
 #: Status values a cell verdict can carry.
@@ -49,8 +53,7 @@ KIND_STEP = "step"
 KIND_DRIFT = "drift"
 KIND_SPIKE = "spike"
 
-#: Metrics the detectors understand (both lower-is-better).
-METRIC_CYCLES = "cycles"
+#: The metric the detectors judge (lower is better); verdicts carry it.
 METRIC_WALL = "wall"
 
 _EPS = 1e-12
@@ -66,8 +69,8 @@ class DetectorConfig:
         min_runs: Minimum series length before any verdict is attempted.
         z: Confidence multiplier on the estimated noise spread.
         min_rel_change: Absolute floor on the relative-change threshold,
-            so a perfectly deterministic series does not flag on a
-            one-cycle wobble.
+            so a series with no measured noise does not flag on a
+            tiny wobble.
         max_runs: Only the most recent ``max_runs`` points are analyzed.
     """
 
@@ -276,16 +279,6 @@ def judge_series(
 
 # -- series extraction from history entries ----------------------------
 
-def cell_label(cell_doc: dict) -> str:
-    """Canonical ``workload/scheme/width-way[@scale]`` label."""
-    scale = cell_doc.get("scale")
-    suffix = f"@{scale}" if scale is not None else ""
-    return (
-        f"{cell_doc['workload']}/{cell_doc['scheme']}/"
-        f"{cell_doc['width']}-way{suffix}"
-    )
-
-
 @dataclass(frozen=True, slots=True)
 class Point:
     """One observation of one cell's metric."""
@@ -295,65 +288,57 @@ class Point:
     value: float
 
 
-def extract_series(
-    entries: list[HistoryEntry],
-    metric: str,
-    *,
-    host: str | None = None,
-) -> dict[str, list[Point]]:
-    """Per-cell series of ``metric`` in run (append) order.
+def _wall_seconds(cell: dict) -> float | None:
+    """A cell's fresh-computation time, or ``None`` when the cell was
+    replayed (it repeats the wall clock of the run that computed it and
+    would flatten the series) or carries no positive time."""
+    if cell.get("cached"):
+        return None
+    value = cell.get("compute_seconds")
+    if not isinstance(value, (int, float)) or value <= 0:
+        return None
+    return float(value)
 
-    ``cycles`` comes from every clean cell (deterministic and
-    host-independent).  ``wall`` uses the fresh-computation time
-    (``compute_seconds``) of *non-cached* cells only — a replayed cell
-    repeats the wall clock of the run that computed it and would
-    flatten the series — and, when ``host`` is given, only from runs on
-    that host fingerprint.
-    """
+
+def extract_series(
+    entries: list[HistoryEntry], *, host: str | None = None
+) -> dict[str, list[Point]]:
+    """Per-cell wall-time series in run (append) order, from
+    *non-cached* cells only and, when ``host`` is given, only from runs
+    on that host fingerprint."""
     series: dict[str, list[Point]] = {}
     for entry in entries:
-        if metric == METRIC_WALL and host is not None:
-            if entry.host_fingerprint != host:
-                continue
+        if host is not None and entry.host_fingerprint != host:
+            continue
         for cell in entry.document.get("cells", []):
-            if metric == METRIC_CYCLES:
-                value = cell.get("result", {}).get("cycles")
-            else:
-                if cell.get("cached"):
-                    continue
-                value = cell.get("compute_seconds")
-            if not isinstance(value, (int, float)) or value <= 0:
-                continue
-            series.setdefault(cell_label(cell), []).append(
-                Point(entry.sha, entry.unix, float(value))
-            )
+            value = _wall_seconds(cell)
+            if value is not None:
+                series.setdefault(cell_label(cell), []).append(
+                    Point(entry.sha, entry.unix, value)
+                )
     return series
 
 
-def noise_floor(entries: list[HistoryEntry], metric: str) -> float:
-    """Relative noise estimate from repeat data — never hard-coded.
+def noise_floor(entries: list[HistoryEntry]) -> float:
+    """Relative wall-time noise estimate from repeat data — never
+    hard-coded.
 
-    The repeats are a cell's metric across runs that share a
+    The repeats are a cell's wall time across runs that share a
     ``code_version`` and host fingerprint — identical code on an
     identical host re-measures the same quantity.  The *median*
-    relative spread over all such groups is returned; for
-    deterministic cycle counts it is exactly zero.
+    relative spread over all such groups is returned (zero when the
+    history holds no repeats).
     """
     groups: dict[tuple, list[float]] = {}
     for entry in entries:
         for cell in entry.document.get("cells", []):
-            if metric == METRIC_CYCLES:
-                value = cell.get("result", {}).get("cycles")
-            else:
-                if cell.get("cached"):
-                    continue
-                value = cell.get("compute_seconds")
-            if not isinstance(value, (int, float)) or value <= 0:
+            value = _wall_seconds(cell)
+            if value is None:
                 continue
             group = (
                 cell_label(cell), entry.code_version, entry.host_fingerprint
             )
-            groups.setdefault(group, []).append(float(value))
+            groups.setdefault(group, []).append(value)
     rels = sorted(
         rel
         for samples in groups.values()
@@ -381,7 +366,7 @@ def _rel_spread(samples: list[float]) -> float | None:
 
 @dataclass(frozen=True, slots=True)
 class CellVerdict:
-    """Judgment of one cell × metric, anchored back to history shas."""
+    """Judgment of one cell's wall time, anchored back to history shas."""
 
     cell: str
     metric: str
@@ -423,35 +408,33 @@ class PerfReport:
 
     suite: str
     runs: int
-    noise: dict[str, float] = field(default_factory=dict)
+    #: Relative wall-time noise floor the thresholds were derived from.
+    noise: float = 0.0
     verdicts: list[CellVerdict] = field(default_factory=list)
 
-    def by_status(self, status: str, metric: str | None = None):
-        return [
-            v for v in self.verdicts
-            if v.status == status and (metric is None or v.metric == metric)
-        ]
+    def by_status(self, status: str) -> list[CellVerdict]:
+        return [v for v in self.verdicts if v.status == status]
 
-    def degraded(self, metric: str | None = None) -> list[CellVerdict]:
-        return self.by_status(STATUS_DEGRADED, metric)
+    def degraded(self) -> list[CellVerdict]:
+        return self.by_status(STATUS_DEGRADED)
 
-    def improved(self, metric: str | None = None) -> list[CellVerdict]:
-        return self.by_status(STATUS_IMPROVED, metric)
+    def improved(self) -> list[CellVerdict]:
+        return self.by_status(STATUS_IMPROVED)
 
 
 def check_history(
     entries: list[HistoryEntry],
     *,
     suite: str,
-    metrics: tuple[str, ...] = (METRIC_CYCLES, METRIC_WALL),
     config: DetectorConfig = DetectorConfig(),
 ) -> PerfReport:
-    """Judge every cell of ``suite`` across all three detectors.
+    """Judge every cell's wall time in ``suite`` with all three detectors.
 
     Only cells present in the most recent run are judged (a cell that
     vanished from the suite is the baseline gate's business, not a
-    statistical question), and the change index is mapped back to the
-    sha of the run where the new behaviour first appears.
+    statistical question), only runs on the latest run's host count,
+    and the change index is mapped back to the sha of the run where the
+    new behaviour first appears.
     """
     entries = [e for e in entries if e.suite == suite]
     report = PerfReport(suite=suite, runs=len(entries))
@@ -461,40 +444,35 @@ def check_history(
     latest_cells = {
         cell_label(c) for c in latest.document.get("cells", [])
     }
-    for metric in metrics:
-        host = latest.host_fingerprint if metric == METRIC_WALL else None
-        noise_rel = noise_floor(entries, metric)
-        report.noise[metric] = noise_rel
-        series = extract_series(entries, metric, host=host)
-        for label in sorted(latest_cells):
-            points = series.get(label, [])
-            if len(points) > config.max_runs:
-                points = points[-config.max_runs:]
-            judgment = judge_series(
-                [p.value for p in points], noise_rel=noise_rel, config=config
+    report.noise = noise_floor(entries)
+    series = extract_series(entries, host=latest.host_fingerprint)
+    for label in sorted(latest_cells):
+        points = series.get(label, [])[-config.max_runs:]
+        judgment = judge_series(
+            [p.value for p in points], noise_rel=report.noise, config=config
+        )
+        change_sha = None
+        if judgment.change_index is not None and points:
+            change_sha = points[judgment.change_index].sha
+        report.verdicts.append(
+            CellVerdict(
+                cell=label,
+                metric=METRIC_WALL,
+                status=judgment.status,
+                kind=judgment.kind,
+                model=judgment.model,
+                runs=judgment.runs,
+                change_index=judgment.change_index,
+                change_sha=change_sha,
+                before=judgment.before,
+                after=judgment.after,
+                delta_pct=(
+                    None if judgment.delta_rel is None
+                    else 100.0 * judgment.delta_rel
+                ),
+                threshold_pct=100.0 * judgment.threshold_rel,
+                noise_pct=100.0 * judgment.noise_rel,
+                reason=judgment.reason,
             )
-            change_sha = None
-            if judgment.change_index is not None and points:
-                change_sha = points[judgment.change_index].sha
-            report.verdicts.append(
-                CellVerdict(
-                    cell=label,
-                    metric=metric,
-                    status=judgment.status,
-                    kind=judgment.kind,
-                    model=judgment.model,
-                    runs=judgment.runs,
-                    change_index=judgment.change_index,
-                    change_sha=change_sha,
-                    before=judgment.before,
-                    after=judgment.after,
-                    delta_pct=(
-                        None if judgment.delta_rel is None
-                        else 100.0 * judgment.delta_rel
-                    ),
-                    threshold_pct=100.0 * judgment.threshold_rel,
-                    noise_pct=100.0 * judgment.noise_rel,
-                    reason=judgment.reason,
-                )
-            )
+        )
     return report

@@ -9,12 +9,9 @@ also renders to the plain-text report CI uploads as an artifact.
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
-
 from repro.errors import ReproError
 from repro.perf.detect import (
+    METRIC_WALL,
     STATUS_DEGRADED,
     STATUS_IMPROVED,
     STATUS_INSUFFICIENT,
@@ -44,35 +41,26 @@ def build_verdict_document(
     *,
     sha: str,
     branch: str,
-    gated_metrics: tuple[str, ...],
-    config: dict | None = None,
+    gate_wall: bool,
 ) -> dict:
     """Assemble the ``repro-perf/1`` document for one checked suite.
 
-    ``status`` is the overall gate outcome: ``degraded`` iff any gated
-    metric has a confirmed degradation, else ``ok``.
+    ``status`` is the overall gate outcome: ``degraded`` iff wall time
+    gates (``gate_wall``) and some cell has a confirmed degradation,
+    else ``ok``.
     """
-    degraded = [
-        v for v in report.verdicts
-        if v.status == STATUS_DEGRADED and v.metric in gated_metrics
-    ]
-    doc = {
+    degraded = gate_wall and report.degraded()
+    return {
         "schema": PERF_SCHEMA,
         "suite": report.suite,
         "sha": sha,
         "branch": branch,
         "runs": report.runs,
         "status": STATUS_DEGRADED if degraded else STATUS_OK,
-        "gated_metrics": list(gated_metrics),
-        "noise": {
-            metric: round(100.0 * rel, 4)
-            for metric, rel in sorted(report.noise.items())
-        },
+        "gated_metrics": [METRIC_WALL] if gate_wall else [],
+        "noise": {METRIC_WALL: round(100.0 * report.noise, 4)},
         "verdicts": [v.as_dict() for v in report.verdicts],
     }
-    if config:
-        doc["config"] = dict(config)
-    return doc
 
 
 def validate_verdict_document(doc: dict) -> None:
@@ -118,26 +106,13 @@ def validate_verdict_document(doc: dict) -> None:
         )
 
 
-def save_verdict_document(doc: dict, path: str | os.PathLike) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def load_verdict_document(path: str | os.PathLike) -> dict:
-    try:
-        with open(Path(path), encoding="utf-8") as handle:
-            return json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ReproError(f"cannot read perf verdict {path}: {exc}") from None
-
-
 def render_text_report(report: PerfReport, *, sha: str, branch: str) -> str:
     """Human-readable summary (the CI ``perf-report.txt`` artifact)."""
     lines = [
         f"perf check: suite={report.suite} branch={branch} sha={sha[:12]}",
         f"history: {report.runs} recorded run(s)",
     ]
-    for metric, rel in sorted(report.noise.items()):
-        lines.append(f"noise floor [{metric}]: {100.0 * rel:.2f}%")
+    lines.append(f"noise floor [{METRIC_WALL}]: {100.0 * report.noise:.2f}%")
     degraded = report.degraded()
     improved = report.improved()
     ok = report.by_status(STATUS_OK)

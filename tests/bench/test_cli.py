@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.__main__ import main
-from repro.bench.results import load_document, validate_document
+from repro.bench.results import cell_label, load_document, validate_document
 
 
 @pytest.fixture
@@ -73,13 +73,20 @@ class TestBenchCli:
     def test_regression_fails_gate(self, bench_env, tmp_path, capsys):
         assert bench(bench_env) == 0
         doc = load_document(bench_env["out"])
-        # pretend the committed baseline was 30% faster than we are now
-        for cell in doc["cells"]:
-            cell["result"]["cycles"] = int(cell["result"]["cycles"] * 0.7)
+        # one D-cache miss fewer in one committed cell: the exact gate
+        # must name that cell and that counter
+        cell = doc["cells"][0]
+        misses = cell["result"]["stats"]["dcache_misses"]
+        cell["result"]["stats"]["dcache_misses"] = misses - 1
         tampered = tmp_path / "baseline.json"
         tampered.write_text(json.dumps(doc))
         assert bench(bench_env, "--baseline", str(tampered)) == 1
-        assert "REGRESSION" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert (
+            f"MISMATCH      : {cell_label(cell)}: stats.dcache_misses "
+            f"{misses - 1} -> {misses}"
+        ) in out
+        assert out.count("MISMATCH") == 1
 
     def test_validate_mode(self, bench_env, capsys):
         assert bench(bench_env) == 0

@@ -76,57 +76,92 @@ def _doc(cells):
     return {"cells": cells}
 
 
-def _cell(workload="compress", scheme="advanced", width=4, scale=None,
-          cycles=1000, checksum=42):
+def _cell(workload="compress", scheme="advanced", width=4, scale=None, **result):
+    """A matchable cell whose ``result`` is a complete, loadable block;
+    ``result`` keywords override top-level result fields."""
+    doc = {
+        "name": workload,
+        "scheme": scheme,
+        "machine": f"{width}-way",
+        "checksum": 42,
+        "dynamic_instructions": 2000,
+        "offload_fraction": 0.125,
+        "cycles": 1000,
+        "ipc": 2.0,
+        "static_instructions": 150,
+        "partition_summary": {"nodes": 170, "fp_nodes": 20},
+        "mix": {"total": 2000, "fp_executed": 250},
+        "stats": {"cycles": 1000, "retired": 2000, "dcache_misses": 448},
+        "degraded": False,
+        **result,
+    }
     return {
         "workload": workload,
         "scheme": scheme,
         "width": width,
         "scale": scale,
-        "result": {"cycles": cycles, "checksum": checksum},
+        "result": doc,
     }
 
 
 class TestCompare:
     def test_identical_documents_pass(self):
         report = compare_documents(_doc([_cell()]), _doc([_cell()]))
-        assert report.ok and len(report.matched) == 1
-        assert "OK" in format_report(report)
+        assert report.ok and report.matched == 1 and not report.mismatches
+        assert "verdict       : OK" in format_report(report)
 
-    def test_within_tolerance_passes(self):
-        report = compare_documents(
-            _doc([_cell(cycles=1080)]), _doc([_cell(cycles=1000)]), tolerance=0.10
-        )
-        assert report.ok and not report.regressions
+    def test_stats_counter_drift_fails(self):
+        drifted = _cell()
+        drifted["result"]["stats"]["dcache_misses"] += 1
+        report = compare_documents(_doc([drifted]), _doc([_cell()]))
+        assert not report.ok
+        assert report.mismatches == [
+            "compress/advanced/4-way: stats.dcache_misses 448 -> 449"
+        ]
+        text = format_report(report)
+        assert "MISMATCH      : compress/advanced/4-way: stats.dcache_misses" in text
+        assert "verdict       : FAIL" in text
 
-    def test_slowdown_beyond_tolerance_fails(self):
+    def test_faster_cell_fails(self):
+        report = compare_documents(_doc([_cell(cycles=500)]), _doc([_cell()]))
+        assert not report.ok
+        assert report.mismatches == ["compress/advanced/4-way: cycles 1000 -> 500"]
+
+    def test_differing_float_fails(self):
         report = compare_documents(
-            _doc([_cell(cycles=1200)]), _doc([_cell(cycles=1000)]), tolerance=0.10
+            _doc([_cell(ipc=2.0000000000000004)]), _doc([_cell()])
         )
         assert not report.ok
-        assert len(report.regressions) == 1
-        assert "REGRESSION" in format_report(report)
-
-    def test_speedup_is_reported_not_failed(self):
-        report = compare_documents(
-            _doc([_cell(cycles=500)]), _doc([_cell(cycles=1000)]), tolerance=0.10
-        )
-        assert report.ok and len(report.improvements) == 1
+        assert report.mismatches == [
+            "compress/advanced/4-way: ipc 2.0 -> 2.0000000000000004"
+        ]
 
     def test_checksum_mismatch_fails_regardless_of_cycles(self):
         report = compare_documents(
             _doc([_cell(checksum=43)]), _doc([_cell(checksum=42)])
         )
-        assert not report.ok and report.checksum_mismatches
+        assert not report.ok
+        assert report.mismatches == ["compress/advanced/4-way: checksum 42 -> 43"]
+
+    def test_baseline_without_degraded_reads_as_false(self):
+        baseline = _cell()
+        del baseline["result"]["degraded"]
+        report = compare_documents(_doc([_cell(degraded=False)]), _doc([baseline]))
+        assert report.ok and report.matched == 1
+        report = compare_documents(_doc([_cell(degraded=True)]), _doc([baseline]))
+        assert report.mismatches == [
+            "compress/advanced/4-way: degraded False -> True"
+        ]
 
     def test_cell_missing_from_current_fails(self):
         report = compare_documents(
             _doc([_cell()]), _doc([_cell(), _cell(scheme="basic")])
         )
-        assert not report.ok and report.missing_in_current
+        assert not report.ok
+        assert report.missing_in_current == ["compress/basic/4-way"]
 
     def test_new_cell_in_current_is_fine(self):
         report = compare_documents(
             _doc([_cell(), _cell(scheme="basic")]), _doc([_cell()])
         )
-        assert report.ok and report.missing_in_baseline
+        assert report.ok and report.missing_in_baseline == ["compress/basic/4-way"]

@@ -3,8 +3,9 @@
 Running the real pipeline for a 50-run synthetic history would dwarf
 the suite's runtime; these helpers build ``repro-bench/1`` documents
 directly (they pass :func:`repro.bench.results.validate_document`)
-with exactly the fields the detectors read — per-cell cycles, wall
-times, host identity and repeat data.
+with exactly the fields the detectors read — per-cell wall times,
+cache flags, host identity and repeat data.  The deterministic
+``result`` block is the same in every run, as it is on real code.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ TEST_HOST = {
 }
 
 
-def make_result(workload: str, scheme: str, width: int, cycles: int) -> dict:
-    instructions = 100_000
+def make_result(workload: str, scheme: str, width: int) -> dict:
+    instructions, cycles = 100_000, 50_000
     return {
         "name": workload,
         "scheme": scheme,
@@ -44,7 +45,6 @@ def make_cell(
     workload: str = "compress",
     scheme: str = "advanced",
     width: int = 4,
-    cycles: int = 50_000,
     *,
     wall: float = 1.0,
     cached: bool = False,
@@ -61,7 +61,7 @@ def make_cell(
         "seconds": 0.0 if cached else wall,
         "compute_seconds": wall,
         "throughput_ips": 100_000 / wall,
-        "result": make_result(workload, scheme, width, cycles),
+        "result": make_result(workload, scheme, width),
     }
 
 
@@ -110,21 +110,19 @@ def make_entry(
 
 
 def series_entries(
-    cycle_values: list[int],
+    wall_values: list[float],
     *,
     suite: str = "fig8",
     workload: str = "compress",
-    wall_values: list[float] | None = None,
 ) -> list[HistoryEntry]:
-    """One history entry per value: a single-cell suite whose cycle
-    count follows ``cycle_values`` run by run (each run its own sha and
-    code version, like real commits)."""
+    """One history entry per value: a single-cell suite whose fresh
+    compute time follows ``wall_values`` run by run (each run its own
+    sha and code version, like real commits)."""
     entries = []
-    for index, cycles in enumerate(cycle_values):
-        wall = wall_values[index] if wall_values else 1.0
+    for index, wall in enumerate(wall_values):
         entries.append(
             make_entry(
-                [make_cell(workload=workload, cycles=cycles, wall=wall)],
+                [make_cell(workload=workload, wall=wall)],
                 sha=f"sha{index:04d}" + "0" * 32,
                 suite=suite,
                 code_version=f"codev-{index}",

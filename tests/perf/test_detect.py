@@ -10,7 +10,6 @@ import pytest
 from repro.perf.detect import (
     KIND_DRIFT,
     KIND_STEP,
-    METRIC_CYCLES,
     METRIC_WALL,
     STATUS_DEGRADED,
     STATUS_IMPROVED,
@@ -99,12 +98,12 @@ class TestJudgeSeries:
 
 
 class TestSeriesExtraction:
-    def test_cycles_from_every_clean_cell(self):
-        entries = series_entries([50_000, 51_000, 52_000])
-        series = extract_series(entries, METRIC_CYCLES)
+    def test_wall_from_every_fresh_cell(self):
+        entries = series_entries([1.0, 1.1, 1.2])
+        series = extract_series(entries)
         assert list(series) == ["compress/advanced/4-way"]
         assert [p.value for p in series["compress/advanced/4-way"]] == [
-            50_000.0, 51_000.0, 52_000.0,
+            1.0, 1.1, 1.2,
         ]
         assert [p.sha for p in series["compress/advanced/4-way"]] == [
             e.sha for e in entries
@@ -113,7 +112,7 @@ class TestSeriesExtraction:
     def test_wall_skips_cached_cells(self):
         fresh = make_entry([make_cell(wall=2.0)], sha="a" * 40)
         cached = make_entry([make_cell(wall=2.0, cached=True)], sha="b" * 40)
-        series = extract_series([fresh, cached], METRIC_WALL)
+        series = extract_series([fresh, cached])
         assert [p.sha for p in series["compress/advanced/4-way"]] == ["a" * 40]
 
     def test_wall_partitioned_by_host(self):
@@ -123,16 +122,15 @@ class TestSeriesExtraction:
         there = make_entry(
             [make_cell(wall=9.0)], sha="b" * 40, host=other_host
         )
-        series = extract_series(
-            [here, there], METRIC_WALL, host=here.host_fingerprint
-        )
+        series = extract_series([here, there], host=here.host_fingerprint)
         assert [p.value for p in series["compress/advanced/4-way"]] == [2.0]
 
 
 class TestNoiseFloor:
-    def test_cycles_noise_floor_is_zero_for_deterministic_runs(self):
-        entries = series_entries([50_000, 51_000, 52_000])
-        assert noise_floor(entries, METRIC_CYCLES) == 0.0
+    def test_noise_floor_is_zero_without_reruns(self):
+        # every run is its own code version: no repeats, no noise data
+        entries = series_entries([1.0, 1.1, 1.2])
+        assert noise_floor(entries) == 0.0
 
     def test_wall_noise_floor_from_same_code_reruns(self):
         # two runs of the same code version on the same host: their wall
@@ -143,33 +141,32 @@ class TestNoiseFloor:
             make_entry([make_cell(wall=1.1)], sha="b" * 40,
                        code_version="same"),
         ]
-        assert noise_floor(entries, METRIC_WALL) > 0.0
+        assert noise_floor(entries) > 0.0
 
 
 class TestCheckHistory:
     def test_degraded_cell_named_with_change_sha(self):
-        values = [50_000] * 30 + [57_500] * 20  # +15% at run 30
-        entries = series_entries(values)
+        entries = series_entries([1.0] * 30 + [1.15] * 20)  # +15% at run 30
         report = check_history(entries, suite="fig8")
-        [verdict] = report.degraded(METRIC_CYCLES)
+        [verdict] = report.degraded()
         assert verdict.cell == "compress/advanced/4-way"
+        assert verdict.metric == METRIC_WALL
         assert verdict.status == STATUS_DEGRADED
         assert verdict.kind == KIND_STEP
         assert verdict.change_sha == entries[30].sha
         assert verdict.delta_pct == pytest.approx(15.0, rel=1e-6)
 
     def test_clean_history_produces_no_verdicts(self):
-        entries = series_entries([50_000] * 20)
+        entries = series_entries([1.0] * 20)
         report = check_history(entries, suite="fig8")
         assert report.degraded() == []
         assert report.improved() == []
-        cycles = [
-            v for v in report.verdicts if v.metric == METRIC_CYCLES
+        assert [(v.metric, v.status) for v in report.verdicts] == [
+            (METRIC_WALL, STATUS_OK)
         ]
-        assert [v.status for v in cycles] == [STATUS_OK]
 
     def test_unknown_suite_is_empty(self):
-        entries = series_entries([50_000] * 10)
+        entries = series_entries([1.0] * 10)
         report = check_history(entries, suite="nope")
         assert report.runs == 0
         assert report.verdicts == []

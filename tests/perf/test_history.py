@@ -17,14 +17,14 @@ from repro.perf.history import (
 from tests.perf.conftest import make_cell, make_entry, series_entries
 
 
-def entry(sha: str = "a" * 40, cycles: int = 50_000) -> HistoryEntry:
-    return make_entry([make_cell(cycles=cycles)], sha=sha)
+def entry(sha: str = "a" * 40) -> HistoryEntry:
+    return make_entry([make_cell()], sha=sha)
 
 
 class TestRoundTrip:
     def test_append_then_load(self, history_path):
         history = PerfHistory(history_path)
-        first, second = series_entries([50_000, 51_000])[:2]
+        first, second = series_entries([1.0, 1.1])[:2]
         history.append(first)
         history.append(second)
         header, entries = history.load()
@@ -78,7 +78,7 @@ class TestRoundTrip:
 class TestCrashSafety:
     def test_torn_last_line_tolerated(self, history_path):
         history = PerfHistory(history_path)
-        kept = series_entries([50_000, 50_100, 50_200])
+        kept = series_entries([1.0, 1.01, 1.02])
         for e in kept:
             history.append(e)
         # a crash mid-append leaves a torn, newline-less tail
@@ -89,7 +89,7 @@ class TestCrashSafety:
 
     def test_append_after_torn_tail_repairs_it(self, history_path):
         history = PerfHistory(history_path)
-        first, second = series_entries([50_000, 51_000])[:2]
+        first, second = series_entries([1.0, 1.1])[:2]
         history.append(first)
         with open(history_path, "a") as handle:
             handle.write('{"torn":')
@@ -100,7 +100,7 @@ class TestCrashSafety:
 
     def test_damaged_middle_line_costs_only_that_entry(self, history_path):
         history = PerfHistory(history_path)
-        a, b, c = series_entries([50_000, 50_100, 50_200])
+        a, b, c = series_entries([1.0, 1.01, 1.02])
         for e in (a, b, c):
             history.append(e)
         lines = history_path.read_text().splitlines()
@@ -111,7 +111,7 @@ class TestCrashSafety:
 
     def test_every_append_is_one_complete_line(self, history_path):
         history = PerfHistory(history_path)
-        for e in series_entries([50_000, 50_100, 50_200]):
+        for e in series_entries([1.0, 1.01, 1.02]):
             history.append(e)
             text = history_path.read_text()
             assert text.endswith("\n")

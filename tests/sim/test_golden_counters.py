@@ -1,8 +1,8 @@
 """Pinned ``SimStats`` counters: any change to the timing model fails here.
 
-The CI bench gate tolerates +/-10% on cycles, so it cannot see a small
-drift in the simulator; these pins can.  They cover every counter of
-:meth:`SimStats.to_counters` for
+The CI bench gate compares every counter exactly, but only on the fig8
+cells, and it needs a full sweep; these pins run in seconds.  They
+cover every counter of :meth:`SimStats.to_counters` for
 
 * the smoke matrix (compress and m88ksim, all three schemes), whose
   23-26k-instruction traces wrap the simulator's in-flight ring hundreds
