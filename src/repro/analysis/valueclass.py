@@ -29,7 +29,7 @@ bounded interval is always a true statement about the wrapped value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from operator import is_
 
 from repro.analysis.absint import (
     AbsintResult,
@@ -151,54 +151,60 @@ class ValueInfo:
 _UNKNOWN = ValueInfo()
 _ZERO_INFO = ValueInfo(interval=const(0))
 
-State = dict[Reg, ValueInfo]
+
+class _Unbound(ValueInfo):
+    """Type of :data:`_UNBOUND`."""
+
+    __slots__ = ()
+
+
+#: Slot value of a register no path has bound yet.  Its fields read as
+#: the unknown value, but it compares unequal to ``ValueInfo()`` (the
+#: dataclass ``__eq__`` only matches its own class): a state where some
+#: path bound a register to the unknown value differs from one where no
+#: path bound it, and the engine's convergence test, so its visit
+#: counts and widening, see that difference.
+_UNBOUND: ValueInfo = _Unbound()
+
+#: One abstract value per register slot of the function
+#: (:attr:`ValueClassDomain.slot`).
+State = list[ValueInfo]
+
+
+def _is_zero(reg: Reg) -> bool:
+    # the name test skips the field-wise comparison for most registers
+    return reg.name == ZERO.name and reg == ZERO
+
+
+def _value(interval: Interval, origins: frozenset[int]) -> ValueInfo:
+    """``ValueInfo(interval, origins)``, as the shared :data:`_UNKNOWN`
+    when that is its value (so later joins meet it by identity)."""
+    if interval.lo is None and interval.hi is None and not origins:
+        return _UNKNOWN
+    return ValueInfo(interval=interval, origins=origins)
 
 
 def _join_info(a: ValueInfo, b: ValueInfo) -> ValueInfo:
+    if a is _UNBOUND:
+        a = _UNKNOWN
+    if b is _UNBOUND:
+        b = _UNKNOWN
     if a is b or a == b:
         return a
-    return ValueInfo(
-        interval=join_interval(a.interval, b.interval),
-        origins=a.origins | b.origins,
-    )
+    return _value(join_interval(a.interval, b.interval), a.origins | b.origins)
 
 
 def _widen_info(old: ValueInfo, new: ValueInfo) -> ValueInfo:
+    if old is _UNBOUND:
+        old = _UNKNOWN
+    if new is _UNBOUND:
+        new = _UNKNOWN
     if old is new or old == new:
         return old
-    return ValueInfo(
-        interval=widen_interval(old.interval, join_interval(old.interval, new.interval)),
-        origins=old.origins | new.origins,
+    return _value(
+        widen_interval(old.interval, join_interval(old.interval, new.interval)),
+        old.origins | new.origins,
     )
-
-
-def _merge(
-    a: State, b: State, combine: Callable[[ValueInfo, ValueInfo], ValueInfo]
-) -> State:
-    """Combine two states register by register; a register bound on one
-    side only combines with the unknown value.
-
-    ``a``'s ValueInfo objects are kept wherever the sides agree (the
-    common case near a fixed point), which keeps the engine's ``equal``
-    checks cheap.
-    """
-    if a is b:
-        return a
-    out = dict(a)
-    shared = 0
-    for reg, vb in b.items():
-        va = a.get(reg)
-        if va is None:
-            out[reg] = combine(_UNKNOWN, vb)
-            continue
-        shared += 1
-        if va is not vb:
-            out[reg] = combine(va, vb)
-    if shared < len(a):  # some registers are bound in ``a`` only
-        for reg, va in a.items():
-            if reg not in b:
-                out[reg] = combine(va, _UNKNOWN)
-    return out
 
 
 #: Fresh-value barriers: the defined value enters its file from another
@@ -216,68 +222,139 @@ _ZERO_COMPARES: dict[Opcode, tuple[Interval, Interval]] = {
 }
 
 
+@dataclass(eq=False, slots=True)
+class _Site:
+    """One instruction's static facts, and the memo of its def value.
+
+    Attributes:
+        instr: The instruction.
+        uses: State slot of each use, ``-1`` for ``$zero`` (read as 0).
+        defs: State slot of each def.
+        fresh: A fresh-value barrier: operand origins do not flow through.
+        fp_origin: The instruction produces in the FP file, so its own
+            uid joins the origins of the value it defines.
+        memo_inputs: Input values of the last :meth:`ValueClassDomain._def_value`
+            call (``None`` before the first).
+        memo_value: Def value computed from ``memo_inputs``.
+    """
+
+    instr: Instruction
+    uses: tuple[int, ...]
+    defs: tuple[int, ...]
+    fresh: bool
+    fp_origin: bool
+    memo_inputs: list[ValueInfo] | None = None
+    memo_value: ValueInfo = _UNKNOWN
+
+
 class ValueClassDomain(AbstractDomain[State]):
-    """Forward interval + origin-class domain (see module docstring)."""
+    """Forward interval + origin-class domain (see module docstring).
+
+    A state is a list with one slot per register of ``func``
+    (:attr:`slot` numbers them once), so a join is one pass over two
+    lists that skips identical slots.  Each instruction's def value is
+    memoized on the identity of its input values: an unchanged input
+    yields the very same :class:`ValueInfo`, and the joins and equality
+    checks downstream stop at ``is``.
+    """
 
     forward = True
     widen_after = 2
 
     def __init__(self, func: Function):
         self.func = func
+        #: Register -> state slot, for every register ``func`` mentions.
+        self.slot: dict[Reg, int] = {}
+        self._sites: dict[Instruction, _Site] = {}
+        self._def_sites: dict[str, list[_Site]] = {}
+        self._fallthrough: dict[str, str | None] = {}
+        slot = self.slot
+        bind = slot.setdefault
+        for index, blk in enumerate(func.blocks):
+            self._fallthrough[blk.label] = (
+                func.blocks[index + 1].label if index + 1 < len(func.blocks) else None
+            )
+            def_sites: list[_Site] = []
+            self._def_sites[blk.label] = def_sites
+            for instr in blk.instructions:
+                site = _Site(
+                    instr=instr,
+                    uses=tuple([
+                        -1 if _is_zero(reg) else bind(reg, len(slot))
+                        for reg in instr.uses
+                    ]),
+                    defs=tuple([bind(reg, len(slot)) for reg in instr.defs]),
+                    fresh=instr.kind in _FRESH_KINDS,
+                    fp_origin=(
+                        expected_def_class(instr, func) is RegClass.FP
+                        and instr.op is not Opcode.CP_TO_COMP
+                    ),
+                )
+                self._sites[instr] = site
+                if site.defs:
+                    def_sites.append(site)
 
     # -- lattice ---------------------------------------------------------
     def entry_state(self, func: Function) -> State:
-        return {}
+        return [_UNBOUND] * len(self.slot)
 
     def join(self, a: State, b: State) -> State:
-        return _merge(a, b, _join_info)
+        if a is b:
+            return a
+        return [x if x is y else _join_info(x, y) for x, y in zip(a, b)]
 
     def widen(self, old: State, new: State) -> State:
-        return _merge(old, new, _widen_info)
+        if old is new:
+            return old
+        return [x if x is y else _widen_info(x, y) for x, y in zip(old, new)]
 
     # -- semantics -------------------------------------------------------
     def value_of(self, state: State, reg: Reg) -> ValueInfo:
-        # the name test skips the field-wise comparison for most registers
-        if reg.name == ZERO.name and reg == ZERO:
+        if _is_zero(reg):
             return _ZERO_INFO
-        return state.get(reg, _UNKNOWN)
+        index = self.slot.get(reg)
+        if index is None or state[index] is _UNBOUND:
+            return _UNKNOWN
+        return state[index]
 
     def transfer_instruction(self, instr: Instruction, state: State) -> State:
-        if not instr.defs:
+        site = self._sites[instr]
+        if not site.defs:
             return state
-        value = self._def_value(instr, state)
-        out = dict(state)
-        for reg in instr.defs:
-            out[reg] = value
+        value = self._def_value(site, state)
+        out = state.copy()
+        for index in site.defs:
+            out[index] = value
         return out
 
     def transfer_block(self, func: Function, block: BasicBlock, state: State) -> State:
         """:meth:`transfer_instruction` folded over the block, copying
         the state once instead of once per defining instruction."""
         out: State | None = None
-        for instr in block.instructions:
-            if not instr.defs:
-                continue
-            value = self._def_value(instr, state if out is None else out)
+        for site in self._def_sites[block.label]:
+            value = self._def_value(site, state if out is None else out)
             if out is None:
-                out = dict(state)
-            for reg in instr.defs:
-                out[reg] = value
+                out = state.copy()
+            for index in site.defs:
+                out[index] = value
         return state if out is None else out
 
-    def _def_value(self, instr: Instruction, state: State) -> ValueInfo:
-        """Abstract value ``instr`` writes to each of its defs."""
-        inputs = [self.value_of(state, reg) for reg in instr.uses]
-        if instr.kind in _FRESH_KINDS:
+    def _def_value(self, site: _Site, state: State) -> ValueInfo:
+        """Abstract value ``site``'s instruction writes to each of its defs."""
+        inputs = [_ZERO_INFO if index < 0 else state[index] for index in site.uses]
+        memo = site.memo_inputs
+        if memo is not None and all(map(is_, memo, inputs)):
+            return site.memo_value
+        if site.fresh or not inputs:
             origins: frozenset[int] = frozenset()
         else:
-            origins = frozenset().union(*(v.origins for v in inputs)) if inputs else frozenset()
-        if (
-            expected_def_class(instr, self.func) is RegClass.FP
-            and instr.op is not Opcode.CP_TO_COMP
-        ):
-            origins = origins | {instr.uid}
-        return ValueInfo(interval=self._interval_of(instr, inputs), origins=origins)
+            origins = frozenset().union(*(v.origins for v in inputs))
+        if site.fp_origin:
+            origins = origins | {site.instr.uid}
+        value = _value(self._interval_of(site.instr, inputs), origins)
+        site.memo_inputs = inputs
+        site.memo_value = value
+        return value
 
     def _interval_of(self, instr: Instruction, inputs: list[ValueInfo]) -> Interval:
         op = instr.op
@@ -365,11 +442,7 @@ class ValueClassDomain(AbstractDomain[State]):
         term = src.terminator
         if term is None or term.kind is not OpKind.BRANCH:
             return state
-        index = func.block_index(src.label)
-        fallthrough = (
-            func.blocks[index + 1].label if index + 1 < len(func.blocks) else None
-        )
-        if term.target == fallthrough:
+        if term.target == self._fallthrough[src.label]:
             return state  # both directions land in the same block
         taken = dst_label == term.target
 
@@ -397,16 +470,17 @@ class ValueClassDomain(AbstractDomain[State]):
         return state
 
     def _refine(self, state: State, reg: Reg, narrow: Interval) -> State | None:
-        if reg == ZERO:
+        if _is_zero(reg):
             return None if meet_interval(const(0), narrow) is None else state
-        info = state.get(reg, _UNKNOWN)
+        index = self.slot[reg]
+        info = state[index]
         met = meet_interval(info.interval, narrow)
         if met is None:
             return None
         if met == info.interval:
             return state
-        out = dict(state)
-        out[reg] = ValueInfo(interval=met, origins=info.origins)
+        out = state.copy()
+        out[index] = ValueInfo(interval=met, origins=info.origins)
         return out
 
 

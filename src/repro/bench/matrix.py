@@ -67,8 +67,7 @@ class Cell:
 
     @property
     def label(self) -> str:
-        suffix = f"@{self.scale}" if self.scale is not None else ""
-        return f"{self.workload}/{self.scheme}/{self.width}-way{suffix}"
+        return cell_label(self.as_dict())
 
     def as_dict(self) -> dict:
         return {
@@ -81,6 +80,14 @@ class Cell:
     @classmethod
     def from_dict(cls, doc: dict) -> "Cell":
         return cls(doc["workload"], doc["scheme"], doc["width"], doc.get("scale"))
+
+
+def cell_label(cell: dict) -> str:
+    """Canonical ``workload/scheme/width-way[@scale]`` label of a cell
+    dict: :meth:`Cell.as_dict`, or a BENCH ``cells``/``failures`` entry."""
+    scale = cell.get("scale")
+    suffix = f"@{scale}" if scale is not None else ""
+    return f"{cell['workload']}/{cell['scheme']}/{cell['width']}-way{suffix}"
 
 
 def _grid(names, schemes, width) -> list[Cell]:

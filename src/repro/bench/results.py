@@ -59,6 +59,7 @@ import platform
 import time
 from pathlib import Path
 
+from repro.bench.matrix import cell_label  # noqa: F401 (re-exported)
 from repro.errors import ReproError
 from repro.ioutil import content_key
 from repro.experiments.runner import BenchmarkResult
@@ -106,14 +107,6 @@ def result_from_dict(doc: dict) -> BenchmarkResult:
         )
     except KeyError as exc:
         raise ReproError(f"malformed benchmark result: missing {exc}") from None
-
-
-def cell_label(cell: dict) -> str:
-    """Canonical ``workload/scheme/width-way[@scale]`` label of a
-    ``cells`` or ``failures`` entry."""
-    scale = cell.get("scale")
-    suffix = f"@{scale}" if scale is not None else ""
-    return f"{cell['workload']}/{cell['scheme']}/{cell['width']}-way{suffix}"
 
 
 #: Host-identity fields the fingerprint is computed over, in order.

@@ -23,6 +23,7 @@ def local_cse(func: Function) -> int:
     for blk in func.blocks:
         available: dict[_Key, Reg] = {}
         uses_of: dict[Reg, list[_Key]] = {}
+        keys_of: dict[Reg, list[_Key]] = {}  # result register -> its keys
         for instr in blk.instructions:
             key = None
             if instr.kind in _PURE_KINDS and instr.defs:
@@ -40,12 +41,13 @@ def local_cse(func: Function) -> int:
             for d in instr.defs:
                 for stale_key in uses_of.pop(d, []):
                     available.pop(stale_key, None)
-                stale = [k for k, v in available.items() if v == d]
-                for k in stale:
-                    available.pop(k, None)
+                for stale_key in keys_of.pop(d, []):
+                    if available.get(stale_key) == d:  # not re-bound since
+                        del available[stale_key]
             # record this expression as available
             if key is not None:
                 available[key] = instr.defs[0]
+                keys_of.setdefault(instr.defs[0], []).append(key)
                 for use in instr.uses:
                     uses_of.setdefault(use, []).append(key)
     return changed

@@ -9,6 +9,8 @@ from repro.analysis.valueclass import (
     Interval,
     ValueClassDomain,
     ValueInfo,
+    _UNBOUND,
+    _UNKNOWN,
     add_interval,
     analyze_values,
     const,
@@ -20,7 +22,6 @@ from repro.analysis.valueclass import (
     widen_interval,
 )
 from repro.gen.build import build_program
-from repro.ir.function import Function
 from repro.ir.opcodes import Opcode, OpKind
 from repro.ir.parser import parse_function, parse_program
 from repro.ir.registers import Reg, RegClass
@@ -272,6 +273,29 @@ _VALUE = st.builds(
 )
 
 
+def _pool_domain():
+    """A domain with one state slot per register of ``_POOL``."""
+    body = "".join(f"  {reg} = li 0\n" for reg in _POOL)
+    return ValueClassDomain(parse_function(f"func f(0) {{\nentry:\n{body}  ret\n}}"))
+
+
+def _vector(domain, state):
+    """Dense form of a register -> ValueInfo dict (absent = unbound)."""
+    out = domain.entry_state(domain.func)
+    for reg, value in state.items():
+        out[domain.slot[reg]] = value
+    return out
+
+
+def _as_dict(domain, vector):
+    """Register -> ValueInfo dict of the bound slots of ``vector``."""
+    return {
+        reg: vector[index]
+        for reg, index in domain.slot.items()
+        if vector[index] is not _UNBOUND
+    }
+
+
 @st.composite
 def _state_pair(draw):
     """Two states over a small register pool that share some ValueInfo
@@ -286,24 +310,76 @@ def _state_pair(draw):
     return a, b
 
 
+def _vector_pair(domain, pair):
+    """Both states of ``pair`` in dense form; one list when they are the
+    same dict."""
+    a, b = pair
+    va = _vector(domain, a)
+    return va, va if b is a else _vector(domain, b)
+
+
 class TestLattice:
     @settings(max_examples=300, deadline=None)
     @given(_state_pair())
     def test_join_matches_naive_reference(self, pair):
-        a, b = pair
-        got = ValueClassDomain(Function("f")).join(a, b)
-        want = _naive_join(a, b)
+        domain = _pool_domain()
+        got = _as_dict(domain, domain.join(*_vector_pair(domain, pair)))
+        want = _naive_join(*pair)
         assert set(got) == set(want)
         assert got == want
 
     @settings(max_examples=300, deadline=None)
     @given(_state_pair())
     def test_widen_matches_naive_reference(self, pair):
-        old, new = pair
-        got = ValueClassDomain(Function("f")).widen(old, new)
-        want = _naive_widen(old, new)
+        domain = _pool_domain()
+        got = _as_dict(domain, domain.widen(*_vector_pair(domain, pair)))
+        want = _naive_widen(*pair)
         assert set(got) == set(want)
         assert got == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(_state_pair())
+    def test_state_equality_matches_dict_equality(self, pair):
+        """Dense-state equality, the engine's convergence test, is
+        equality of the register -> value maps."""
+        domain = _pool_domain()
+        a, b = pair
+        assert (_vector(domain, a) == _vector(domain, b)) == (a == b)
+
+    def test_unbound_is_not_unknown_but_reads_as_it(self):
+        """An unbound slot differs from one bound to the unknown value
+        (as a missing dict key did), yet both read as unknown."""
+        domain = _pool_domain()
+        reg = _POOL[0]
+        unbound = domain.entry_state(domain.func)
+        assert unbound[domain.slot[reg]] is _UNBOUND
+        assert _UNBOUND != ValueInfo() and ValueInfo() != _UNBOUND
+        bound = _vector(domain, {reg: ValueInfo()})
+        assert bound != unbound
+        assert domain.value_of(unbound, reg) is _UNKNOWN
+        assert domain.value_of(bound, reg) == _UNKNOWN
+
+    def test_def_value_is_memoized_on_input_identity(self):
+        func = parse_function(
+            """
+func f(1) returns {
+entry:
+  v0 = param 0
+  v1 = addiu v0, 1
+  ret v1
+}
+"""
+        )
+        domain = ValueClassDomain(func)
+        add = instr_named(func, Opcode.ADDIU)
+        state = _vector(domain, {add.uses[0]: ValueInfo(interval=const(4))})
+        first = domain.transfer_instruction(add, state)
+        second = domain.transfer_instruction(add, state.copy())
+        slot = domain.slot[add.defs[0]]
+        assert first[slot] is second[slot]
+        assert first[slot].interval == const(5)
+        moved = _vector(domain, {add.uses[0]: ValueInfo(interval=const(9))})
+        assert domain.transfer_instruction(add, moved)[slot].interval == const(10)
 
     def test_block_transfer_matches_instruction_fold(self):
         """Copying the state once per block gives the same out-states as
@@ -317,5 +393,7 @@ class TestLattice:
                     state = fixpoint.in_states[blk.label]
                     if state is None:
                         continue
+                    state = _vector(domain, _as_dict(domain, state))
                     folded = AbstractDomain.transfer_block(domain, func, blk, state)
-                    assert domain.transfer_block(func, blk, state) == folded
+                    got = domain.transfer_block(func, blk, state)
+                    assert _as_dict(domain, got) == _as_dict(domain, folded)
