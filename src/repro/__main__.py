@@ -333,10 +333,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from repro.partition.program import partition_program
     from repro.regalloc.linear_scan import allocate_program
     from repro.runtime.interp import run_program
-    from repro.sim.config import eight_way, four_way
+    from repro.sim.config import config_for_width
     from repro.sim.pipeline import simulate_trace
 
-    config = four_way() if args.width == 4 else eight_way()
+    config = config_for_width(args.width)
     source = _read_source(args.file)
 
     def build(scheme: str | None):

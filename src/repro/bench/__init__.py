@@ -27,7 +27,7 @@ Command line::
         --baseline benchmarks/baseline.json
 """
 
-from repro.bench.cache import ResultCache, cell_key, code_fingerprint
+from repro.bench.cache import ResultCache, cell_key
 from repro.bench.compare import compare_documents, format_report
 from repro.bench.harness import CellOutcome, clear_memo, run_cells
 from repro.bench.matrix import SUITES, Cell, suite_cells
@@ -38,6 +38,7 @@ from repro.bench.results import (
     result_to_dict,
     validate_document,
 )
+from repro.ioutil import code_fingerprint
 
 __all__ = [
     "BENCH_SCHEMA",

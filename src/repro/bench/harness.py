@@ -1,12 +1,19 @@
 """Parallel, cached execution of experiment-matrix cells.
 
-Resolution order for each cell:
+Resolution order for each cell, keyed by
+:func:`~repro.bench.cache.cell_key`:
 
-1. the in-process memo (shared by every figure/table driver of one
-   invocation, replacing the old ``runner._CACHE``),
+1. the in-process memo, an :class:`~repro.ioutil.LRU` shared by every
+   figure/table driver of one invocation,
 2. the on-disk :class:`~repro.bench.cache.ResultCache` (if given),
 3. fresh computation — inline for ``jobs <= 1``, otherwise fanned out
-   over a :class:`concurrent.futures.ProcessPoolExecutor`.
+   over a :class:`concurrent.futures.ProcessPoolExecutor` — whose
+   result goes to the memo and, best effort, to the disk cache: a
+   cache that cannot be written costs the next run a recomputation,
+   never this run a cell.
+
+The memo and the result cache are the same two pieces of
+:mod:`repro.ioutil` that the trace pool and trace store are built from.
 
 Workers return plain dicts (the same serialization the cache stores),
 so a parallel run, a serial run and a cache replay all yield
@@ -38,7 +45,7 @@ Callers that need raise-on-failure behaviour use
 from __future__ import annotations
 
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -49,31 +56,18 @@ from repro.bench.matrix import Cell
 from repro.bench.results import result_from_dict, result_to_dict
 from repro.errors import ReproError, error_stage
 from repro.experiments.runner import SCHEMES, BenchmarkResult, run_benchmark
+from repro.ioutil import LRU
 
-#: key -> (result, fresh compute seconds); one process-wide memo in LRU
-#: order, bounded by :data:`DEFAULT_MEMO_CAP` (one invocation resolves at
-#: most a few dozen cells, so the bound is never reached in practice).
-_MEMO: OrderedDict[str, tuple[BenchmarkResult, float]] = OrderedDict()
-
+#: One invocation resolves at most a few dozen cells, so the bound is
+#: never reached in practice.
 DEFAULT_MEMO_CAP = 512
+
+#: key -> (result, fresh compute seconds); one process-wide memo.
+_MEMO = LRU(DEFAULT_MEMO_CAP)
 
 STATUS_OK = "ok"
 STATUS_FAILED = "failed"
 STATUS_TIMEOUT = "timeout"
-
-
-def _memo_get(key: str) -> tuple[BenchmarkResult, float] | None:
-    value = _MEMO.get(key)
-    if value is not None:
-        _MEMO.move_to_end(key)
-    return value
-
-
-def _memo_put(key: str, value: tuple[BenchmarkResult, float]) -> None:
-    _MEMO[key] = value
-    _MEMO.move_to_end(key)
-    while len(_MEMO) > DEFAULT_MEMO_CAP:
-        _MEMO.popitem(last=False)
 
 
 def clear_memo() -> None:
@@ -223,7 +217,7 @@ def run_cells(
         jobs: Worker processes (<=1 runs inline in this process, unless
             ``timeout`` is set, which requires the pool for isolation).
         cache: Optional on-disk cache consulted before computing and
-            updated (atomically) after.
+            updated (atomically, best effort) after.
         force: Recompute even on a cache hit (the cache is rewritten).
         progress: Callback invoked as each cell resolves, in completion
             order.
@@ -248,7 +242,7 @@ def run_cells(
 
     for cell, key in ordered:
         if not force:
-            memoized = _memo_get(key)
+            memoized = _MEMO.get(key)
             if memoized is not None:
                 result, compute_seconds = memoized
                 _resolved(
@@ -261,7 +255,7 @@ def run_cells(
             decoded = _decode_cache_entry(entry) if entry is not None else None
             if decoded is not None:
                 result, compute_seconds = decoded
-                _memo_put(key, (result, compute_seconds))
+                _MEMO.put(key, (result, compute_seconds))
                 _resolved(
                     CellOutcome(
                         cell,
@@ -294,7 +288,7 @@ def run_cells(
     def _computed(
         cell: Cell, key: str, result: BenchmarkResult, seconds: float
     ) -> None:
-        _memo_put(key, (result, seconds))
+        _MEMO.put(key, (result, seconds))
         if cache is not None:
             cache.put(
                 key,

@@ -61,7 +61,7 @@ from pathlib import Path
 
 from repro.bench.matrix import cell_label  # noqa: F401 (re-exported)
 from repro.errors import ReproError
-from repro.ioutil import content_key
+from repro.ioutil import code_fingerprint, content_key
 from repro.experiments.runner import BenchmarkResult
 from repro.sim.stats import SimStats
 
@@ -178,8 +178,6 @@ def build_document(
     surviving cell is byte-identical to what a fault-free run of the
     same code version would have produced.
     """
-    from repro.bench.cache import code_fingerprint
-
     cells = [outcome_cell_doc(o) for o in outcomes if o.ok]
     failures = [outcome_cell_doc(o) for o in outcomes if not o.ok]
     hits = sum(1 for o in outcomes if o.cached)

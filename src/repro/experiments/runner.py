@@ -29,7 +29,7 @@ from repro.partition.program import partition_program
 from repro.progress import report_progress
 from repro.regalloc.linear_scan import allocate_program
 from repro.runtime.interp import run_program
-from repro.sim.config import MachineConfig, eight_way, four_way
+from repro.sim.config import MachineConfig, config_for_width
 from repro.sim.pipeline import TimingSimulator
 from repro.sim.stats import SimStats
 from repro.trace.pack import PackedTrace
@@ -293,17 +293,13 @@ def run_benchmark(
     each (workload, scheme) exactly once: a hit goes straight to the
     simulator.  A hit is trusted because the key determines the program;
     the pack's ``meta`` must still name this workload, scheme and scale
-    and carry every replay field, or the hit is a miss.  A pack recording a degraded run replays only while
-    degradation is enabled; otherwise the cold path runs, and raises
-    the :class:`PartitionError` again.
+    and carry every replay field, or the hit is a miss.  A pack
+    recording a degraded run replays only while degradation is enabled;
+    otherwise the cold path runs, and raises the :class:`PartitionError`
+    again.
     """
     if config is None:
-        if width == 4:
-            config = four_way()
-        elif width == 8:
-            config = eight_way()
-        else:
-            raise ReproError(f"width must be 4 or 8, got {width}")
+        config = config_for_width(width)
     if degrade is None:
         degrade = _degrade_from_env()
     where = f"{name}/{scheme}"

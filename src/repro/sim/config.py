@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import SimulationError
+from repro.errors import ReproError, SimulationError
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,3 +130,12 @@ def eight_way(**overrides) -> MachineConfig:
     )
     base.update(overrides)
     return MachineConfig(**base)
+
+
+def config_for_width(width: int) -> MachineConfig:
+    """The Table 1 machine of issue width ``width`` (4 or 8)."""
+    if width == 4:
+        return four_way()
+    if width == 8:
+        return eight_way()
+    raise ReproError(f"width must be 4 or 8, got {width}")

@@ -16,7 +16,6 @@ from repro.trace.pack import (
 )
 from repro.trace.store import (
     TRACE_CACHE_ENV,
-    TracePool,
     TraceStore,
     clear_trace_pool,
     load_trace,
@@ -29,7 +28,6 @@ __all__ = [
     "TRACE_CACHE_ENV",
     "TRACE_FORMAT_VERSION",
     "PackedTrace",
-    "TracePool",
     "TraceStore",
     "clear_trace_pool",
     "load_trace",

@@ -6,10 +6,10 @@ import json
 
 import pytest
 
-from repro.bench.cache import CACHE_SCHEMA, ResultCache, cell_key, code_fingerprint
+from repro.bench.cache import CACHE_SCHEMA, ResultCache, cell_key
 from repro.bench.matrix import Cell
 from repro.errors import ReproError
-from repro.ioutil import content_key
+from repro.ioutil import code_fingerprint, content_key
 from repro.partition.cost import CostParams
 from repro.trace.store import trace_key
 
@@ -40,7 +40,7 @@ class TestKeys:
         """A trace-pack format bump must cold the result cache too:
         cached cells were computed from packed traces of that format."""
         current = cell_key(CELL)
-        monkeypatch.setattr("repro.bench.cache.TRACE_FORMAT_VERSION", 999)
+        monkeypatch.setattr("repro.trace.store.TRACE_FORMAT_VERSION", 999)
         assert cell_key(CELL) != current
 
     def test_partition_options_invalidate(self):
@@ -181,6 +181,13 @@ class TestResultCache:
         monkeypatch.undo()
         assert cache.get(key) is None
         assert not cache.path_for(key).exists()
+
+    def test_unwritable_cache_degrades_to_noop(self, tmp_path):
+        target = tmp_path / "blocked"
+        target.write_text("a file where the cache dir should be")
+        cache = ResultCache(target)
+        cache.put("ab" + "0" * 62, ENTRY)  # must not raise
+        assert cache.get("ab" + "0" * 62) is None
 
     def test_from_env(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_BENCH_CACHE", raising=False)

@@ -57,6 +57,17 @@ class TestBenchCli:
             "advanced",
         }
 
+    def test_unwritable_cache_dir_still_writes_the_document(self, bench_env, tmp_path):
+        """A result cache that cannot be written costs reuse, not cells:
+        every cell still resolves and the document is written."""
+        blocked = tmp_path / "blocked"
+        blocked.write_text("a file where the cache dir should be")
+        assert bench({**bench_env, "cache": str(blocked)}) == 0
+        doc = load_document(bench_env["out"])
+        validate_document(doc)
+        assert len(doc["cells"]) == 6 and doc["failures"] == []
+        assert blocked.read_text() == "a file where the cache dir should be"
+
     def test_warm_rerun_hits_cache(self, bench_env):
         """Acceptance bar: warm rerun reports >90% cache hits."""
         assert bench(bench_env) == 0

@@ -78,16 +78,17 @@ class TestMemoBound:
         the ``DEFAULT_MEMO_CAP`` bound instead of growing forever."""
         from repro.bench import harness
 
-        monkeypatch.setattr(harness, "DEFAULT_MEMO_CAP", 2)
+        assert harness._MEMO.cap == harness.DEFAULT_MEMO_CAP
+        monkeypatch.setattr(harness._MEMO, "cap", 2)
         fake = object()
-        harness._memo_put("a", (fake, 0.1))
-        harness._memo_put("b", (fake, 0.1))
-        assert harness._memo_get("a") is not None  # touch: a is now MRU
-        harness._memo_put("c", (fake, 0.1))
+        harness._MEMO.put("a", (fake, 0.1))
+        harness._MEMO.put("b", (fake, 0.1))
+        assert harness._MEMO.get("a") is not None  # touch: a is now MRU
+        harness._MEMO.put("c", (fake, 0.1))
         assert len(harness._MEMO) == 2
-        assert harness._memo_get("b") is None  # LRU entry evicted
-        assert harness._memo_get("a") is not None
-        assert harness._memo_get("c") is not None
+        assert harness._MEMO.get("b") is None  # LRU entry evicted
+        assert harness._MEMO.get("a") is not None
+        assert harness._MEMO.get("c") is not None
 
 
 class TestParallel:

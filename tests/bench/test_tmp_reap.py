@@ -7,7 +7,7 @@ import time
 
 from repro.bench.cache import ResultCache
 from repro.ioutil import DEFAULT_TMP_MAX_AGE, reap_orphan_tmp_files
-from repro.trace.store import TraceStore
+from repro.trace.store import TRACE_CACHE_ENV, TraceStore
 
 
 def _plant_tmp(root, name: str, age: float) -> "os.PathLike":
@@ -27,7 +27,7 @@ class TestReapFunction:
         live = tmp_path / "ab" / "k.json"
         live.write_text("{}")
 
-        reaped = reap_orphan_tmp_files(tmp_path, once=False)
+        reaped = reap_orphan_tmp_files(tmp_path)
 
         assert reaped == 1
         assert not stale.exists(), "stale orphan survived"
@@ -35,21 +35,11 @@ class TestReapFunction:
         assert live.exists(), "a published entry was touched"
 
     def test_missing_root_is_noop(self, tmp_path):
-        assert reap_orphan_tmp_files(tmp_path / "nope", once=False) == 0
-
-    def test_once_guard_sweeps_each_root_once(self, tmp_path):
-        root = tmp_path / "guarded"
-        _plant_tmp(root, "a.tmp-1", DEFAULT_TMP_MAX_AGE + 60)
-        assert reap_orphan_tmp_files(root) == 1
-        _plant_tmp(root, "b.tmp-2", DEFAULT_TMP_MAX_AGE + 60)
-        # same root, same process: the guard says already swept
-        assert reap_orphan_tmp_files(root) == 0
-        # an explicit unguarded sweep still works
-        assert reap_orphan_tmp_files(root, once=False) == 1
+        assert reap_orphan_tmp_files(tmp_path / "nope") == 0
 
     def test_custom_max_age(self, tmp_path):
         _plant_tmp(tmp_path, "a.tmp-1", 10.0)
-        assert reap_orphan_tmp_files(tmp_path, max_age=5.0, once=False) == 1
+        assert reap_orphan_tmp_files(tmp_path, max_age=5.0) == 1
 
 
 class TestStoresReapOnOpen:
@@ -71,3 +61,19 @@ class TestStoresReapOnOpen:
         cache.put("ab" + "0" * 62, {"result": 1})
         reopened = ResultCache(root)
         assert reopened.get("ab" + "0" * 62) is not None
+
+    def test_env_store_opens_once(self, tmp_path, monkeypatch):
+        """The env-configured store is resolved once per process and env
+        value: one instance, whose counters span every lookup, swept on
+        its first resolution only."""
+        root = tmp_path / "traces"
+        first_orphan = _plant_tmp(root / "ab", "a.rtp.tmp-1", DEFAULT_TMP_MAX_AGE + 60)
+        monkeypatch.setenv(TRACE_CACHE_ENV, str(root))
+        store = TraceStore.from_env()
+        assert not first_orphan.exists()
+        second_orphan = _plant_tmp(root / "ab", "b.rtp.tmp-2", DEFAULT_TMP_MAX_AGE + 60)
+        assert TraceStore.from_env() is store
+        assert second_orphan.exists(), "a second resolution swept again"
+        # another env value is another store
+        monkeypatch.setenv(TRACE_CACHE_ENV, str(tmp_path / "other"))
+        assert TraceStore.from_env() is not store

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ReproError
-from repro.sim.config import eight_way, four_way
+from repro.sim.config import config_for_width, eight_way, four_way
 
 
 class TestTable1:
@@ -52,3 +52,10 @@ class TestTable1:
 
         with pytest.raises(ReproError, match="width"):
             run_benchmark("compress", "conventional", width=6, scale=4)
+
+    def test_config_for_width(self):
+        assert config_for_width(4) == four_way()
+        assert config_for_width(8) == eight_way()
+        for width in (0, 6, 16):
+            with pytest.raises(ReproError, match="width must be 4 or 8"):
+                config_for_width(width)

@@ -15,6 +15,7 @@ import pytest
 from repro.bench.results import result_to_dict
 from repro.errors import TracePackError
 from repro.experiments.runner import run_benchmark
+from repro.ioutil import LRU
 from repro.trace.pack import (
     MAGIC,
     PackedTrace,
@@ -23,7 +24,6 @@ from repro.trace.pack import (
 )
 from repro.trace.store import (
     TRACE_CACHE_ENV,
-    TracePool,
     TraceStore,
     clear_trace_pool,
     trace_key,
@@ -145,7 +145,7 @@ class TestStoreRejection:
 
 class TestPool:
     def test_lru_eviction(self):
-        pool = TracePool(cap=2)
+        pool = LRU(2)
         packs = {k: _small_pack() for k in ("a", "b", "c")}
         pool.put("a", packs["a"])
         pool.put("b", packs["b"])
@@ -156,7 +156,7 @@ class TestPool:
         assert pool.get("c") is packs["c"]
 
     def test_cap_zero_disables(self):
-        pool = TracePool(cap=0)
+        pool = LRU(0)
         pool.put("a", _small_pack())
         assert len(pool) == 0 and pool.get("a") is None
 
