@@ -401,8 +401,10 @@ class _Code:
 
 
 class _Tokens(dict):
-    """One activation's register names -> dependence-token ids, interned
-    through the trace builder on first use."""
+    """One activation's register names -> dependence-token ids, made by
+    the trace builder's append-only :meth:`~repro.trace.pack.TraceBuilder.new_token`
+    on first use: frame ids are unique per activation, so each
+    ``(frame, name)`` reaches the builder exactly once."""
 
     __slots__ = ("frame", "intern")
 
@@ -578,7 +580,7 @@ class Interpreter:
             from repro.trace.pack import TraceBuilder
 
             builder = TraceBuilder()
-            token_of = builder.token
+            token_of = builder.new_token
             rows = _Rows(builder.row)
             start = _segment_writer(builder)
             mem_col, taken_col = builder.pack.mem_addr, builder.pack.taken

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ReproError, SimulationError
+from repro.trace.pack import NO_PRODUCER
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,6 +81,15 @@ class MachineConfig:
         default_factory=lambda: CacheConfig(32 * 1024, 2, 32)
     )
     predictor: PredictorConfig = field(default_factory=PredictorConfig)
+
+    def __post_init__(self) -> None:
+        # the simulator waits on producers up to max_inflight back, read
+        # from distance columns clipped at NO_PRODUCER: a window that
+        # reaches the clip would take "no producer" for a real one
+        if self.max_inflight >= NO_PRODUCER:
+            raise ReproError(
+                f"max_inflight must be below {NO_PRODUCER}, got {self.max_inflight}"
+            )
 
     @property
     def rename_int(self) -> int:

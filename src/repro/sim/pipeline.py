@@ -27,8 +27,11 @@ Per simulated cycle, in reverse pipeline order:
    fetch bubble — the standard trace-driven approximation).
 
 The loop consumes a :class:`~repro.trace.pack.PackedTrace` — latency
-and control classes pre-resolved per static row, dependence tokens as
-dense integers.  A traced interpreter run returns such a pack directly.
+and control classes pre-resolved per static row, and register producers
+resolved once per pack as distances back in the trace
+(:meth:`~repro.trace.pack.PackedTrace.producer_columns`: one column for
+each entry's first and second read, a small dict for the rare third and
+later reads).  A traced interpreter run returns such a pack directly.
 A ``list[TraceEntry]`` (hand-built test traces, or
 :meth:`~repro.trace.pack.PackedTrace.unpack_entries` output for the
 timeline) is packed on entry with :func:`~repro.trace.pack.pack_entries`.
@@ -36,9 +39,13 @@ timeline) is packed on entry with :func:`~repro.trace.pack.pack_entries`.
 State is flat integers.  An in-flight instruction is its sequence
 number ``s``: the fetch buffer, both windows, the ROB and the in-flight
 store list hold sequence numbers, and per-instruction state (completion
-cycle, static row, producers) lives in fixed-size ring lists indexed by
-``s & mask``.  The ring is at least twice the in-flight span, so memory
-stays O(window) whatever the trace length.
+cycle, static row, the ring slots of its first and second producers)
+lives in fixed-size ring lists indexed by ``s & mask``.  Dispatch turns
+a producer distance into a slot; a read with no producer within
+``max_inflight`` gets a sentinel slot whose completion is cycle 0, so
+an entry is ready when both its producer slots have completed.  The
+ring is at least twice the in-flight span, so memory stays O(window)
+whatever the trace length.
 """
 
 from __future__ import annotations
@@ -133,8 +140,7 @@ class TimingSimulator:
         ids = packed.instr_ids
         mem_col = packed.mem_addr
         taken_col = packed.taken
-        roff, rtok = packed.read_offsets, packed.read_tokens
-        woff, wtok = packed.write_offsets, packed.write_tokens
+        first_dist, second_dist, more_dist = packed.producer_columns()
         # one tuple per static row:
         # (pc, fp side, latency class, control class, int defs, fp defs)
         rows = list(
@@ -168,14 +174,23 @@ class TimingSimulator:
         # s - p <= max_inflight.  In flight (fetch buffer + ROB) are at
         # most max_inflight + fetch_buffer_cap consecutive sequence
         # numbers, so the newest fetched one is less than the ring size
-        # (>= 2x that) past such a p, and p's slot still holds p.  A
-        # producer further back cannot share the ROB with s: it has
-        # retired, hence completed, and its slot may hold a newer
-        # instruction, so dispatch must not look it up.
+        # (>= 2x that) past such a p, and p's slot still holds p.  The
+        # wait slots hold such producers whether or not they had
+        # completed by s's dispatch.  A producer further back cannot
+        # share the ROB with s: it has retired, hence completed, and its
+        # slot may hold a newer instruction, so dispatch points s at the
+        # sentinel slot past the ring instead, whose completion is 0.
         mask = (1 << (2 * (max_inflight + fetch_buffer_cap) - 1).bit_length()) - 1
-        complete = [_INF] * (mask + 1)  # completion cycle; _INF = not issued
+        ready = mask + 1  # the sentinel slot: "no producer to wait for"
+        # completion cycle; _INF = not issued
+        complete = [_INF] * (mask + 1) + [0]
         row_of: list = [None] * (mask + 1)  # static row tuple
-        producers: list = [()] * (mask + 1)  # slots of incomplete producers
+        # producer slots of the first and second read
+        wait0 = [ready] * (mask + 1)
+        wait1 = [ready] * (mask + 1)
+        # s -> producer slots of its third and later reads, until they
+        # have all completed
+        more_waits: dict[int, list[int]] = {}
 
         record = self.record_timeline
         if record:
@@ -202,9 +217,6 @@ class TimingSimulator:
         int_window: list[int] = []
         fp_window: list[int] = []
         rob: deque[int] = deque()
-        last_writer: dict[int, int] = {}
-        writer_of = last_writer.get
-        never = -_INF  # last_writer default: never within max_inflight
         inflight_stores: deque[int] = deque()
 
         int_issued = fp_issued = loads = stores = 0
@@ -261,55 +273,58 @@ class TimingSimulator:
                         keep(s)
                         continue
                     slot = s & mask
-                    for p in producers[slot]:
-                        if complete[p] > now:
+                    if complete[wait0[slot]] > now or complete[wait1[slot]] > now:
+                        keep(s)
+                        continue
+                    if more_waits and s in more_waits:
+                        if any(complete[p] > now for p in more_waits[s]):
                             keep(s)
-                            break
-                    else:
-                        lat = row_of[slot][2]
-                        if lat == LAT_SINGLE:
-                            complete[slot] = now + 1
-                        elif lat == LAT_LOAD:
-                            if not ls_budget or oldest_unissued_store < s:
-                                keep(s)
-                                continue
-                            word = mem_col[s] >> 2
-                            conflict = False
+                            continue
+                        del more_waits[s]
+                    lat = row_of[slot][2]
+                    if lat == LAT_SINGLE:
+                        complete[slot] = now + 1
+                    elif lat == LAT_LOAD:
+                        if not ls_budget or oldest_unissued_store < s:
+                            keep(s)
+                            continue
+                        word = mem_col[s] >> 2
+                        conflict = False
+                        for st in inflight_stores:
+                            if st > s:
+                                break
+                            if mem_col[st] >> 2 == word and complete[st & mask] > now:
+                                conflict = True
+                                break
+                        if conflict:
+                            keep(s)
+                            continue
+                        complete[slot] = now + dcache_access(mem_col[s])
+                        ls_budget -= 1
+                        loads += 1
+                    elif lat == LAT_STORE:
+                        if not ls_budget:
+                            keep(s)
+                            continue
+                        dcache_access(mem_col[s])
+                        complete[slot] = now + 1
+                        ls_budget -= 1
+                        stores += 1
+                        if oldest_unissued_store == s:
+                            oldest_unissued_store = _INF
                             for st in inflight_stores:
-                                if st > s:
+                                if complete[st & mask] == _INF:
+                                    oldest_unissued_store = st
                                     break
-                                if mem_col[st] >> 2 == word and complete[st & mask] > now:
-                                    conflict = True
-                                    break
-                            if conflict:
-                                keep(s)
-                                continue
-                            complete[slot] = now + dcache_access(mem_col[s])
-                            ls_budget -= 1
-                            loads += 1
-                        elif lat == LAT_STORE:
-                            if not ls_budget:
-                                keep(s)
-                                continue
-                            dcache_access(mem_col[s])
-                            complete[slot] = now + 1
-                            ls_budget -= 1
-                            stores += 1
-                            if oldest_unissued_store == s:
-                                oldest_unissued_store = _INF
-                                for st in inflight_stores:
-                                    if complete[st & mask] == _INF:
-                                        oldest_unissued_store = st
-                                        break
-                        elif lat == LAT_MUL:
-                            complete[slot] = now + mul_latency
-                        else:
-                            complete[slot] = now + div_latency
-                        if record:
-                            issued_at[s] = now
-                            done_at[s] = complete[slot]
-                        budget -= 1
-                        issued_int += 1
+                    elif lat == LAT_MUL:
+                        complete[slot] = now + mul_latency
+                    else:
+                        complete[slot] = now + div_latency
+                    if record:
+                        issued_at[s] = now
+                        done_at[s] = complete[slot]
+                    budget -= 1
+                    issued_int += 1
                 if issued_int:
                     int_window = remaining
                     int_issued += issued_int
@@ -324,30 +339,33 @@ class TimingSimulator:
                         keep(s)
                         continue
                     slot = s & mask
-                    for p in producers[slot]:
-                        if complete[p] > now:
+                    if complete[wait0[slot]] > now or complete[wait1[slot]] > now:
+                        keep(s)
+                        continue
+                    if more_waits and s in more_waits:
+                        if any(complete[p] > now for p in more_waits[s]):
                             keep(s)
-                            break
+                            continue
+                        del more_waits[s]
+                    # no load/store port or ordering checks on this
+                    # side, but FP-side memory rows still use the D-cache
+                    lat = row_of[slot][2]
+                    if lat == LAT_SINGLE:
+                        complete[slot] = now + 1
+                    elif lat == LAT_LOAD:
+                        complete[slot] = now + dcache_access(mem_col[s])
+                    elif lat == LAT_STORE:
+                        dcache_access(mem_col[s])
+                        complete[slot] = now + 1
+                    elif lat == LAT_MUL:
+                        complete[slot] = now + mul_latency
                     else:
-                        # no load/store port or ordering checks on this
-                        # side, but FP-side memory rows still use the D-cache
-                        lat = row_of[slot][2]
-                        if lat == LAT_SINGLE:
-                            complete[slot] = now + 1
-                        elif lat == LAT_LOAD:
-                            complete[slot] = now + dcache_access(mem_col[s])
-                        elif lat == LAT_STORE:
-                            dcache_access(mem_col[s])
-                            complete[slot] = now + 1
-                        elif lat == LAT_MUL:
-                            complete[slot] = now + mul_latency
-                        else:
-                            complete[slot] = now + div_latency
-                        if record:
-                            issued_at[s] = now
-                            done_at[s] = complete[slot]
-                        budget -= 1
-                        issued_fp += 1
+                        complete[slot] = now + div_latency
+                    if record:
+                        issued_at[s] = now
+                        done_at[s] = complete[slot]
+                    budget -= 1
+                    issued_fp += 1
                 if issued_fp:
                     fp_window = remaining
                     fp_issued += issued_fp
@@ -378,14 +396,15 @@ class TimingSimulator:
                 fetch_buffer.popleft()
                 free_int -= row[4]
                 free_fp -= row[5]
-                waits = []
-                for ti in range(roff[s], roff[s + 1]):
-                    p = writer_of(rtok[ti], never)
-                    if s - p <= max_inflight and complete[p & mask] > now:
-                        waits.append(p & mask)
-                producers[slot] = waits
-                for ti in range(woff[s], woff[s + 1]):
-                    last_writer[wtok[ti]] = s
+                # a producer more than max_inflight back has retired
+                d = first_dist[s]
+                wait0[slot] = (s - d) & mask if d <= max_inflight else ready
+                d = second_dist[s]
+                wait1[slot] = (s - d) & mask if d <= max_inflight else ready
+                if more_dist and s in more_dist:
+                    extra = [(s - d) & mask for d in more_dist[s] if d <= max_inflight]
+                    if extra:
+                        more_waits[s] = extra
                 if row[1]:
                     fp_window.append(s)
                 else:

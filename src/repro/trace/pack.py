@@ -24,9 +24,11 @@ finished pack and no per-instruction objects are built;
 :func:`pack_entries` feeds it a list of
 :class:`~repro.runtime.trace.TraceEntry` objects instead (hand-built
 traces, tests), and :meth:`PackedTrace.unpack_entries` goes back.
-The timing simulator consumes the columns directly — integer token ids
-instead of tuple hashing, pre-resolved latency/control classes instead
-of per-entry ``OpKind`` tests (see :mod:`repro.sim.pipeline`).
+The timing simulator consumes the columns directly — register producers
+resolved once per pack from the integer token ids
+(:meth:`PackedTrace.producer_columns`), pre-resolved latency/control
+classes instead of per-entry ``OpKind`` tests (see
+:mod:`repro.sim.pipeline`).
 
 On-disk encoding (``to_bytes``/``from_bytes``)::
 
@@ -48,7 +50,7 @@ import hashlib
 import json
 import sys
 from array import array
-from itertools import accumulate
+from itertools import accumulate, count, pairwise
 
 from repro.errors import TracePackError
 from repro.ir.opcodes import OpKind
@@ -91,6 +93,10 @@ LAT_DIV = 4
 CTRL_NONE = 0
 CTRL_BRANCH = 1
 CTRL_JUMP = 2  # unconditional taken control flow: JUMP/CALL/RET
+
+#: A producer distance meaning "no producer, or one farther back than
+#: any instruction window" (see :meth:`PackedTrace.producer_columns`).
+NO_PRODUCER = 0xFFFF
 
 _LAT_OF_KIND = {
     KIND_CODE[OpKind.LOAD]: LAT_LOAD,
@@ -152,7 +158,7 @@ class PackedTrace:
         "read_offsets", "read_tokens", "write_offsets", "write_tokens",
         "token_frames", "token_names", "names",
         "value", "meta",
-        "row_lat", "row_ctrl",
+        "row_lat", "row_ctrl", "_producers",
     )
 
     def __init__(self) -> None:
@@ -163,6 +169,7 @@ class PackedTrace:
         self.meta: dict = {}
         self.row_lat = array("B")
         self.row_ctrl = array("B")
+        self._producers: tuple[array, array, dict[int, list[int]]] | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -181,6 +188,26 @@ class PackedTrace:
         ctrl_of = _CTRL_OF_KIND
         self.row_lat = array("B", (lat_of.get(k, LAT_SINGLE) for k in self.kinds))
         self.row_ctrl = array("B", (ctrl_of.get(k, CTRL_NONE) for k in self.kinds))
+
+    def producer_columns(self) -> tuple[array, array, dict[int, list[int]]]:
+        """Each entry's register producers, as distances back in the trace.
+
+        Returns ``(first, second, more)``: ``first[s]``/``second[s]``
+        are ``s - p`` for the last writer ``p < s`` of entry ``s``'s
+        first/second read token, and ``more[s]`` lists the same for its
+        third and later reads (only entries with more than two reads
+        have a key).  :data:`NO_PRODUCER` means the token has no earlier
+        writer or its writer is ``NO_PRODUCER`` or more entries back; a
+        missing read is also :data:`NO_PRODUCER`.  An entry's reads see
+        the writers before it, not its own writes.
+
+        Derived from the token columns on first call and kept on the
+        object, so a pack simulated on several machines derives them
+        once; never serialized.
+        """
+        if self._producers is None:
+            self._producers = _producer_distances(self)
+        return self._producers
 
     # ------------------------------------------------------------------
     def token(self, token_id: int) -> tuple[int, str]:
@@ -411,6 +438,35 @@ class PackedTrace:
             raise TracePackError("token name index out of name-table range")
 
 
+def _producer_distances(pack: PackedTrace) -> tuple[array, array, dict[int, list[int]]]:
+    """The columns of :meth:`PackedTrace.producer_columns`, in one pass."""
+    n = pack.n
+    none = NO_PRODUCER
+    first = array("H", [none]) * n
+    second = array("H", [none]) * n
+    more: dict[int, list[int]] = {}
+    rtok, wtok = pack.read_tokens, pack.write_tokens
+    # last writer per token; "never" is far enough back to clip to none
+    last = [-none] * len(pack.token_frames)
+    for s, (r0, r1), (w0, w1) in zip(
+        count(), pairwise(pack.read_offsets), pairwise(pack.write_offsets)
+    ):
+        if r1 != r0:
+            d = s - last[rtok[r0]]
+            if d < none:
+                first[s] = d
+            if r1 - r0 > 1:
+                d = s - last[rtok[r0 + 1]]
+                if d < none:
+                    second[s] = d
+                if r1 - r0 > 2:
+                    more[s] = [min(s - last[t], none) for t in rtok[r0 + 2:r1]]
+        while w0 < w1:
+            last[wtok[w0]] = s
+            w0 += 1
+    return first, second, more
+
+
 class TraceBuilder:
     """Writes dynamic instructions to the columns of a :class:`PackedTrace`.
 
@@ -426,8 +482,9 @@ class TraceBuilder:
 
     :meth:`append` adds one whole dynamic instruction.  The interpreter
     instead extends the dynamic, token and count columns a straight-line
-    segment at a time, interning through :meth:`row` and :meth:`token`
-    the first time a segment runs (see :mod:`repro.runtime.interp`).
+    segment at a time, interning through :meth:`row` and
+    :meth:`new_token` the first time a segment runs (see
+    :mod:`repro.runtime.interp`).
     Both routes produce byte-identical packs for the same instruction
     stream.
     """
@@ -463,17 +520,25 @@ class TraceBuilder:
         key = (frame, name)
         tid = self._tokens.get(key)
         if tid is None:
-            pack = self.pack
-            tid = len(pack.token_frames)
-            self._tokens[key] = tid
-            nid = self._names.get(name)
-            if nid is None:
-                nid = len(pack.names)
-                self._names[name] = nid
-                pack.names.append(name)
-            pack.token_frames.append(frame)
-            pack.token_names.append(nid)
+            tid = self._tokens[key] = self.new_token(frame, name)
         return tid
+
+    def new_token(self, frame: int, name: str) -> int:
+        """The next token id, for a ``(frame, name)`` known to have none.
+
+        The interpreter's route: it asks once per activation and
+        register, and activation frame ids are unique, so :meth:`token`'s
+        lookup would always miss.  Tokens made here are not entered in
+        that lookup, so a builder uses one of the two methods only.
+        """
+        pack = self.pack
+        nid = self._names.get(name)
+        if nid is None:
+            nid = self._names[name] = len(pack.names)
+            pack.names.append(name)
+        pack.token_frames.append(frame)
+        pack.token_names.append(nid)
+        return len(pack.token_frames) - 1
 
     def append(self, entry: TraceEntry) -> None:
         """Add one :class:`TraceEntry` (reads interned before writes)."""

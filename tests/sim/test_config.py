@@ -59,3 +59,11 @@ class TestTable1:
         for width in (0, 6, 16):
             with pytest.raises(ReproError, match="width must be 4 or 8"):
                 config_for_width(width)
+
+    def test_max_inflight_below_producer_clip(self):
+        # producer distances are clipped at 0xFFFF; a window reaching
+        # the clip would alias "no producer" with a real one
+        assert four_way(max_inflight=0xFFFE).max_inflight == 0xFFFE
+        for inflight in (0xFFFF, 0x10000):
+            with pytest.raises(ReproError, match="max_inflight"):
+                four_way(max_inflight=inflight)

@@ -29,25 +29,32 @@ def random_trace(draw, max_len=600):
 
     Up to 600 instructions: longer than the simulator's in-flight ring
     on both machine widths (128 and 256 slots), so ring wrap-around is
-    exercised.  Reads pick either a recent value (a dependence chain) or
-    any earlier one, which in a long trace is usually hundreds of
-    instructions old.  Memory rows include ``l.s``/``s.s`` on either
-    subsystem: the interpreter records them as INT, and a hand-built FP
-    row drives the FP window's memory path.
+    exercised.  An entry reads up to three tokens, so both producer
+    columns and the overflow of a third read are exercised.  Each read
+    picks a recent value (a dependence chain), any earlier one (in a
+    long trace usually hundreds of instructions old) or the same token
+    as the entry's previous read.  A writing entry sometimes writes back
+    the token of its first read, as ``i = i + 1`` does.  Memory rows
+    include ``l.s``/``s.s`` on either subsystem: the interpreter records
+    them as INT, and a hand-built FP row drives the FP window's memory
+    path.
     """
     n = draw(st.integers(1, max_len))
     entries = []
     written: list[str] = []
     for i in range(n):
         kind = draw(st.integers(0, 13))
-        reads = ()
+        reads: tuple = ()
         if written:
-            pick = draw(st.integers(0, 2))  # 0 none, 1 recent, 2 any earlier
-            if pick:
-                low = max(0, len(written) - 8) if pick == 1 else 0
-                reads = ((0, written[draw(st.integers(low, len(written) - 1))]),)
+            for _ in range(draw(st.integers(0, 3))):
+                pick = draw(st.integers(0, 2))  # 0 recent, 1 any earlier, 2 repeat
+                if pick == 2 and reads:
+                    reads += (reads[-1],)
+                else:
+                    low = max(0, len(written) - 8) if pick != 1 else 0
+                    reads += ((0, written[draw(st.integers(low, len(written) - 1))]),)
         pc = _PC + 4 * (i % 24)  # loop-ish pc reuse
-        name = f"r{i}"
+        name = reads[0][1] if reads and draw(st.integers(0, 3)) == 0 else f"r{i}"
         writes = ((0, name),)
         addr = None
         if 7 <= kind <= 10:
