@@ -301,7 +301,15 @@ class ValueClassDomain(AbstractDomain[State]):
     def join(self, a: State, b: State) -> State:
         if a is b:
             return a
-        return [x if x is y else _join_info(x, y) for x, y in zip(a, b)]
+        # an unbound register meeting the unknown value is the commonest
+        # unequal pair; it joins to the unknown value without a call
+        return [
+            x if x is y
+            else _UNKNOWN if (x is _UNBOUND and y is _UNKNOWN)
+            or (x is _UNKNOWN and y is _UNBOUND)
+            else _join_info(x, y)
+            for x, y in zip(a, b)
+        ]
 
     def widen(self, old: State, new: State) -> State:
         if old is new:

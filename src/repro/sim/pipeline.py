@@ -31,16 +31,24 @@ and control classes pre-resolved per static row, and register producers
 resolved once per pack as distances back in the trace
 (:meth:`~repro.trace.pack.PackedTrace.producer_columns`: one column for
 each entry's first and second read, a small dict for the rare third and
-later reads).  A traced interpreter run returns such a pack directly.
-A ``list[TraceEntry]`` (hand-built test traces, or
+later reads; a decoded pack carries them from its encoding).  A traced
+interpreter run returns such a pack directly.  A ``list[TraceEntry]``
+(hand-built test traces, or
 :meth:`~repro.trace.pack.PackedTrace.unpack_entries` output for the
 timeline) is packed on entry with :func:`~repro.trace.pack.pack_entries`.
 
 State is flat integers.  An in-flight instruction is its sequence
-number ``s``: the fetch buffer, both windows, the ROB and the in-flight
-store list hold sequence numbers, and per-instruction state (completion
-cycle, static row, the ring slots of its first and second producers)
-lives in fixed-size ring lists indexed by ``s & mask``.  Dispatch turns
+number ``s``, and in-flight sequence numbers are consecutive, so the
+ROB is the range ``[retired, dispatched)`` and the fetch buffer the
+range ``[dispatched, fetch_index)`` — a hardware ROB's head and tail
+pointers.  Retire, dispatch and fetch each bound their stage once per
+cycle (width, ROB or buffer room, trace end).  Both windows and the
+in-flight store list hold sequence numbers; an issue scan visits its
+window oldest-first, stops once the issue width is spent and then
+removes the entries it issued, compacting the window in place.
+Per-instruction state (completion cycle, static row, the ring slots of
+its first and second producers) lives in fixed-size ring lists indexed
+by ``s & mask``.  Dispatch turns
 a producer distance into a slot; a read with no producer within
 ``max_inflight`` gets a sentinel slot whose completion is cycle 0, so
 an entry is ready when both its producer slots have completed.  The
@@ -209,14 +217,14 @@ class TimingSimulator:
         dcache_access = self.dcache.access
         predict = self.predictor.update
 
-        fetch_index = 0
-        fetch_buffer: deque[int] = deque()
+        # sequence numbers: [retired, dispatched) is the ROB and
+        # [dispatched, fetch_index) the fetch buffer
+        retired = dispatched = fetch_index = 0
         fetch_stall_until = 0
         blocking_branch = -1
 
         int_window: list[int] = []
         fp_window: list[int] = []
-        rob: deque[int] = deque()
         inflight_stores: deque[int] = deque()
 
         int_issued = fp_issued = loads = stores = 0
@@ -226,7 +234,6 @@ class TimingSimulator:
 
         free_int = config.rename_int
         free_fp = config.rename_fp
-        retired = 0
         now = 0
         limit = max_cycles if max_cycles is not None else 200 * n + 10_000
 
@@ -239,24 +246,26 @@ class TimingSimulator:
                 )
 
             # ---- retire ------------------------------------------------
-            width = retire_width
-            while rob and width:
-                s = rob[0]
-                slot = s & mask
+            # the ROB is [retired, dispatched)
+            end = retired + retire_width
+            if end > dispatched:
+                end = dispatched
+            while retired < end:
+                slot = retired & mask
                 if complete[slot] > now:
                     break
-                rob.popleft()
                 row = row_of[slot]
                 free_int += row[4]
                 free_fp += row[5]
                 if row[2] == LAT_STORE:
                     inflight_stores.popleft()  # stores retire in order
                 if record:
-                    retired_at[s] = now
+                    retired_at[retired] = now
                 retired += 1
-                width -= 1
 
             # ---- issue ---------------------------------------------------
+            # each scan collects what it issues (at most the issue width),
+            # stops once the budget is spent, and drops those entries
             issued_int = 0
             if int_window:
                 budget = int_units
@@ -266,19 +275,13 @@ class TimingSimulator:
                     if complete[st & mask] == _INF:
                         oldest_unissued_store = st
                         break
-                remaining: list[int] = []
-                keep = remaining.append
+                issued = []
                 for s in int_window:
-                    if not budget:
-                        keep(s)
-                        continue
                     slot = s & mask
                     if complete[wait0[slot]] > now or complete[wait1[slot]] > now:
-                        keep(s)
                         continue
                     if more_waits and s in more_waits:
                         if any(complete[p] > now for p in more_waits[s]):
-                            keep(s)
                             continue
                         del more_waits[s]
                     lat = row_of[slot][2]
@@ -286,7 +289,6 @@ class TimingSimulator:
                         complete[slot] = now + 1
                     elif lat == LAT_LOAD:
                         if not ls_budget or oldest_unissued_store < s:
-                            keep(s)
                             continue
                         word = mem_col[s] >> 2
                         conflict = False
@@ -297,14 +299,12 @@ class TimingSimulator:
                                 conflict = True
                                 break
                         if conflict:
-                            keep(s)
                             continue
                         complete[slot] = now + dcache_access(mem_col[s])
                         ls_budget -= 1
                         loads += 1
                     elif lat == LAT_STORE:
                         if not ls_budget:
-                            keep(s)
                             continue
                         dcache_access(mem_col[s])
                         complete[slot] = now + 1
@@ -323,28 +323,25 @@ class TimingSimulator:
                     if record:
                         issued_at[s] = now
                         done_at[s] = complete[slot]
+                    issued.append(s)
                     budget -= 1
-                    issued_int += 1
-                if issued_int:
-                    int_window = remaining
+                    if not budget:
+                        break
+                if issued:
+                    for s in issued:
+                        int_window.remove(s)
+                    issued_int = int_units - budget
                     int_issued += issued_int
                     int_busy += 1
             if fp_window:
                 budget = fp_units
-                issued_fp = 0
-                remaining = []
-                keep = remaining.append
+                issued = []
                 for s in fp_window:
-                    if not budget:
-                        keep(s)
-                        continue
                     slot = s & mask
                     if complete[wait0[slot]] > now or complete[wait1[slot]] > now:
-                        keep(s)
                         continue
                     if more_waits and s in more_waits:
                         if any(complete[p] > now for p in more_waits[s]):
-                            keep(s)
                             continue
                         del more_waits[s]
                     # no load/store port or ordering checks on this
@@ -364,11 +361,14 @@ class TimingSimulator:
                     if record:
                         issued_at[s] = now
                         done_at[s] = complete[slot]
+                    issued.append(s)
                     budget -= 1
-                    issued_fp += 1
-                if issued_fp:
-                    fp_window = remaining
-                    fp_issued += issued_fp
+                    if not budget:
+                        break
+                if issued:
+                    for s in issued:
+                        fp_window.remove(s)
+                    fp_issued += fp_units - budget
                     fp_busy += 1
                     if not issued_int:
                         int_idle_fp_busy += 1
@@ -379,9 +379,15 @@ class TimingSimulator:
                 blocking_branch = -1
 
             # ---- dispatch ------------------------------------------------
-            width = decode_width
-            while fetch_buffer and width:
-                s = fetch_buffer[0]
+            # the fetch buffer is [dispatched, fetch_index)
+            start = dispatched
+            end = dispatched + decode_width
+            if end > retired + max_inflight:  # ROB room
+                end = retired + max_inflight
+            if end > fetch_index:
+                end = fetch_index
+            while dispatched < end:
+                s = dispatched
                 slot = s & mask
                 row = row_of[slot]
                 if row[1]:
@@ -389,11 +395,8 @@ class TimingSimulator:
                         break
                 elif len(int_window) >= int_cap:
                     break
-                if len(rob) >= max_inflight:
-                    break
                 if row[4] > free_int or row[5] > free_fp:
                     break
-                fetch_buffer.popleft()
                 free_int -= row[4]
                 free_fp -= row[5]
                 # a producer more than max_inflight back has retired
@@ -409,13 +412,12 @@ class TimingSimulator:
                     fp_window.append(s)
                 else:
                     int_window.append(s)
-                rob.append(s)
                 if row[2] == LAT_STORE:
                     inflight_stores.append(s)
                 if record:
                     dispatched_at[s] = now
-                width -= 1
-            if fetch_buffer and width == decode_width:
+                dispatched += 1
+            if dispatched == start and dispatched < fetch_index:
                 dispatch_stalls += 1
 
             # ---- fetch ---------------------------------------------------
@@ -423,8 +425,12 @@ class TimingSimulator:
                 if fetch_index < n:
                     fetch_stalls += 1
                 continue
-            width = fetch_width
-            while width and fetch_index < n and len(fetch_buffer) < fetch_buffer_cap:
+            end = fetch_index + fetch_width
+            if end > dispatched + fetch_buffer_cap:  # buffer room
+                end = dispatched + fetch_buffer_cap
+            if end > n:
+                end = n
+            while fetch_index < end:
                 s = fetch_index
                 row = rows[ids[s]]
                 pc = row[0]
@@ -445,8 +451,6 @@ class TimingSimulator:
                 if record:
                     fetched_at[s] = now
                 fetch_index += 1
-                fetch_buffer.append(s)
-                width -= 1
                 ctrl = row[3]
                 if ctrl:
                     if ctrl != CTRL_BRANCH:

@@ -1,4 +1,4 @@
-"""Columnar trace packing: the ``repro-trace/1`` format.
+"""Columnar trace packing: the ``repro-trace`` format, version 2.
 
 A dynamic trace is a long, highly redundant stream: a few hundred static
 instructions generate millions of dynamic instructions whose payload is
@@ -35,11 +35,18 @@ On-disk encoding (``to_bytes``/``from_bytes``)::
     MAGIC (8) | sha256(header+payload) (32) | header length (4, BE)
              | canonical-JSON header | concatenated array payloads
 
-The digest covers everything after itself, so a bit flip anywhere —
+The payload is the :data:`ARRAY_LAYOUT` columns, then the producer
+section (:data:`PRODUCER_LAYOUT`): the producer columns are derived once,
+when a fresh pack is first encoded or simulated, and a decoded pack
+carries them, so replaying a stored trace derives nothing.  The digest
+covers everything after the length field, so a bit flip anywhere —
 header or payload — is detected.  The header carries the format
 version, byte order, array manifest, token-name string table, and
 arbitrary caller metadata (the prepared program's identity and
-summary, and the code fingerprint the trace store adds).  Any validation failure raises
+summary, and the code fingerprint the trace store adds).  Both
+directions hash and copy each column once: encoding joins the columns
+straight into the output, and decoding reads them through
+``memoryview`` slices of the input.  Any validation failure raises
 :class:`~repro.errors.TracePackError`; encode→decode→encode is
 byte-identical.
 """
@@ -50,7 +57,7 @@ import hashlib
 import json
 import sys
 from array import array
-from itertools import accumulate, count, pairwise
+from itertools import accumulate, islice, repeat
 
 from repro.errors import TracePackError
 from repro.ir.opcodes import OpKind
@@ -59,7 +66,7 @@ from repro.runtime.trace import Subsystem, TraceEntry
 #: Bump on any incompatible change to the header or column layout.
 #: Participates in bench cache keys (see :func:`repro.bench.cache.cell_key`)
 #: so a format bump invalidates both trace packs and cached cell results.
-TRACE_FORMAT_VERSION = 1
+TRACE_FORMAT_VERSION = 2
 
 #: File magic for the on-disk encoding.
 MAGIC = b"RPROTRC\x01"
@@ -130,6 +137,17 @@ ARRAY_LAYOUT = (
     ("token_names", "q"),
 )
 
+#: The producer section, serialized after :data:`ARRAY_LAYOUT`: the
+#: distance columns of :meth:`PackedTrace.producer_columns` (``n`` each)
+#: and its third-and-later reads as parallel (entry, distance) columns.
+PRODUCER_LAYOUT = (
+    ("first_producer", "H"),
+    ("second_producer", "H"),
+    ("more_entries", "q"),
+    ("more_distances", "H"),
+)
+_LAYOUT = ARRAY_LAYOUT + PRODUCER_LAYOUT
+
 
 class PackedTrace:
     """A dynamic trace as columnar arrays (see module docstring).
@@ -147,6 +165,9 @@ class PackedTrace:
         each entry's slice of ``read_tokens``/``write_tokens``, which
         hold interned token ids; ``token_frames``/``token_names`` (+ the
         ``names`` string list) map ids back to ``(frame_id, name)``.
+
+    Producer columns (:meth:`producer_columns`): derived from the
+    token columns once per pack and serialized as the producer section.
 
     ``meta`` carries caller metadata (workload, scheme, partition
     summary, ...), round-tripped through the encoding.
@@ -201,9 +222,10 @@ class PackedTrace:
         missing read is also :data:`NO_PRODUCER`.  An entry's reads see
         the writers before it, not its own writes.
 
-        Derived from the token columns on first call and kept on the
-        object, so a pack simulated on several machines derives them
-        once; never serialized.
+        Derived from the token columns on first call (or first
+        encoding) and kept on the object, so a pack simulated on several
+        machines derives them once; the encoding stores them, so a
+        decoded pack has them already.
         """
         if self._producers is None:
             self._producers = _producer_distances(self)
@@ -303,10 +325,13 @@ class PackedTrace:
 
     # ------------------------------------------------------------------
     def to_bytes(self) -> bytes:
-        """Serialize (see module docstring); deterministic byte-for-byte."""
-        payload = b"".join(
-            getattr(self, name).tobytes() for name, _ in ARRAY_LAYOUT
-        )
+        """Serialize (see module docstring); deterministic byte-for-byte.
+
+        A fresh pack derives its producer columns here, so they are
+        cached on it for a later simulation as well.
+        """
+        columns = [getattr(self, name) for name, _ in ARRAY_LAYOUT]
+        columns += _producer_section(self.producer_columns())
         header_doc = {
             "format": "repro-trace",
             "version": TRACE_FORMAT_VERSION,
@@ -317,16 +342,18 @@ class PackedTrace:
             "meta": self.meta,
             "names": self.names,
             "arrays": [
-                [name, typecode, len(getattr(self, name))]
-                for name, typecode in ARRAY_LAYOUT
+                [name, typecode, len(column)]
+                for (name, typecode), column in zip(_LAYOUT, columns)
             ],
         }
         header = json.dumps(
             header_doc, sort_keys=True, separators=(",", ":")
         ).encode("utf-8")
-        digest = hashlib.sha256(header + payload).digest()
+        digest = hashlib.sha256(header)
+        for column in columns:
+            digest.update(column)
         return b"".join(
-            (MAGIC, digest, len(header).to_bytes(4, "big"), header, payload)
+            (MAGIC, digest.digest(), len(header).to_bytes(4, "big"), header, *columns)
         )
 
     @classmethod
@@ -341,12 +368,12 @@ class PackedTrace:
         header_len = int.from_bytes(data[len(MAGIC) + 32: prefix], "big")
         if len(data) < prefix + header_len:
             raise TracePackError("truncated trace pack (header cut short)")
-        header = data[prefix: prefix + header_len]
-        payload = data[prefix + header_len:]
-        if hashlib.sha256(header + payload).digest() != digest:
+        # header and payload are contiguous: hash and read them in place
+        view = memoryview(data)
+        if hashlib.sha256(view[prefix:]).digest() != digest:
             raise TracePackError("trace-pack checksum mismatch")
         try:
-            doc = json.loads(header.decode("utf-8"))
+            doc = json.loads(str(view[prefix: prefix + header_len], "utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise TracePackError(f"unreadable trace-pack header: {exc}")
         if not isinstance(doc, dict) or doc.get("format") != "repro-trace":
@@ -362,29 +389,32 @@ class PackedTrace:
                 f"host; this host is {sys.byteorder}-endian"
             )
         manifest = doc.get("arrays")
-        expected = [name for name, _ in ARRAY_LAYOUT]
+        expected = [name for name, _ in _LAYOUT]
         if (
             not isinstance(manifest, list)
             or [row[0] for row in manifest] != expected
         ):
             raise TracePackError("trace-pack array manifest mismatch")
 
-        pack = cls()
-        offset = 0
-        for (name, typecode), row in zip(ARRAY_LAYOUT, manifest):
+        columns = []
+        offset = prefix + header_len
+        for (name, typecode), row in zip(_LAYOUT, manifest):
             if row[1] != typecode or not isinstance(row[2], int) or row[2] < 0:
                 raise TracePackError(f"bad manifest entry for {name!r}")
             column = array(typecode)
             nbytes = row[2] * column.itemsize
-            chunk = payload[offset: offset + nbytes]
+            chunk = view[offset: offset + nbytes]
             if len(chunk) != nbytes:
                 raise TracePackError(f"trace-pack payload cut short at {name!r}")
             column.frombytes(chunk)
-            setattr(pack, name, column)
+            columns.append(column)
             offset += nbytes
-        if offset != len(payload):
+        if offset != len(data):
             raise TracePackError("trailing bytes after trace-pack payload")
 
+        pack = cls()
+        for (name, _), column in zip(ARRAY_LAYOUT, columns):
+            setattr(pack, name, column)
         names = doc.get("names")
         if not isinstance(names, list) or not all(
             isinstance(s, str) for s in names
@@ -395,6 +425,7 @@ class PackedTrace:
         meta = doc.get("meta")
         pack.meta = meta if isinstance(meta, dict) else {}
         pack._validate_structure(doc)
+        pack._producers = pack._read_producer_section(*columns[len(ARRAY_LAYOUT):])
         pack._finalize()
         return pack
 
@@ -437,6 +468,52 @@ class PackedTrace:
         ):
             raise TracePackError("token name index out of name-table range")
 
+    def _read_producer_section(
+        self, first: array, second: array, entries: array, distances: array
+    ) -> tuple[array, array, dict[int, list[int]]]:
+        """The decoded producer columns, checked against the token columns.
+
+        ``entries``/``distances`` list the third and later reads one per
+        row, in entry order: an entry with ``k > 2`` reads has exactly
+        ``k - 2`` consecutive rows.
+        """
+        n = self.n
+        if len(first) != n or len(second) != n:
+            raise TracePackError("producer columns must have n entries")
+        if len(entries) != len(distances):
+            raise TracePackError("extra-read columns disagree in length")
+        if entries and not (entries[0] >= 0 and entries[-1] < n):
+            raise TracePackError("extra-read entries out of range")
+        more: dict[int, list[int]] = {}
+        extra: list[int] = []
+        last = -1
+        for s, d in zip(entries, distances):
+            if s != last:
+                if s < last:
+                    raise TracePackError("extra-read entries unsorted")
+                extra = more[s] = []
+                last = s
+            extra.append(d)
+        roff = self.read_offsets
+        for s, extra in more.items():
+            if len(extra) != roff[s + 1] - roff[s] - 2:
+                raise TracePackError("extra-read entries disagree with the read counts")
+        return first, second, more
+
+
+def _producer_section(
+    columns: tuple[array, array, dict[int, list[int]]]
+) -> list[array]:
+    """:data:`PRODUCER_LAYOUT`'s arrays for :meth:`PackedTrace.producer_columns`."""
+    first, second, more = columns
+    entries = array("q")
+    distances = array("H")
+    # both constructors of ``more`` insert its keys in entry order
+    for s, extra in more.items():
+        entries.extend(repeat(s, len(extra)))
+        distances.extend(extra)
+    return [first, second, entries, distances]
+
 
 def _producer_distances(pack: PackedTrace) -> tuple[array, array, dict[int, list[int]]]:
     """The columns of :meth:`PackedTrace.producer_columns`, in one pass."""
@@ -448,8 +525,10 @@ def _producer_distances(pack: PackedTrace) -> tuple[array, array, dict[int, list
     rtok, wtok = pack.read_tokens, pack.write_tokens
     # last writer per token; "never" is far enough back to clip to none
     last = [-none] * len(pack.token_frames)
-    for s, (r0, r1), (w0, w1) in zip(
-        count(), pairwise(pack.read_offsets), pairwise(pack.write_offsets)
+    # running starts of the entry's read and write ranges
+    r0 = w0 = 0
+    for s, r1, w1 in zip(
+        range(n), islice(pack.read_offsets, 1, None), islice(pack.write_offsets, 1, None)
     ):
         if r1 != r0:
             d = s - last[rtok[r0]]
@@ -461,6 +540,7 @@ def _producer_distances(pack: PackedTrace) -> tuple[array, array, dict[int, list
                     second[s] = d
                 if r1 - r0 > 2:
                     more[s] = [min(s - last[t], none) for t in rtok[r0 + 2:r1]]
+            r0 = r1
         while w0 < w1:
             last[wtok[w0]] = s
             w0 += 1

@@ -84,12 +84,12 @@ class TestGoldenKeys:
     def test_cell_key_digest(self):
         cell = Cell("compress", "advanced", 4, 150)
         assert cell_key(cell, code_version="golden") == (
-            "21df46815c2274a203c9de789bb700f4128738cce740d9704db3dd63de8e4aad"
+            "6e34dfcdf4774ebbd444dc166ba6e3324f2714904d815e03eac7a1d1235268ff"
         )
 
     def test_trace_key_digest(self):
         assert trace_key("compress", "advanced", 150, code_version="golden") == (
-            "c312a9d9c50386012fe38ee67f4292dd1cc7d5d43ee165fe62098e4e59ed5986"
+            "737c27cfdc6862da225d75bada2ba6098d7f2819283a85b4f2b3d2aed3fb17fe"
         )
 
     def test_content_key_ignores_insertion_order(self):

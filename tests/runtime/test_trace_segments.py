@@ -124,19 +124,19 @@ GOLDEN = {
         CALLS,
         {},
         23,
-        "70146fcb8730ae3a3024331d8c905e5e430635484048e96aef6aa4197e8956f7",
+        "d5de518c93fa8b0289178f8ab8b5b0e64e1e7eedf51c1011fba8d985a28e26c5",
     ),
     "recursion": (
         RECURSION,
         {"count": 8},
         None,
-        "373517f6a2ace30c60680dc2c6c73060027b2d9af1329515bfccdc797d064608",
+        "9ea89a43dcd0b79efd91316f10db28f159bd77de369c9f5715dd3a001d8f531b",
     ),
     "unverified": (
         UNVERIFIED,
         {},
         38,
-        "c1b00b4363d6343c911a836f07fee8cd1bad69fae768e716d1ed70f350f3eee5",
+        "fb7e8a2ffce05093aaa9a2ea0b25a399a224998329a16fe4337ac729d72e8ac2",
     ),
 }
 

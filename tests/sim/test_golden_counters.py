@@ -6,7 +6,8 @@ cover every counter of :meth:`SimStats.to_counters` for
 
 * the smoke matrix (compress and m88ksim, all three schemes), whose
   23-26k-instruction traces wrap the simulator's in-flight ring hundreds
-  of times, on both Table 1 machines; and
+  of times, on both Table 1 machines, fresh from the traced run and
+  decoded from their encoding; and
 * one hand-built trace with a divide chain, a store followed by a load of
   the same word, a read of a value written as far back as the ring is
   long, and consumers that wait while their producer retires and the
@@ -29,6 +30,7 @@ from repro.runtime.interp import run_program
 from repro.runtime.trace import Subsystem, TraceEntry
 from repro.sim.config import eight_way, four_way
 from repro.sim.pipeline import simulate_trace
+from repro.trace.pack import PackedTrace
 
 #: The smoke matrix's workload scales (as in the trace-equivalence tests).
 SMOKE = {"compress": 150, "m88ksim": 2}
@@ -154,6 +156,15 @@ def smoke_packs():
                          ids=[f"{w}/{s}/{k}way" for w, s, k in sorted(GOLDEN)])
 def test_smoke_counters_are_pinned(smoke_packs, workload, scheme, width):
     stats = simulate_trace(smoke_packs[(workload, scheme)], CONFIGS[width]())
+    assert stats.to_counters() == dict(zip(FIELDS, GOLDEN[(workload, scheme, width)]))
+
+
+@pytest.mark.parametrize(("workload", "scheme", "width"), sorted(GOLDEN),
+                         ids=[f"{w}/{s}/{k}way" for w, s, k in sorted(GOLDEN)])
+def test_decoded_smoke_counters_are_pinned(smoke_packs, workload, scheme, width):
+    """A decoded pack simulates from its stored producer columns."""
+    decoded = PackedTrace.from_bytes(smoke_packs[(workload, scheme)].to_bytes())
+    stats = simulate_trace(decoded, CONFIGS[width]())
     assert stats.to_counters() == dict(zip(FIELDS, GOLDEN[(workload, scheme, width)]))
 
 

@@ -47,111 +47,111 @@ GOLDEN_SCALES = {
 #: little-endian host.
 GOLDEN = {
     ("compress", "advanced"): (
-        "fe69392f93100143efd695fa469b92ecbb2be3d35c465645a6d378e5b8b70687",
+        "a241fa02afdca950a6b5ef71cea9c87f4ff89404df934c1dc228c38aa8e8b768",
         "1237e648df1e4a8df641ca1e51b2c52d466d508ecff801171e10007987123c54",
     ),
     ("compress", "basic"): (
-        "8e3b43894ff38e2ae154c3724332d69dac15b27a26d293b6bfccd061916f6beb",
+        "da879319f1de627d3154bf7a51bd8f1d54ee5d4c4134f0e3a4c66de3b29aef62",
         "1237e648df1e4a8df641ca1e51b2c52d466d508ecff801171e10007987123c54",
     ),
     ("compress", "conventional"): (
-        "73b7418a9a02c62cd8c1b44dc2cd3fe832b9a53276211dd95f075ab84e6b3e30",
+        "77e3d3ed64bda4a4be2a46e17db5a6a1192c2abcbd482b46ca0c7b0c6d932de8",
         "1237e648df1e4a8df641ca1e51b2c52d466d508ecff801171e10007987123c54",
     ),
     ("ear", "advanced"): (
-        "e38d2bc4b5a2c95c37dc4d2ea8a107c76a935989978f4ba5ec23af51d1dc2cf5",
+        "791b7d85e75626386496df938b651a6eaf91e1cf51346c74bc87b88f4a157b2c",
         "c9372d3978336cd6807865faf7ab0f82908be19f6f65ec7deb0bdf0ba97e3a1f",
     ),
     ("ear", "basic"): (
-        "188c389d0b24d4304cfa264e71731d67e135a21c4bcd50ced9932bf1a402a5b5",
+        "acd9d5d1d25068946b2af2acd1fd40ed955881ddef292bd7d597ec4f7899ad2a",
         "c9372d3978336cd6807865faf7ab0f82908be19f6f65ec7deb0bdf0ba97e3a1f",
     ),
     ("ear", "conventional"): (
-        "682b0d41ed8d4dc3e4293b7a8fb79bfd027bd5f3e5365077ca45aa92bb90ddf1",
+        "5160610227a3d0ed5b123c10bbb1bdf7f4c8ac95686e327f9d0a8c6f360db58b",
         "c9372d3978336cd6807865faf7ab0f82908be19f6f65ec7deb0bdf0ba97e3a1f",
     ),
     ("gcc", "advanced"): (
-        "a0788a492885515c59bbd7bb21f0c798bbf2ae3f78dfea87619bf7df11bbd6e1",
+        "57ac633057382a22593df9159ca2137e1a1a5f89c63dc3d00a839c7a46ca7878",
         "b4f19ee7bb2ab32711a6ca06e3f59ee843d573d8b4e3a4d9b825288341503cc4",
     ),
     ("gcc", "basic"): (
-        "5a9ba7b7dde94a3f259af21f051970b4a6a3c09823bfa4f16019c8939f570848",
+        "9fdb3ed0804199136d467158cc76af25a7f4be9d4a0c04d33a8d5c7887f33ac9",
         "b4f19ee7bb2ab32711a6ca06e3f59ee843d573d8b4e3a4d9b825288341503cc4",
     ),
     ("gcc", "conventional"): (
-        "1a377129e9fe1037af0f32c7be52e8804c98b2d567a274100cc78be43075f249",
+        "85910b42bb7f9289775858b4638a568a13abd617a5cdb33691bd8971d97d6d5b",
         "b4f19ee7bb2ab32711a6ca06e3f59ee843d573d8b4e3a4d9b825288341503cc4",
     ),
     ("go", "advanced"): (
-        "d11bc6afeeb076d786eb07042fa133058a843952c52d16b6dedc056c0abee703",
+        "7fa39bb153206f91baf98b872411d9eb3426d05a5de8395aa27306fa0ba40d34",
         "0284abf10ed9034f37961fd5350e30e389c003e857176ed1cd2bdab9b45bbdac",
     ),
     ("go", "basic"): (
-        "4a37c7a7946de73d7fd70818b3c2972e1ee5826bcc4a9200e398e0cdcd00186a",
+        "3b45040a178980051bfede751322681b4cec188339da909212d5a20096649d80",
         "0284abf10ed9034f37961fd5350e30e389c003e857176ed1cd2bdab9b45bbdac",
     ),
     ("go", "conventional"): (
-        "b0081db943b6cd65b28423fe67f1d9323aa346332c7b1a723407db08dc7c9985",
+        "b8864ae480d2b0ea9f83aa45431c4cf4e3a723f0c911ced9c1b6a224ada8f2d9",
         "0284abf10ed9034f37961fd5350e30e389c003e857176ed1cd2bdab9b45bbdac",
     ),
     ("ijpeg", "advanced"): (
-        "f409b5153a4161f826de2f09e7d697bfee3c4b24a4a4f9709ea1b5b9df790b5a",
+        "4aa22eefcc9aa5c815da1346296bb02c2e27c3b38c956899ba98b58bb05d8a82",
         "573bec2063747224c079c1bc6fd419d15e2b855d9c13773720f14d7390a863de",
     ),
     ("ijpeg", "basic"): (
-        "c7f37d08a3edfecba1d633dde4fabbb1ac18142586959f6b801d64f1c6e24939",
+        "5b9e651962dbab8ac8916f716d475cd59cc598ae7ccbc460b91dd7fd8c98304d",
         "573bec2063747224c079c1bc6fd419d15e2b855d9c13773720f14d7390a863de",
     ),
     ("ijpeg", "conventional"): (
-        "b0b0c9cf201933d29f02afa949fb16f4b9437e23a9ddc492aee83a60392a041d",
+        "4925d3584be33ecfd0ede8c0c59e63b2e1c40a087a23313e69f6e4c36f37dad4",
         "573bec2063747224c079c1bc6fd419d15e2b855d9c13773720f14d7390a863de",
     ),
     ("li", "advanced"): (
-        "98779a5883040815a029e8fc2f79da5b0d53af08251891fa2aa1fb30070f5afe",
+        "da1485594392e8e674cdc458e66e55933786954e5ae670b9851bcaca9642d4d5",
         "a7deff441eda7214be83d76b62b3dda6a84e24f4bf0702d319cd4cf6e60406e3",
     ),
     ("li", "basic"): (
-        "06fa8206fbacb4d642b376034a93d212904d12c1f8d6bfaafce92fde75aa1e83",
+        "86664d8d045ab4ce26b98e7e968bf83bc29cac8eaa69fbe8d5a030d4b4160725",
         "a7deff441eda7214be83d76b62b3dda6a84e24f4bf0702d319cd4cf6e60406e3",
     ),
     ("li", "conventional"): (
-        "c6491eb58a64425455b961c7342e4abbabf9af2289e6428031155a0880e2abd4",
+        "f2156d84db36de61649ccaa1cdadc068c6c640d0a0b81e4cad2c6c7d3624abac",
         "a7deff441eda7214be83d76b62b3dda6a84e24f4bf0702d319cd4cf6e60406e3",
     ),
     ("m88ksim", "advanced"): (
-        "065ea19d88cb663aab827a0967f8430fe17823c4f798ebd849e8a83c2e05eff3",
+        "e4d0bc51a046610126636bb9a0f647b074b04d3fa60079883e4f49497f382dbb",
         "1517aae10808c8e923c7b55475bfb7e74420f8b75c04b854e3d5664cf4df3336",
     ),
     ("m88ksim", "basic"): (
-        "434bae58d5da7f96e00b65dabb84e41eab9f87d04a7eb683e4762e1fa3817176",
+        "97ff5f8634d0a1c9ed02ade42fad005b0c9b65b6024b93946d580df159018c59",
         "1517aae10808c8e923c7b55475bfb7e74420f8b75c04b854e3d5664cf4df3336",
     ),
     ("m88ksim", "conventional"): (
-        "d24e10df912276a68263baaa580ab761269525dcb2bd381c9336858a3f422ef5",
+        "82700fcaf932b786aafb6721ea2164b914978eb65d4b262adc992bd86cfd6ff7",
         "1517aae10808c8e923c7b55475bfb7e74420f8b75c04b854e3d5664cf4df3336",
     ),
     ("perl", "advanced"): (
-        "7e5a48a8e34b79b5e90324a9be70ce46215f7c442a3467b2d4c6b96067c0d94a",
+        "aa70ec13e0b192a3c6c1a29cd5dbf01586ca9a577c1b8d237d757f5d12437fa3",
         "14d319f47432c73a9f781b1a1247b25da745ec1fd3ce933e1f7849f190e7ccfd",
     ),
     ("perl", "basic"): (
-        "b7701bfebbab9535eb6a02df9f0f9e6e900460604cffad707efd549f76880ae7",
+        "1da591c154f416afcdbb66f5d5cc5ed9d0ebc5c6deb588e4bfb9df52fa2c7aa6",
         "14d319f47432c73a9f781b1a1247b25da745ec1fd3ce933e1f7849f190e7ccfd",
     ),
     ("perl", "conventional"): (
-        "a1db889e5df3b87b07bd87cea2f51d27953b6bc7c689356595f34cbb3a672d79",
+        "2a22d236a5bffa5f65f6ac0b940c9bf6abfcddc01a782e4616434bbb13b7ae5f",
         "14d319f47432c73a9f781b1a1247b25da745ec1fd3ce933e1f7849f190e7ccfd",
     ),
     ("swim", "advanced"): (
-        "d1db166725a07ee5f8dbc8e12e44a82ac477029c2832a32c04fd11158fe60faf",
+        "2ed14c9a80c22a799bdfb04f57261bdb8014d4fb47c8b8cc56e89f195aee0ba5",
         "a3dca298c03bac383dd39f411ba8d9bf281212d9bda3dae5c24357032aae729b",
     ),
     ("swim", "basic"): (
-        "bae9bcd63d97d04a4655370ff4d7cf4a33bc6957fa23a46e317ffc11d2789723",
+        "7e61b34c1da3e8d805c9574a332411510d78b1b84240354c98dc4e6d0378f2e3",
         "a3dca298c03bac383dd39f411ba8d9bf281212d9bda3dae5c24357032aae729b",
     ),
     ("swim", "conventional"): (
-        "a007579ac1ccc533da0a4112a2431162c7a2fc5878047a759e21c7016fedebd7",
+        "f646e45deddb8f77ae4961c2a8b2fc30e2cbab40d1608465baa79645c3fa7594",
         "a3dca298c03bac383dd39f411ba8d9bf281212d9bda3dae5c24357032aae729b",
     ),
 }

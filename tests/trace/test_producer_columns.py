@@ -1,24 +1,37 @@
-"""The producer-distance columns a pack derives for the timing simulator.
+"""The producer-distance columns a pack carries for the timing simulator.
 
 :meth:`~repro.trace.pack.PackedTrace.producer_columns` resolves, once
-per pack, which earlier entry last wrote each token an entry reads.
-These tests check it against a direct token -> last-writer walk over
-the entry stream, at the ``0xFFFF`` clip, for a read of a token the
-same entry writes, and that the cached columns give the same
-simulation as fresh ones and stay out of the encoding.
+per pack, which earlier entry last wrote each token an entry reads; the
+encoding stores the result, so a decoded pack derives nothing.  These
+tests check the derivation against a direct token -> last-writer walk
+over the entry stream, at the ``0xFFFF`` clip and for a read of a token
+the same entry writes; that a decoded pack carries the columns a fresh
+derivation gives and simulates like a fresh pack; and that a damaged
+producer section is rejected.
 """
 
 from __future__ import annotations
 
+from array import array
+
+import pytest
 from hypothesis import given, settings
 
+from repro.errors import TracePackError
 from repro.ir.instructions import Instruction
 from repro.ir.opcodes import Opcode
 from repro.ir.registers import virtual_reg
 from repro.runtime.trace import Subsystem, TraceEntry
 from repro.sim.config import config_for_width
 from repro.sim.pipeline import simulate_trace
-from repro.trace.pack import NO_PRODUCER, PackedTrace, pack_entries
+from repro.trace.pack import (
+    NO_PRODUCER,
+    PackedTrace,
+    _producer_distances,
+    pack_entries,
+)
+from tests.sim.test_golden_counters import GOLDEN
+from tests.sim.test_golden_counters import smoke_packs  # noqa: F401 (fixture)
 from tests.sim.test_reference_equivalence import many_args_pack
 from tests.sim.test_sim_properties import random_trace
 
@@ -103,24 +116,66 @@ def test_read_of_own_write_sees_the_earlier_writer():
     assert first[4] == NO_PRODUCER
 
 
-def test_columns_are_cached_and_never_serialized():
-    pack = many_args_pack()
+SMOKE_CELLS = sorted({(workload, scheme) for workload, scheme, _ in GOLDEN})
+
+
+@pytest.mark.parametrize(
+    "cell", SMOKE_CELLS + [None], ids=[f"{w}/{s}" for w, s in SMOKE_CELLS] + ["many-args"]
+)
+def test_decoded_pack_carries_fresh_columns(smoke_packs, cell):  # noqa: F811
+    pack = many_args_pack() if cell is None else smoke_packs[cell]
     data = pack.to_bytes()
-    columns = pack.producer_columns()
-    assert pack.producer_columns() is columns
-    assert pack.to_bytes() == data
-    assert PackedTrace.from_bytes(data)._producers is None
+    decoded = PackedTrace.from_bytes(data)
+    assert decoded._producers is not None  # nothing left to derive
+    assert decoded.producer_columns() == _producer_distances(decoded)
+    assert decoded.to_bytes() == data
 
 
-def test_one_pack_on_both_widths_matches_fresh_packs():
-    """The 8-way run reuses the columns the 4-way run derived."""
-    data = many_args_pack().to_bytes()
-    shared = PackedTrace.from_bytes(data)
+def test_decoded_and_fresh_packs_simulate_alike():
+    """Stored columns on both widths, against columns derived for the
+    4-way run and reused by the 8-way one."""
+    decoded = PackedTrace.from_bytes(many_args_pack().to_bytes())
+    fresh = many_args_pack()
+    derived = []
     for width in (4, 8):
         config = config_for_width(width)
-        fresh = PackedTrace.from_bytes(data)
         assert (
-            simulate_trace(shared, config).to_counters()
+            simulate_trace(decoded, config).to_counters()
             == simulate_trace(fresh, config).to_counters()
         )
-        assert shared._producers is not None
+        derived.append(fresh._producers)
+    assert derived[0] is not None and derived[1] is derived[0]
+
+
+def _damaged(edit) -> bytes:
+    """The many-argument pack, encoded with ``edit`` applied to its
+    columns: a well-formed file whose producer section is wrong."""
+    pack = many_args_pack()
+    pack._producers = edit(*_producer_distances(pack))
+    return pack.to_bytes()
+
+
+def _shift_last(more):
+    *head, (s, extra) = more.items()
+    return dict(head + [(s + 1, extra)])
+
+
+@pytest.mark.parametrize(
+    ("edit", "match"),
+    [
+        (lambda f, s, m: (f[:-1], s, m), "n entries"),
+        (lambda f, s, m: (f, s + array("H", [0]), m), "n entries"),
+        (lambda f, s, m: (f, s, {-1: [1], **m}), "out of range"),
+        (lambda f, s, m: (f, s, {**m, len(f): [1]}), "out of range"),
+        (lambda f, s, m: (f, s, dict(reversed(m.items()))), "unsorted"),
+        (lambda f, s, m: (f, s, {k: v + [1] for k, v in m.items()}), "read counts"),
+        (lambda f, s, m: (f, s, _shift_last(m)), "read counts"),
+    ],
+    ids=[
+        "short-first", "long-second", "negative-entry", "entry-past-n",
+        "unsorted-entries", "extra-read-too-many", "extra-read-wrong-entry",
+    ],
+)
+def test_damaged_producer_section_is_rejected(edit, match):
+    with pytest.raises(TracePackError, match=match):
+        PackedTrace.from_bytes(_damaged(edit))
