@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 from dataclasses import asdict
 
-from repro.faults import corrupt_point
 from repro.ioutil import DiskStore, content_key
 from repro.sim.config import config_for_width
 from repro.trace.store import trace_payload
@@ -71,9 +70,7 @@ class ResultCache(DiskStore):
         ):
             return self._miss()
         self.hits += 1
-        # chaos hook: REPRO_FAULTS can hand back a scrambled entry here,
-        # proving readers treat cache contents as untrusted input
-        return corrupt_point("cache.get", entry, label=key)
+        return entry
 
     def put(self, key: str, entry: dict) -> None:
         """Publish ``entry`` under ``key``."""

@@ -18,11 +18,26 @@ on-disk result cache does not already hold.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
 
 from repro.errors import EXIT_BENCH_FAILURES, ReproError, exit_code_for
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
+def _positive_seconds(text: str) -> float:
+    value = float(text)
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
 
 
 def configure_parser(parser: argparse.ArgumentParser) -> None:
@@ -79,7 +94,7 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--timeout",
-        type=float,
+        type=_positive_seconds,
         default=None,
         metavar="SECS",
         help="hard per-cell wall-clock limit; a cell still running at "
@@ -87,7 +102,7 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--max-failures",
-        type=int,
+        type=_non_negative_int,
         default=0,
         metavar="N",
         help="tolerate up to N failed cells before exiting non-zero "

@@ -4,16 +4,16 @@ Compares a freshly produced BENCH document against a committed baseline
 (``benchmarks/baseline.json``).  Cells are matched on
 (workload, scheme, width, scale), and each matched cell's whole
 ``result`` block must equal the baseline's exactly: checksum, cycles,
-instruction counts, IPC, offload fraction, every ``mix``,
-``partition_summary`` and ``stats`` entry, and the ``degraded`` flag.
+instruction counts, IPC, offload fraction, and every ``mix``,
+``partition_summary`` and ``stats`` entry.
 The pipeline is deterministic, so unchanged code reproduces every field
 bit for bit; a change that means to move the numbers regenerates the
 baseline (``repro bench --suite fig8 --force -o benchmarks/baseline.json``)
 and says why.
 
 Both sides are normalised through ``result_from_dict`` →
-``result_to_dict`` first, so a baseline written before a field existed
-(``degraded``) reads as that field's default.
+``result_to_dict`` first, so a field the result no longer has (the
+retired ``degraded`` flag of older documents) is ignored on either side.
 """
 
 from __future__ import annotations

@@ -87,22 +87,20 @@ def result_to_dict(result: BenchmarkResult) -> dict:
     doc["partition_summary"] = dict(result.partition_summary)
     doc["mix"] = dict(result.mix)
     doc["stats"] = result.stats.to_counters()
-    doc["degraded"] = result.degraded
     return doc
 
 
 def result_from_dict(doc: dict) -> BenchmarkResult:
     """Inverse of :func:`result_to_dict`.
 
-    ``degraded`` is optional so documents written before graceful
-    degradation existed still load.
+    Unknown keys are ignored, so documents that still carry the retired
+    ``degraded`` flag load.
     """
     try:
         return BenchmarkResult(
             stats=SimStats.from_counters(doc["stats"]),
             partition_summary=dict(doc["partition_summary"]),
             mix=dict(doc["mix"]),
-            degraded=bool(doc.get("degraded", False)),
             **{field: doc[field] for field in _RESULT_FIELDS},
         )
     except KeyError as exc:

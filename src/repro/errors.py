@@ -159,29 +159,12 @@ class FuzzViolationError(ReproError):
     stage = "fuzz"
 
 
-class FaultInjected(ReproError):
-    """A fault deliberately injected by :mod:`repro.faults`.
-
-    Attributes:
-        site: The fault-point name the injection fired at, when known.
-    """
-
-    exit_code = 20
-
-    def __init__(self, message: str, site: str | None = None):
-        super().__init__(message)
-        self.site = site
-
-    @property
-    def stage(self) -> str:  # type: ignore[override]
-        return self.site or "inject"
-
-
 #: Documented CLI exit codes (``docs/robustness.md``).  Codes 0-2 are
 #: conventional (success / generic error / argparse usage); 3 is reserved
 #: for OS-level input failures and 4 for the ``repro bench``
-#: ``--max-failures`` gate, both assigned by the CLI itself.  22 and 24
-#: are retired (former checkpoint and daemon errors); never reuse them.
+#: ``--max-failures`` gate, both assigned by the CLI itself.  20, 22 and
+#: 24 are retired (former fault-injection, checkpoint and daemon errors);
+#: never reuse them.
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_USAGE = 2
@@ -201,7 +184,6 @@ EXIT_CODES: dict[str, int] = {
     "FuelExhausted": FuelExhausted.exit_code,
     "SimulationError": SimulationError.exit_code,
     "WorkloadError": WorkloadError.exit_code,
-    "FaultInjected": FaultInjected.exit_code,
     "TracePackError": TracePackError.exit_code,
     "PerfDegradation": PerfDegradation.exit_code,
     "FuzzViolationError": FuzzViolationError.exit_code,
@@ -217,8 +199,6 @@ def exit_code_for(exc: BaseException) -> int:
 
 def error_stage(exc: BaseException) -> str:
     """Best-effort pipeline stage attribution for a captured exception."""
-    if isinstance(exc, FaultInjected):
-        return exc.stage
     if isinstance(exc, ReproError):
         return type(exc).stage
     return "unknown"

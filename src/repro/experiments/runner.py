@@ -17,11 +17,9 @@ produce a "speedup".
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
-from repro.errors import PartitionError, ReproError
-from repro.faults import fault_point
+from repro.errors import ReproError
 from repro.ir.program import Program
 from repro.ir.verify import verify_program
 from repro.partition.cost import CostParams, ExecutionProfile
@@ -38,15 +36,6 @@ from repro.workloads import compile_workload
 
 SCHEMES = ("conventional", "basic", "advanced")
 
-#: Environment opt-in for graceful degradation (advanced -> basic on
-#: PartitionError); truthy values enable it wherever callers did not
-#: pass ``degrade`` explicitly.
-DEGRADE_ENV = "REPRO_DEGRADE"
-
-
-def _degrade_from_env() -> bool:
-    return os.environ.get(DEGRADE_ENV, "").strip() not in ("", "0")
-
 
 @dataclass(eq=False, slots=True)
 class PipelineArtifacts:
@@ -57,8 +46,6 @@ class PipelineArtifacts:
     profile: ExecutionProfile | None = None
     partition_summary: dict[str, int] = field(default_factory=dict)
     static_instructions: int = 0
-    #: The advanced scheme failed and the basic scheme was substituted.
-    degraded: bool = False
 
 
 @dataclass(eq=False, slots=True)
@@ -77,9 +64,6 @@ class BenchmarkResult:
     partition_summary: dict[str, int]
     static_instructions: int
     mix: dict[str, int]
-    #: True when the advanced scheme fell back to basic (graceful
-    #: degradation; ``scheme`` still records what was requested).
-    degraded: bool = False
 
     def speedup_over(self, baseline: "BenchmarkResult") -> float:
         """Relative speedup of this run over ``baseline`` (1.0 = equal)."""
@@ -109,7 +93,6 @@ def prepare_program(
     regalloc: bool = True,
     balance_limit: float | None = None,
     interprocedural: bool = False,
-    degrade: bool | None = None,
     profile: ExecutionProfile | None = None,
 ) -> PipelineArtifacts:
     """Compile (and for non-conventional schemes, partition) a workload.
@@ -125,19 +108,12 @@ def prepare_program(
             profile, so it never gets a profile run.
         regalloc: Run register allocation (paper order: after
             partitioning).
-        degrade: Graceful degradation — when the *advanced* scheme
-            raises :class:`PartitionError`, recompile and substitute the
-            basic scheme (without a profile run), flagging the artifacts
-            ``degraded`` instead of failing the run.  ``None`` reads the
-            ``REPRO_DEGRADE`` environment opt-in.
         profile: The advanced scheme's block profile, when the caller
             already has it (e.g. from the conventional run of the same
             program); ``None`` makes a profile run.
     """
     if scheme not in SCHEMES:
         raise ReproError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    if degrade is None:
-        degrade = _degrade_from_env()
     program = compile_workload(name, scale)
     artifacts = PipelineArtifacts(program=program, scheme=scheme)
 
@@ -147,34 +123,14 @@ def prepare_program(
         elif profile is None:
             profile = run_program(program).profile
         artifacts.profile = profile
-        try:
-            # the label carries the scheme so a REPRO_FAULTS ``match=``
-            # can target e.g. only the advanced partition attempt
-            fault_point("partition", f"{name}/{scheme}")
-            result = partition_program(
-                program,
-                scheme,
-                profile=profile,
-                params=cost_params,
-                balance_limit=balance_limit,
-                interprocedural=interprocedural,
-            )
-        except PartitionError:
-            if not degrade or scheme != "advanced":
-                raise
-            # the failed attempt may have partially rewritten the IR, so
-            # rebuild from source before substituting the basic scheme
-            program = compile_workload(name, scale)
-            artifacts.program = program
-            artifacts.profile = None
-            result = partition_program(
-                program,
-                "basic",
-                params=cost_params,
-                balance_limit=balance_limit,
-                interprocedural=interprocedural,
-            )
-            artifacts.degraded = True
+        result = partition_program(
+            program,
+            scheme,
+            profile=profile,
+            params=cost_params,
+            balance_limit=balance_limit,
+            interprocedural=interprocedural,
+        )
         artifacts.partition_summary = _summarize_partition(result)
 
     if regalloc:
@@ -192,7 +148,6 @@ _REPLAY_FIELDS = (
     "scale",
     "partition_summary",
     "static_instructions",
-    "degraded",
 )
 
 
@@ -219,7 +174,6 @@ def _conventional_profile(
     """
     packed = load_trace(
         trace_key(name, "conventional", scale=scale, **options),
-        label=f"{name}/conventional",
         accept=lambda meta: "profile" in meta
         and _identity(meta, name, "conventional", scale),
     )
@@ -235,8 +189,6 @@ def _capture(
     *,
     scale: int | None,
     options: dict,
-    degrade: bool,
-    where: str,
 ) -> PackedTrace:
     """Prepare and interpret the program; publish its pack under ``key``.
 
@@ -247,10 +199,7 @@ def _capture(
     profile = None
     if scheme == "advanced" and options["use_profile"]:
         profile = _conventional_profile(name, scale, options)
-    artifacts = prepare_program(
-        name, scheme, scale=scale, degrade=degrade, profile=profile, **options
-    )
-    fault_point("execute", where)
+    artifacts = prepare_program(name, scheme, scale=scale, profile=profile, **options)
     report_progress(stage="execute")
     run = run_program(artifacts.program, collect_trace=True)
     packed = run.packed
@@ -260,14 +209,13 @@ def _capture(
         "scale": scale,
         "partition_summary": artifacts.partition_summary,
         "static_instructions": artifacts.static_instructions,
-        "degraded": artifacts.degraded,
     }
     if scheme == "conventional":
         # sorted [function, label, count] rows: JSON-able and deterministic
         packed.meta["profile"] = sorted(
             [f, label, n] for (f, label), n in run.profile.counts.items()
         )
-    store_trace(key, packed, label=where)
+    store_trace(key, packed)
     return packed
 
 
@@ -282,7 +230,6 @@ def run_benchmark(
     config: MachineConfig | None = None,
     balance_limit: float | None = None,
     interprocedural: bool = False,
-    degrade: bool | None = None,
 ) -> BenchmarkResult:
     """Run the full pipeline for one benchmark configuration.
 
@@ -293,16 +240,10 @@ def run_benchmark(
     each (workload, scheme) exactly once: a hit goes straight to the
     simulator.  A hit is trusted because the key determines the program;
     the pack's ``meta`` must still name this workload, scheme and scale
-    and carry every replay field, or the hit is a miss.  A pack
-    recording a degraded run replays only while degradation is enabled;
-    otherwise the cold path runs, and raises the :class:`PartitionError`
-    again.
+    and carry every replay field, or the hit is a miss.
     """
     if config is None:
         config = config_for_width(width)
-    if degrade is None:
-        degrade = _degrade_from_env()
-    where = f"{name}/{scheme}"
     options = {
         "cost_params": cost_params,
         "use_profile": use_profile,
@@ -311,22 +252,11 @@ def run_benchmark(
         "interprocedural": interprocedural,
     }
     key = trace_key(name, scheme, scale=scale, **options)
-    packed = load_trace(
-        key,
-        label=where,
-        accept=lambda meta: _identity(meta, name, scheme, scale)
-        and (degrade or not meta["degraded"]),
-    )
+    packed = load_trace(key, accept=lambda meta: _identity(meta, name, scheme, scale))
     if packed is None:
-        packed = _capture(
-            name, scheme, key,
-            scale=scale, options=options, degrade=degrade, where=where,
-        )
-    else:
-        fault_point("execute", where)
+        packed = _capture(name, scheme, key, scale=scale, options=options)
     meta = packed.meta
     mix = packed.dynamic_mix()
-    fault_point("simulate", where)
     report_progress(stage="simulate")
     stats = TimingSimulator(config).run(packed)
     offload = mix["fp_executed"] / mix["total"] if mix["total"] else 0.0
@@ -343,7 +273,6 @@ def run_benchmark(
         partition_summary=dict(meta["partition_summary"]),
         static_instructions=meta["static_instructions"],
         mix=mix,
-        degraded=meta["degraded"],
     )
 
 

@@ -104,8 +104,8 @@ def reap_orphan_tmp_files(
     """Delete stale ``*.tmp-*`` orphans under ``root``; returns the count.
 
     :func:`atomic_write_bytes` removes its temporary file on every
-    failure it can observe, but a writer killed outright (SIGKILL, power
-    loss, an ``os._exit`` crash fault) leaves the orphan behind.  A
+    failure it can observe, but a writer killed outright (SIGKILL, the
+    OOM killer, power loss) leaves the orphan behind.  A
     :class:`DiskStore` calls this on open so repeated runs do not
     accumulate debris.  Only files older than ``max_age`` are touched: a
     younger tmp file may belong to a live writer in another process

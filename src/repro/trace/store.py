@@ -31,10 +31,7 @@ to compare it with the pack.
 Reads are defensive: a missing, truncated, bit-flipped, wrong-version or
 wrong-code-version file is a *miss* (the caller re-interprets), never an
 error, and so is a pack whose ``meta`` the caller's ``accept`` check
-rejects (a foreign identity or a missing field).  ``trace_pack`` is a
-fault site — ``REPRO_FAULTS`` can inject errors at the read path or
-corrupt the raw bytes flowing out of it, and the chaos suite proves the
-fallback holds.
+rejects (a foreign identity or a missing field).
 """
 
 from __future__ import annotations
@@ -42,7 +39,6 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.errors import TracePackError
-from repro.faults import corrupt_point, fault_point
 from repro.ioutil import LRU, DiskStore, code_fingerprint, content_key, sha256_text
 from repro.partition.cost import CostParams
 from repro.trace.pack import TRACE_FORMAT_VERSION, PackedTrace
@@ -102,9 +98,7 @@ def trace_payload(
 def trace_key(workload: str, scheme: str, scale: int | None = None, **options) -> str:
     """Content hash of one captured trace (machine-independent).
 
-    ``options`` are :func:`trace_payload`'s keywords.  An advanced run
-    that fell back to the basic scheme shares the key of the advanced
-    run; its pack's ``meta`` records ``degraded``.
+    ``options`` are :func:`trace_payload`'s keywords.
     """
     return content_key(trace_payload(workload, scheme, scale, **options))
 
@@ -129,18 +123,12 @@ class TraceStore(DiskStore):
     SUFFIX = ".rtp"
     ENV = TRACE_CACHE_ENV
 
-    def get(
-        self, key: str, label: str = "", accept: Accept | None = None
-    ) -> PackedTrace | None:
+    def get(self, key: str, accept: Accept | None = None) -> PackedTrace | None:
         """The decoded pack, or ``None`` on miss, damage, staleness or
         when ``accept(pack.meta)`` is false."""
-        fault_point("trace_pack", label)
         data = self._read(key)
         if data is None:
             return self._miss()
-        # chaos hook: REPRO_FAULTS can flip bytes here, proving the
-        # decoder treats stored packs as untrusted input
-        data = corrupt_point("trace_pack", data, label=label or key)
         try:
             pack = PackedTrace.from_bytes(data)
         except TracePackError:
@@ -160,9 +148,7 @@ class TraceStore(DiskStore):
         self._write(key, pack.to_bytes())
 
 
-def load_trace(
-    key: str, label: str = "", accept: Accept | None = None
-) -> PackedTrace | None:
+def load_trace(key: str, accept: Accept | None = None) -> PackedTrace | None:
     """Resolve ``key`` through the pool, then the env-configured store.
 
     ``accept`` vets a found pack's ``meta``; a rejected pack is a miss.
@@ -173,13 +159,13 @@ def load_trace(
     store = TraceStore.from_env()
     if store is None:
         return None
-    pack = store.get(key, label, accept)
+    pack = store.get(key, accept)
     if pack is not None:
         _POOL.put(key, pack)
     return pack
 
 
-def store_trace(key: str, pack: PackedTrace, label: str = "") -> None:
+def store_trace(key: str, pack: PackedTrace) -> None:
     """Publish a freshly captured pack to the pool and (if set) the store."""
     _POOL.put(key, pack)
     store = TraceStore.from_env()

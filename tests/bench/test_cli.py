@@ -7,7 +7,13 @@ import json
 import pytest
 
 from repro.__main__ import main
+from repro.bench.cache import ResultCache
+from repro.bench.harness import clear_memo
 from repro.bench.results import cell_label, load_document, validate_document
+from repro.errors import EXIT_BENCH_FAILURES, PartitionError
+from repro.experiments import runner
+
+from .conftest import crash, hang, script_cells
 
 
 @pytest.fixture
@@ -99,6 +105,19 @@ class TestBenchCli:
         ) in out
         assert out.count("MISMATCH") == 1
 
+    def test_negative_max_failures_is_a_usage_error(self, bench_env, capsys):
+        with pytest.raises(SystemExit) as exc:
+            bench(bench_env, "--max-failures", "-1")
+        assert exc.value.code == 2
+        assert "--max-failures: must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("timeout", ["0", "-1", "inf"])
+    def test_non_positive_timeout_is_a_usage_error(self, bench_env, capsys, timeout):
+        with pytest.raises(SystemExit) as exc:
+            bench(bench_env, "--timeout", timeout)
+        assert exc.value.code == 2
+        assert "--timeout: must be a finite number > 0" in capsys.readouterr().err
+
     def test_validate_mode(self, bench_env, capsys):
         assert bench(bench_env) == 0
         assert main(["bench", "--validate", bench_env["out"]]) == 0
@@ -125,3 +144,94 @@ class TestCommittedBaseline:
         validate_document(doc)
         assert doc["suite"] == "fig8"
         assert len(doc["cells"]) == 14  # 7 SPECINT surrogates x 2 schemes
+
+
+def result_payloads(doc) -> dict[tuple, dict]:
+    return {
+        (c["workload"], c["scheme"], c["width"], c["scale"]): c["result"]
+        for c in doc["cells"]
+    }
+
+
+class TestFailureGate:
+    """A sweep with failures exits per ``--max-failures`` and still writes
+    a partial but valid document; a rerun recomputes only what the
+    result cache does not hold."""
+
+    def test_crash_partial_document_then_resume(self, monkeypatch, bench_env, tmp_path):
+        # clean reference run (separate cache so nothing is shared)
+        clean_env = {"out": str(tmp_path / "clean.json"), "cache": str(tmp_path / "c0")}
+        assert bench(clean_env) == 0
+        clean = result_payloads(load_document(clean_env["out"]))
+        clear_memo()
+
+        # every m88ksim worker dies: the gate fires, siblings survive
+        with monkeypatch.context() as patch:
+            script_cells(patch, "m88ksim", crash)
+            assert bench(bench_env, "--jobs", "2") == EXIT_BENCH_FAILURES
+        doc = load_document(bench_env["out"])
+        validate_document(doc)
+        assert {c["workload"] for c in doc["cells"]} == {"compress"}
+        assert len(doc["cells"]) == 3 and len(doc["failures"]) == 3
+        for failure in doc["failures"]:
+            assert failure["workload"] == "m88ksim"
+            assert failure["status"] == "failed"
+            assert failure["error"]["type"] == "BrokenProcessPool"
+            assert "result" not in failure
+        survived = result_payloads(doc)
+        assert survived == {k: v for k, v in clean.items() if k in survived}
+
+        # rerun without the crash: only the crashed cells recompute
+        clear_memo()
+        assert bench(bench_env) == 0
+        resumed = load_document(bench_env["out"])
+        validate_document(resumed)
+        assert resumed["failures"] == []
+        sources = {(c["workload"], c["scheme"]): c["source"] for c in resumed["cells"]}
+        for scheme in ("conventional", "basic", "advanced"):
+            assert sources[("compress", scheme)] == "disk"
+            assert sources[("m88ksim", scheme)] == "computed"
+        assert result_payloads(resumed) == clean
+
+    def test_max_failures_gate_levels(self, monkeypatch, bench_env):
+        """Every partition fails: the four basic and advanced cells are
+        failures (conventional cells do not partition)."""
+
+        def failing(*args, **kwargs):
+            raise PartitionError("scripted")
+
+        monkeypatch.setattr(runner, "partition_program", failing)
+        assert bench(bench_env, "--max-failures", "3") == EXIT_BENCH_FAILURES
+        doc = load_document(bench_env["out"])
+        validate_document(doc)
+        assert len(doc["failures"]) == 4
+        assert {c["scheme"] for c in doc["cells"]} == {"conventional"}
+        for failure in doc["failures"]:
+            assert failure["error"]["type"] == "PartitionError"
+            assert failure["error"]["stage"] == "partition"
+        # the same failures under a permissive gate: exit 0
+        assert bench(bench_env, "--max-failures", "4") == 0
+
+    def test_hung_cell_times_out_and_gates(self, monkeypatch, bench_env):
+        script_cells(monkeypatch, "m88ksim", hang)
+        assert bench(bench_env, "--jobs", "2", "--timeout", "4") == EXIT_BENCH_FAILURES
+        doc = load_document(bench_env["out"])
+        validate_document(doc)
+        assert {f["workload"] for f in doc["failures"]} == {"m88ksim"}
+        assert {f["status"] for f in doc["failures"]} == {"timeout"}
+        assert {c["workload"] for c in doc["cells"]} == {"compress"}
+
+    def test_torn_cache_entries_recompute_identically(self, bench_env):
+        assert bench(bench_env) == 0
+        first = load_document(bench_env["out"])
+        cache = ResultCache(bench_env["cache"])
+        for cell in first["cells"]:
+            cache.put(cell["key"], {"result": {"__torn__": True}})
+        clear_memo()
+
+        assert bench(bench_env) == 0  # torn entries cost recomputes, not failures
+        second = load_document(bench_env["out"])
+        validate_document(second)
+        assert second["failures"] == []
+        assert all(c["source"] == "computed" for c in second["cells"])
+        assert result_payloads(second) == result_payloads(first)

@@ -92,7 +92,6 @@ def _cell(workload="compress", scheme="advanced", width=4, scale=None, **result)
         "partition_summary": {"nodes": 170, "fp_nodes": 20},
         "mix": {"total": 2000, "fp_executed": 250},
         "stats": {"cycles": 1000, "retired": 2000, "dcache_misses": 448},
-        "degraded": False,
         **result,
     }
     return {
@@ -143,15 +142,21 @@ class TestCompare:
         assert not report.ok
         assert report.mismatches == ["compress/advanced/4-way: checksum 42 -> 43"]
 
-    def test_baseline_without_degraded_reads_as_false(self):
-        baseline = _cell()
-        del baseline["result"]["degraded"]
-        report = compare_documents(_doc([_cell(degraded=False)]), _doc([baseline]))
-        assert report.ok and report.matched == 1
-        report = compare_documents(_doc([_cell(degraded=True)]), _doc([baseline]))
-        assert report.mismatches == [
-            "compress/advanced/4-way: degraded False -> True"
-        ]
+    def test_retired_degraded_field_is_ignored(self, document):
+        """Documents written while results carried a ``degraded`` flag
+        still validate and compare equal to current ones."""
+        import copy
+
+        legacy = copy.deepcopy(document)
+        for cell in legacy["cells"]:
+            cell["result"]["degraded"] = False
+        validate_document(legacy)
+        assert "degraded" not in result_to_dict(
+            result_from_dict(legacy["cells"][0]["result"])
+        )
+        for current, baseline in ((document, legacy), (legacy, document)):
+            report = compare_documents(current, baseline)
+            assert report.ok and report.matched == 2
 
     def test_cell_missing_from_current_fails(self):
         report = compare_documents(

@@ -1,4 +1,4 @@
-"""The pipeline's own resource safety nets (no injection involved).
+"""The pipeline's own resource safety nets.
 
 ``FuelExhausted`` (interpreter dynamic-instruction budget) and
 ``SimulationError`` (timing-simulator cycle limit) are the two guards
@@ -8,18 +8,22 @@ tripped cell leaves no partial statistics in the memo or on disk.
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
+from repro.bench import harness
 from repro.bench.cache import ResultCache
 from repro.bench.harness import run_cells
 from repro.bench.matrix import Cell
 from repro.errors import ExecutionError, FuelExhausted, ReproError, SimulationError
+from repro.experiments import runner
 from repro.runtime.interp import run_program
 from repro.sim.config import four_way
 from repro.sim.pipeline import TimingSimulator
 from repro.workloads import compile_workload
 
-from tests.faults.conftest import SMALL
+from .conftest import SMALL, script_cells, under_patch
 
 
 class TestFuelExhausted:
@@ -49,15 +53,32 @@ class TestSimulationCycleLimit:
         assert SimulationError.stage == "simulate"
 
 
-class TestNoPartialStateOnTrip:
-    def test_tripped_cell_leaks_nothing(self, monkeypatch, tmp_path):
-        """A cell failing mid-pipeline must leave memo and disk cache as
-        if it had never run, while its sibling lands normally."""
-        from repro.bench import harness
+#: guard -> (patch tripping it, the error it raises, that error's stage)
+GUARDS = {
+    "fuel": (
+        (runner, "run_program", functools.partial(run_program, fuel=10)),
+        FuelExhausted,
+        "execute",
+    ),
+    "max_cycles": (
+        (
+            TimingSimulator,
+            "run",
+            functools.partialmethod(TimingSimulator.run, max_cycles=1),
+        ),
+        SimulationError,
+        "simulate",
+    ),
+}
 
-        monkeypatch.setenv(
-            "REPRO_FAULTS", "simulate:error:type=SimulationError:match=m88ksim"
-        )
+
+class TestNoPartialStateOnTrip:
+    @pytest.mark.parametrize("guard", sorted(GUARDS))
+    def test_tripped_cell_leaks_nothing(self, monkeypatch, tmp_path, guard):
+        """A cell tripping a guard mid-pipeline leaves memo and disk cache
+        as if it had never run, while its sibling lands normally."""
+        patch, error, stage = GUARDS[guard]
+        script_cells(monkeypatch, "m88ksim", under_patch(*patch))
         cells = [
             Cell("compress", "conventional", 4, SMALL["compress"]),
             Cell("m88ksim", "conventional", 4, SMALL["m88ksim"]),
@@ -66,8 +87,8 @@ class TestNoPartialStateOnTrip:
         good, bad = run_cells(cells, cache=cache)
 
         assert good.ok and bad.status == "failed"
-        assert bad.error.type == "SimulationError"
-        assert bad.error.stage == "simulate"
+        assert bad.error.type == error.__name__
+        assert bad.error.stage == stage
         assert bad.result is None
         assert bad.key not in harness._MEMO
         assert cache.get(bad.key) is None

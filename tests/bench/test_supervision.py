@@ -3,8 +3,7 @@ fields the retired supervisor layers used to add.
 
 Pool tests rely on Linux ``fork`` semantics: a ``monkeypatch`` of
 ``repro.bench.harness.compute_cell`` in the parent is inherited by the
-workers, so slow cells can be scripted without fault-injection
-plumbing.
+workers, so slow cells can be scripted in the test itself.
 """
 
 from __future__ import annotations

@@ -115,8 +115,8 @@ class TestCli:
 
         codes = list(EXIT_CODES.values())
         assert len(set(codes)) == len(codes)
-        # 22 and 24 are retired codes that must never be reassigned
-        reserved = {0, 2, EXIT_IO, EXIT_BENCH_FAILURES, 22, 24}
+        # 20, 22 and 24 are retired codes that must never be reassigned
+        reserved = {0, 2, EXIT_IO, EXIT_BENCH_FAILURES, 20, 22, 24}
         assert reserved.isdisjoint(set(codes))
 
     @pytest.mark.parametrize("command", ["serve", "loadgen"])

@@ -26,7 +26,7 @@ from repro.experiments.runner import prepare_program
 from repro.trace.pack import program_fingerprint
 out = {}
 for name, scale, scheme in json.loads(sys.argv[1]):
-    artifacts = prepare_program(name, scheme, scale=scale, degrade=False)
+    artifacts = prepare_program(name, scheme, scale=scale)
     out[f"{name}@{scale}/{scheme}"] = program_fingerprint(artifacts.program)
 print(json.dumps(out))
 """

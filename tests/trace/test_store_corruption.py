@@ -3,7 +3,8 @@
 Truncation, bit flips, wrong format versions, foreign byte order,
 stale code fingerprints and a ``meta`` naming another cell must all be
 *rejected* by the read path, and the caller must fall back to fresh
-interpretation with a correct result.  Keys are machine-independent
+interpretation with a correct result, repair the store, and leave
+sibling cells untouched.  Keys are machine-independent
 (that is the whole point) but sensitive to everything upstream of the
 simulator.
 """
@@ -12,6 +13,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.harness import clear_memo, run_cells
+from repro.bench.matrix import Cell
 from repro.bench.results import result_to_dict
 from repro.errors import TracePackError
 from repro.experiments.runner import run_benchmark
@@ -161,6 +164,14 @@ class TestPool:
         assert len(pool) == 0 and pool.get("a") is None
 
 
+def _flip_stored_pack(root, key) -> None:
+    """Flip one byte in the middle of the stored pack for ``key``."""
+    path = TraceStore(root).path_for(key)
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
 class TestFallback:
     """Damaged store contents must never change benchmark results."""
 
@@ -201,15 +212,49 @@ class TestFallback:
         fresh = run_benchmark("compress", "conventional", scale=SCALE)
         clear_trace_pool()
 
-        key = trace_key("compress", "conventional", SCALE)
-        path = TraceStore(tmp_path).path_for(key)
-        data = bytearray(path.read_bytes())
-        data[len(data) // 2] ^= 0xFF
-        path.write_bytes(bytes(data))
+        _flip_stored_pack(tmp_path, trace_key("compress", "conventional", SCALE))
 
         again = run_benchmark("compress", "conventional", scale=SCALE)
         assert again.checksum == fresh.checksum
         assert again.stats.to_counters() == fresh.stats.to_counters()
+
+    def test_no_sibling_contamination(self, tmp_path, monkeypatch):
+        """Flipped compress packs cost compress a re-interpretation and
+        leave every m88ksim cell untouched."""
+        monkeypatch.setenv(TRACE_CACHE_ENV, str(tmp_path))
+        cells = [
+            Cell(name, scheme, 4, scale)
+            for name, scale in (("compress", SCALE), ("m88ksim", 2))
+            for scheme in ("conventional", "basic")
+        ]
+        clean = {o.key: result_to_dict(o.unwrap()) for o in run_cells(cells)}
+        clear_memo()
+        clear_trace_pool()
+
+        flipped = [trace_key("compress", s, SCALE) for s in ("conventional", "basic")]
+        for key in flipped:
+            _flip_stored_pack(tmp_path, key)
+        outcomes = run_cells(cells)
+        assert all(o.ok for o in outcomes)
+        for outcome in outcomes:
+            assert result_to_dict(outcome.result) == clean[outcome.key]
+        assert all(TraceStore(tmp_path).get(key) is not None for key in flipped)
+
+    def test_fallback_repairs_the_store(self, tmp_path, monkeypatch):
+        """The re-interpreted pack is republished: the next run replays
+        it from disk without preparing the program."""
+        monkeypatch.setenv(TRACE_CACHE_ENV, str(tmp_path))
+        fresh = run_benchmark("compress", "conventional", scale=SCALE)
+        clear_trace_pool()
+        key = trace_key("compress", "conventional", SCALE)
+        _flip_stored_pack(tmp_path, key)
+        run_benchmark("compress", "conventional", scale=SCALE)
+        clear_trace_pool()
+
+        assert TraceStore(tmp_path).get(key) is not None
+        monkeypatch.setattr("repro.experiments.runner.compile_workload", None)
+        again = run_benchmark("compress", "conventional", scale=SCALE)
+        assert result_to_dict(again) == result_to_dict(fresh)
 
     def test_disk_replay_is_bit_identical(self, tmp_path, monkeypatch):
         monkeypatch.setenv(TRACE_CACHE_ENV, str(tmp_path))
