@@ -218,6 +218,29 @@ class TestFallback:
         assert again.checksum == fresh.checksum
         assert again.stats.to_counters() == fresh.stats.to_counters()
 
+    def test_corrupt_read_costs_reinterpretation(self, tmp_path, monkeypatch):
+        """Bytes damaged between disk and decoder (the file itself intact)
+        cost one re-interpretation, never a wrong result."""
+        monkeypatch.setenv(TRACE_CACHE_ENV, str(tmp_path))
+        fresh = run_benchmark("compress", "conventional", scale=SCALE)
+        clear_trace_pool()
+
+        reads = []
+        intact_read = TraceStore._read
+
+        def damaged_once(self, key):
+            data = intact_read(self, key)
+            reads.append(key)
+            if data is None or len(reads) > 1:
+                return data
+            return bytes(b ^ 0x5A for b in data)
+
+        monkeypatch.setattr(TraceStore, "_read", damaged_once)
+        again = run_benchmark("compress", "conventional", scale=SCALE)
+        assert reads, "the run never read the stored pack"
+        assert again.checksum == fresh.checksum
+        assert again.stats.to_counters() == fresh.stats.to_counters()
+
     def test_no_sibling_contamination(self, tmp_path, monkeypatch):
         """Flipped compress packs cost compress a re-interpretation and
         leave every m88ksim cell untouched."""
