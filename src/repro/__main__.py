@@ -97,36 +97,31 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_partition(args: argparse.Namespace) -> int:
-    from repro.partition.advanced import advanced_partition
-    from repro.partition.basic import basic_partition
-    from repro.partition.interproc import decide_fp_arguments
-    from repro.partition.partition import partition_stats
+    from repro.partition.program import audit_and_rewrite, plan_partitions
     from repro.partition.report import annotate_partition, offload_by_opcode
 
     program = _compile(args)
     profile = _profile_for(program, args.profile) if args.scheme == "advanced" else None
-    partitions = {}
-    for name, func in program.functions.items():
-        if args.scheme == "basic":
-            partitions[name] = basic_partition(func)
-        else:
-            partitions[name] = advanced_partition(
-                func, profile=profile, balance_limit=args.balance_limit
-            )
+    result = plan_partitions(
+        program,
+        args.scheme,
+        profile=profile,
+        balance_limit=args.balance_limit,
+        interprocedural=args.interprocedural,
+    )
     if args.interprocedural:
-        decisions = decide_fp_arguments(program, partitions)
-        for callee, indices in sorted(decisions.fp_params.items()):
+        for callee, indices in sorted(result.decisions.fp_params.items()):
             print(
                 f"interprocedural: {callee} receives parameter(s) "
                 f"{sorted(indices)} in FP registers"
             )
-        if not decisions.fp_params:
+        if not result.decisions.fp_params:
             print("interprocedural: no safe FP-argument opportunities found")
         print()
     for func in program.functions.values():
-        partition = partitions[func.name]
+        partition = result.partitions[func.name]
         print(annotate_partition(func, partition))
-        stats = partition_stats(partition)
+        stats = result.stats[func.name]
         print(
             f"  -> {stats['offloaded_instructions']} offloaded, "
             f"{stats['copies']} copies, {stats['dups']} duplicates, "
@@ -138,46 +133,19 @@ def cmd_partition(args: argparse.Namespace) -> int:
             print(f"  -> opcodes: {ops}")
         print()
     if args.verify:
-        from repro.ir.verify import verify_program
-        from repro.lint import lint_program, partition_rule_ids, render_text
-        from repro.partition.rewrite import apply_partition
+        from repro.lint import render_text
 
-        result = lint_program(
-            program,
-            partitions=partitions,
-            profile=profile,
-            scheme=args.scheme,
-            rules=partition_rule_ids(),
-        )
-        for name, func in program.functions.items():
-            kwargs = {}
-            if args.interprocedural:
-                kwargs = dict(
-                    fp_params=decisions.fp_params.get(name),
-                    fp_call_args=decisions.fp_call_args.get(name),
-                    skip_back_copies=decisions.dropped_back_copies.get(name),
-                    skip_param_copies=decisions.dropped_param_copies.get(name),
-                )
-            apply_partition(func, partitions[name], **kwargs)
-        verify_program(program)
-        result.extend(lint_program(program, scheme=args.scheme))
-        result.finalize()
-        if result.diagnostics:
-            print(render_text(result))
+        lint = audit_and_rewrite(program, result, lint=True).lint
+        if lint.diagnostics:
+            print(render_text(lint))
         else:
             print("verify: structural checks and all lint rules clean")
-        return 0 if result.ok else 1
+        return 0 if lint.ok else 1
     return 0
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint import (
-        Severity,
-        lint_program,
-        partition_rule_ids,
-        render_json,
-        render_text,
-    )
+    from repro.lint import Severity, lint_program, render_json, render_text
 
     program = _compile(args)
     rules = [r for r in args.rules.split(",") if r.strip()] if args.rules else None
@@ -185,43 +153,11 @@ def cmd_lint(args: argparse.Namespace) -> int:
     if args.scheme == "none":
         result = lint_program(program, rules=rules)
     else:
-        from repro.ir.verify import verify_program
-        from repro.partition.advanced import advanced_partition
-        from repro.partition.basic import basic_partition
-        from repro.partition.rewrite import apply_partition
+        from repro.partition.program import audit_and_rewrite, plan_partitions
 
         profile = _profile_for(program, args.profile) if args.scheme == "advanced" else None
-        partitions = {}
-        for name, func in program.functions.items():
-            if args.scheme == "basic":
-                partitions[name] = basic_partition(func)
-            else:
-                partitions[name] = advanced_partition(func, profile=profile)
-        partition_only = partition_rule_ids()
-        pre_rules = (
-            [r for r in rules if r in partition_only]
-            if rules is not None
-            else partition_only
-        )
-        result = lint_program(
-            program,
-            partitions=partitions,
-            profile=profile,
-            scheme=args.scheme,
-            rules=pre_rules,
-        )
-        for name, func in program.functions.items():
-            apply_partition(func, partitions[name])
-        verify_program(program)
-        post_rules = (
-            [r for r in rules if r not in partition_only]
-            if rules is not None
-            else None
-        )
-        result.extend(
-            lint_program(program, scheme=args.scheme, rules=post_rules)
-        )
-        result.finalize()
+        plan = plan_partitions(program, args.scheme, profile=profile)
+        result = audit_and_rewrite(program, plan, lint=True, rules=rules).lint
     print(render_json(result) if args.json else render_text(result))
     return 1 if result.failed(fail_on) else 0
 
@@ -229,8 +165,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     import json
 
-    from repro.analysis.freq import static_profile
-    from repro.analysis.profilecmp import compare_profiles
     from repro.analysis.warnings import analyze_program
     from repro.lint import Severity
     from repro.minic.compile import compile_source
@@ -257,29 +191,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "warnings": [w.to_dict() for w in warnings],
         }
         if args.compare_profile:
-            from repro.partition.advanced import advanced_partition
-            from repro.partition.partition import partition_stats
-            from repro.runtime.interp import run_program
+            from repro.experiments.profile_agreement import compare_program
 
-            static = static_profile(program)
-            measured = run_program(program).profile
-            agreement = compare_profiles(program, static, measured)
-            offload_static = offload_measured = 0
-            intersection = union = 0
-            for func in program.functions.values():
-                part_s = advanced_partition(func, profile=static)
-                part_m = advanced_partition(func, profile=measured)
-                offload_static += partition_stats(part_s)["offloaded_instructions"]
-                offload_measured += partition_stats(part_m)["offloaded_instructions"]
-                intersection += len(part_s.fp & part_m.fp)
-                union += len(part_s.fp | part_m.fp)
-            entry["agreement"] = agreement.to_dict()
+            row = compare_program(program, label)
+            entry["agreement"] = row.agreement.to_dict()
             entry["partition_impact"] = {
-                "offloaded_static": offload_static,
-                "offloaded_measured": offload_measured,
-                "decision_agreement": round(
-                    intersection / union if union else 1.0, 6
-                ),
+                "offloaded_static": row.offloaded_static,
+                "offloaded_measured": row.offloaded_measured,
+                "decision_agreement": round(row.decision_agreement, 6),
             }
         documents.append(entry)
 
@@ -349,10 +268,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             )
             # with --verify, partition_program also runs the linter on the
             # partitions and the rewritten IR, raising on any error.
-            partition_program(
-                program, scheme, profile=profile,
-                lint=True if args.verify else None,
-            )
+            partition_program(program, scheme, profile=profile, lint=args.verify)
         allocate_program(program)
         return program
 

@@ -23,23 +23,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.freq import static_profile
-from repro.analysis.profilecmp import compare_profiles
-from repro.partition.advanced import advanced_partition
-from repro.partition.partition import partition_stats
+from repro.analysis.profilecmp import ProfileAgreement, compare_profiles
+from repro.ir.program import Program
+from repro.partition.program import plan_partitions
 from repro.runtime.interp import run_program
 from repro.workloads import WORKLOADS, compile_workload
 
 
 @dataclass(frozen=True, slots=True)
 class AgreementRow:
-    """Static-profile quality figures for one benchmark."""
+    """Static-profile quality figures for one program."""
 
     benchmark: str
-    weighted_overlap: float
-    hottest_match_fraction: float
+    agreement: ProfileAgreement
     offloaded_static: int
     offloaded_measured: int
+    #: Jaccard agreement of the FPa sets, pooled over all functions.
     decision_agreement: float
+
+    @property
+    def weighted_overlap(self) -> float:
+        return self.agreement.weighted_overlap
+
+    @property
+    def hottest_match_fraction(self) -> float:
+        return self.agreement.hottest_match_fraction
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -52,30 +60,30 @@ class AgreementRow:
         }
 
 
-def characterize(name: str, scale: int | None = None) -> AgreementRow:
-    """Compare static against measured profiles for one benchmark."""
-    program = compile_workload(name, scale)
+def compare_program(program: Program, label: str) -> AgreementRow:
+    """Profile ``program`` statically and by running it, and partition it
+    (advanced scheme) under each profile."""
     static = static_profile(program)
     measured = run_program(program).profile
-    agreement = compare_profiles(program, static, measured)
-
-    offload_static = offload_measured = 0
+    by_static = plan_partitions(program, "advanced", profile=static)
+    by_measured = plan_partitions(program, "advanced", profile=measured)
     intersection = union = 0
-    for func in program.functions.values():
-        part_s = advanced_partition(func, profile=static)
-        part_m = advanced_partition(func, profile=measured)
-        offload_static += partition_stats(part_s)["offloaded_instructions"]
-        offload_measured += partition_stats(part_m)["offloaded_instructions"]
+    for name, part_s in by_static.partitions.items():
+        part_m = by_measured.partitions[name]
         intersection += len(part_s.fp & part_m.fp)
         union += len(part_s.fp | part_m.fp)
     return AgreementRow(
-        benchmark=name,
-        weighted_overlap=agreement.weighted_overlap,
-        hottest_match_fraction=agreement.hottest_match_fraction,
-        offloaded_static=offload_static,
-        offloaded_measured=offload_measured,
+        benchmark=label,
+        agreement=compare_profiles(program, static, measured),
+        offloaded_static=by_static.total("offloaded_instructions"),
+        offloaded_measured=by_measured.total("offloaded_instructions"),
         decision_agreement=intersection / union if union else 1.0,
     )
+
+
+def characterize(name: str, scale: int | None = None) -> AgreementRow:
+    """Compare static against measured profiles for one benchmark."""
+    return compare_program(compile_workload(name, scale), name)
 
 
 def run(

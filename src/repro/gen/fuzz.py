@@ -10,10 +10,11 @@ Oracle invariants, per program:
 
 ``compile``      both schemes compile, partition, rewrite, register-
                  allocate and pass the IR verifier
-``lint``         lint-clean under all 8 rules: the partition-level rules
-                 pre-rewrite, the full dataflow rules post-rewrite
-``certify``      every advanced partition passes the independent §6.1
-                 re-pricing (Profit >= -eps), priced with the *audit*
+``lint``         lint-clean under the other 7 rules: the partition-level
+                 rules pre-rewrite, the full dataflow rules post-rewrite
+``certify``      every partition passes the independent §6.1 re-pricing
+                 of rule ``profit-certification`` (Profit >= -eps; each
+                 failure reported once), priced with the *audit*
                  cost params — normally the partitioner's own, but a
                  deliberately skewed set in ``--inject-cost-bug`` mode,
                  which must make the fuzzer report violations (the
@@ -28,6 +29,9 @@ Oracle invariants, per program:
 ``profit-bound`` advanced never loses to basic by more than the copy
                  overhead it added plus a small modelling slack:
                  ``cycles_adv <= cycles_basic + o_copy * added + slack``
+
+A scheme whose partitions fail certification or the pre-rewrite lint is
+not rewritten and not run, so the checks after ``certify`` skip it.
 """
 
 from __future__ import annotations
@@ -41,13 +45,12 @@ from repro.gen.build import BuildConfig, build_program
 from repro.ir.program import Program
 from repro.ir.verify import verify_program
 from repro.lint.registry import Severity, partition_rule_ids
-from repro.lint.runner import lint_program
 from repro.minic.compile import compile_source
 from repro.partition.cost import CostParams, ExecutionProfile
 from repro.partition.program import (
-    advanced_partition,
-    apply_partition,
-    basic_partition,
+    CERTIFY_RULE,
+    audit_and_rewrite,
+    plan_partitions,
 )
 from repro.regalloc.linear_scan import allocate_program
 from repro.runtime.interp import run_program
@@ -195,7 +198,10 @@ class DifferentialOracle:
             if scheme != "conventional":
                 if profile is None:
                     profile = run_program(program, fuel=self.fuel).profile
-                self._partition_and_audit(program, scheme, profile, run, violations)
+                if not self._partition_and_audit(
+                    program, scheme, profile, run, violations
+                ):
+                    return None
             allocate_program(program)
             verify_program(program)
         except ReproError as exc:
@@ -231,55 +237,30 @@ class DifferentialOracle:
         profile: ExecutionProfile,
         run: _SchemeRun,
         violations: list[Violation],
-    ) -> None:
-        """Partition + certify + lint + rewrite, auditing with
-        ``audit_params`` (the partitioner itself uses ``params``)."""
-        from repro.analysis.certify import certify_partition
+    ) -> bool:
+        """The shared partition pipeline with every lint rule, auditing
+        with ``audit_params`` (the partitioner itself uses ``params``).
 
-        partitions = {}
-        for name, func in program.functions.items():
-            if scheme == "basic":
-                partitions[name] = basic_partition(func)
-            else:
-                partitions[name] = advanced_partition(
-                    func, profile=profile, params=self.params
-                )
-        # pre-rewrite: partition-level rules, priced with the audit params
-        pre = lint_program(
-            program,
-            partitions=partitions,
-            profile=profile,
-            params=self.audit_params,
-            scheme=scheme,
-            rules=partition_rule_ids(),
-        )
-        self._collect_lint(pre, f"{scheme}/pre-rewrite", violations)
-        if scheme == "advanced":
-            for name in program.functions:
-                certificate = certify_partition(
-                    partitions[name], profile=profile, params=self.audit_params
-                )
-                if not certificate.ok:
-                    for message, _ in certificate.violations:
-                        violations.append(
-                            Violation("certify", f"{name}: {message}")
-                        )
-        for name, func in program.functions.items():
-            stats = apply_partition(func, partitions[name])
-            run.copies_added += (
-                stats.copies_inserted + stats.dups_inserted + stats.back_copies_inserted
-            )
-        verify_program(program)
-        post = lint_program(program, scheme=scheme)
-        self._collect_lint(post, f"{scheme}/post-rewrite", violations)
-
-    @staticmethod
-    def _collect_lint(result, where: str, violations: list[Violation]) -> None:
-        for diag in result.diagnostics:
-            if diag.severity >= Severity.ERROR:
+        Records each certification failure once, as ``certify``, and
+        every other error diagnostic as ``lint``.  Returns whether the
+        partitions passed their audit and were applied.
+        """
+        result = plan_partitions(program, scheme, profile=profile, params=self.params)
+        audit_and_rewrite(program, result, audit_params=self.audit_params, lint=True)
+        for name, messages in result.uncertified.items():
+            violations += [Violation("certify", f"{name}: {msg}") for msg in messages]
+        pre_rewrite = partition_rule_ids()
+        for diag in result.lint.diagnostics:
+            if diag.severity >= Severity.ERROR and diag.rule != CERTIFY_RULE:
+                stage = "pre-rewrite" if diag.rule in pre_rewrite else "post-rewrite"
                 violations.append(
-                    Violation("lint", f"{where}: {diag.rule}: {diag.message}")
+                    Violation("lint", f"{scheme}/{stage}: {diag.rule}: {diag.message}")
                 )
+        run.copies_added = sum(
+            stats.copies_inserted + stats.dups_inserted + stats.back_copies_inserted
+            for stats in result.rewrites.values()
+        )
+        return bool(result.rewrites)
 
     # -- the oracle -------------------------------------------------------
     def check_source(self, source: str, seed: int = -1) -> FuzzCase:

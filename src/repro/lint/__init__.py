@@ -28,13 +28,15 @@ value-range               interval/origin abstract interpretation: no
                           and non-constant
 ========================  =============================================
 
-Typical use::
+Typical use, through the partition pipeline (which runs the
+partition-level rules before the rewrite and the rest after it)::
 
-    from repro.lint import lint_program, render_text
+    from repro.lint import render_text
+    from repro.partition.program import audit_and_rewrite, plan_partitions
 
-    result = lint_program(program, partitions=parts, scheme="advanced")
-    if not result.ok:
-        print(render_text(result))
+    result = audit_and_rewrite(program, plan_partitions(program), lint=True)
+    if not result.lint.ok:
+        print(render_text(result.lint))
 """
 
 from repro.lint.diagnostics import Diagnostic, LintResult, Severity

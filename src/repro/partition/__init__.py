@@ -15,7 +15,8 @@ partition:
 :func:`repro.partition.rewrite.apply_partition` rewrites the function,
 replacing offloaded opcodes with their ``.a`` twins, converting memory
 ops whose data lives in the FP file to ``l.s``/``s.s``, and materializing
-copies and duplicates.
+copies and duplicates.  :mod:`repro.partition.program` is the one
+pipeline that partitions, audits and rewrites a whole program.
 """
 
 from repro.partition.partition import Partition, check_partition, partition_stats

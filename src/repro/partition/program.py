@@ -1,24 +1,24 @@
-"""Whole-program partitioning orchestration.
+"""The partition pipeline: the one code path that partitions, audits and
+rewrites a whole program, in two steps.
 
-Per-function partitioning plus, optionally, the interprocedural
-FP-argument extension (§6.6 future work).  The published pipeline is::
+:func:`plan_partitions` partitions every function (§5 basic or §6
+advanced) and makes the §6.6 interprocedural decisions.  Decisions must
+be made while every function's RDG is still valid, so it leaves the
+program unchanged.  :func:`audit_and_rewrite` certifies every advanced
+partition once with the independent §6.1 re-pricing (through the
+``profit-certification`` lint rule when linting, by calling
+:func:`~repro.analysis.certify.certify_partition` otherwise), runs the
+selected lint rules, then rewrites and verifies, returning its findings
+as data.  :func:`partition_program` composes the two and raises on any
+finding::
 
     result = partition_program(program, scheme="advanced", profile=profile)
-
-and with the extension::
-
-    result = partition_program(program, scheme="advanced",
-                               profile=profile, interprocedural=True)
-
-Decisions must be made while every function's RDG is still valid, so all
-partitions are computed first, then the interprocedural analysis runs,
-then every function is rewritten.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.errors import PartitionError, ReproError
 from repro.ir.program import Program
@@ -30,15 +30,29 @@ from repro.partition.interproc import FpArgDecisions, decide_fp_arguments
 from repro.partition.partition import Partition, partition_stats
 from repro.partition.rewrite import RewriteStats, apply_partition
 
+if TYPE_CHECKING:
+    from repro.lint.diagnostics import LintResult
+
+#: The lint rule that certifies partitions when the pipeline lints.
+CERTIFY_RULE = "profit-certification"
+
 
 @dataclass(eq=False, slots=True)
 class ProgramPartitionResult:
-    """Everything produced by :func:`partition_program`."""
+    """A whole-program partition plan and what auditing it found."""
 
+    scheme: str = "advanced"
+    profile: ExecutionProfile | None = None
+    params: CostParams | None = None
     partitions: dict[str, Partition] = field(default_factory=dict)
-    rewrites: dict[str, RewriteStats] = field(default_factory=dict)
     stats: dict[str, dict[str, int]] = field(default_factory=dict)
     decisions: FpArgDecisions | None = None
+    #: Function -> rewrite statistics; empty when nothing was rewritten.
+    rewrites: dict[str, RewriteStats] = field(default_factory=dict)
+    #: Function -> why its partition failed profit certification.
+    uncertified: dict[str, list[str]] = field(default_factory=dict)
+    #: Pre- and post-rewrite diagnostics in one result, when linted.
+    lint: LintResult | None = None
 
     def total(self, key: str) -> int:
         """Sum a :func:`partition_stats` field over all functions
@@ -51,109 +65,87 @@ class ProgramPartitionResult:
         return self.decisions.copies_eliminated() if self.decisions else 0
 
 
-def _raise_on_lint_errors(result, stage: str) -> None:
-    if result.ok:
-        return
-    from repro.lint.render import render_text
-
-    raise ReproError(f"{stage} lint failed:\n{render_text(result)}")
-
-
-def partition_program(
+def plan_partitions(
     program: Program,
     scheme: str = "advanced",
     profile: ExecutionProfile | None = None,
     params: CostParams | None = None,
     balance_limit: float | None = None,
     interprocedural: bool = False,
-    lint: bool | None = None,
-    certify: bool = True,
-    static_profile: bool = False,
 ) -> ProgramPartitionResult:
-    """Partition and rewrite every function of ``program`` in place.
+    """Partition every function of ``program`` without changing it.
 
-    Args:
-        program: Program to transform (virtual-register IR).
-        scheme: ``"basic"`` or ``"advanced"``.
-        profile: Basic-block profile for the advanced cost model.
-        params: Cost parameters for the advanced scheme.
-        balance_limit: Optional FPa load cap (§6.6 extension).
-        interprocedural: Enable FP-argument passing (§6.6 extension;
-            advanced scheme only — the basic scheme may not add copies,
-            so it cannot exploit relaxed conventions).
-        lint: Run the partition linter as a debug check: the
-            partition-level rules before rewriting and the full
-            dataflow rules after, raising :class:`ReproError` on any
-            error diagnostic.  ``None`` (the default) enables linting
-            when the ``REPRO_LINT`` environment variable is non-empty.
-        certify: Audit every advanced partition with the independent
-            §6.1 re-pricing (:func:`repro.analysis.certify.certify_partition`)
-            before rewriting, raising :class:`PartitionError` when the
-            partitioner's bookkeeping fails certification.  On by
-            default; cheap relative to the rewrite itself.
-        static_profile: Derive the profile statically with
-            :func:`repro.analysis.freq.static_profile` instead of
-            requiring a measured one (mutually exclusive with
-            ``profile``).
-
-    Returns:
-        A :class:`ProgramPartitionResult`; the program is verified after
-        rewriting.
+    ``balance_limit`` caps the FPa load and ``interprocedural`` decides
+    FP-argument passing (the §6.6 extensions; the latter needs the
+    advanced scheme, since the basic scheme may not add copies).
     """
     if scheme not in ("basic", "advanced"):
         raise ReproError(f"unknown scheme {scheme!r}")
     if interprocedural and scheme != "advanced":
         raise ReproError("the interprocedural extension requires the advanced scheme")
-    if static_profile:
-        if profile is not None:
-            raise ReproError("static_profile and an explicit profile are exclusive")
-        from repro.analysis.freq import static_profile as estimate_static
-
-        profile = estimate_static(program)
-    if lint is None:
-        lint = bool(os.environ.get("REPRO_LINT"))
-
-    result = ProgramPartitionResult()
+    result = ProgramPartitionResult(scheme=scheme, profile=profile, params=params)
     for name, func in program.functions.items():
         if scheme == "basic":
-            result.partitions[name] = basic_partition(func)
+            partition = basic_partition(func)
         else:
-            result.partitions[name] = advanced_partition(
+            partition = advanced_partition(
                 func, profile=profile, params=params, balance_limit=balance_limit
             )
-        result.stats[name] = partition_stats(result.partitions[name])
-
-    if certify and scheme == "advanced":
-        from repro.analysis.certify import certify_partition
-
-        for name in program.functions:
-            certificate = certify_partition(
-                result.partitions[name], profile=profile, params=params
-            )
-            if not certificate.ok:
-                details = "\n".join(f"  - {msg}" for msg, _ in certificate.violations)
-                raise PartitionError(
-                    f"partition of {name!r} failed independent profit "
-                    f"certification:\n{details}"
-                )
-
+        result.partitions[name] = partition
+        result.stats[name] = partition_stats(partition)
     if interprocedural:
         result.decisions = decide_fp_arguments(program, result.partitions)
+    return result
 
+
+def audit_and_rewrite(
+    program: Program,
+    result: ProgramPartitionResult,
+    audit_params: CostParams | None = None,
+    lint: bool = False,
+    rules: list[str] | None = None,
+) -> ProgramPartitionResult:
+    """Certify, lint, rewrite and verify the planned ``result`` in place.
+
+    ``audit_params`` prices certification and lint (the plan's own
+    params by default; the fuzz oracle's ``--inject-cost-bug`` skews
+    them).  ``rules`` restricts linting, and certification with it, to
+    the given rule ids.  When certification or the pre-rewrite lint
+    finds an error the program is not rewritten; a rewrite that fails
+    the IR verifier raises.
+    """
+    params = result.params if audit_params is None else audit_params
     if lint:
         from repro.lint import lint_program, partition_rule_ids
 
-        _raise_on_lint_errors(
-            lint_program(
-                program,
-                partitions=result.partitions,
-                profile=profile,
-                params=params,
-                scheme=scheme,
-                rules=partition_rule_ids(),
-            ),
-            "pre-rewrite",
+        partition_only = partition_rule_ids()
+        pre_rules = (
+            partition_only
+            if rules is None
+            else [r for r in rules if r in partition_only]
         )
+        result.lint = lint_program(
+            program,
+            partitions=result.partitions,
+            profile=result.profile,
+            params=params,
+            scheme=result.scheme,
+            rules=pre_rules,
+        )
+        for diag in result.lint.diagnostics:
+            if diag.rule == CERTIFY_RULE:
+                result.uncertified.setdefault(diag.function, []).append(diag.message)
+    elif result.scheme == "advanced":
+        from repro.analysis.certify import certify_partition
+
+        for name, partition in result.partitions.items():
+            certificate = certify_partition(
+                partition, profile=result.profile, params=params
+            )
+            if not certificate.ok:
+                result.uncertified[name] = [msg for msg, _ in certificate.violations]
+    if result.uncertified or (lint and not result.lint.ok):
+        return result
 
     decisions = result.decisions
     for name, func in program.functions.items():
@@ -170,9 +162,50 @@ def partition_program(
         )
     verify_program(program)
     if lint:
-        from repro.lint import lint_program
+        post_rules = (
+            None if rules is None else [r for r in rules if r not in partition_only]
+        )
+        post = lint_program(program, scheme=result.scheme, rules=post_rules)
+        result.lint.extend(post)
+        result.lint.finalize()
+    return result
 
-        _raise_on_lint_errors(
-            lint_program(program, scheme=scheme), "post-rewrite"
+
+def partition_program(
+    program: Program,
+    scheme: str = "advanced",
+    profile: ExecutionProfile | None = None,
+    params: CostParams | None = None,
+    balance_limit: float | None = None,
+    interprocedural: bool = False,
+    lint: bool = False,
+) -> ProgramPartitionResult:
+    """Partition, certify and rewrite every function of ``program``;
+    ``lint=True`` also runs every lint rule as a debug check.
+
+    Raises:
+        PartitionError: A partition failed profit certification.
+        ReproError: The lint found an error.
+    """
+    result = plan_partitions(
+        program,
+        scheme,
+        profile=profile,
+        params=params,
+        balance_limit=balance_limit,
+        interprocedural=interprocedural,
+    )
+    audit_and_rewrite(program, result, lint=lint)
+    if result.lint is not None and not result.lint.ok:
+        from repro.lint.render import render_text
+
+        error = PartitionError if result.uncertified else ReproError
+        stage = "post-rewrite" if result.rewrites else "pre-rewrite"
+        raise error(f"{stage} lint failed:\n{render_text(result.lint)}")
+    for name, messages in result.uncertified.items():
+        details = "\n".join(f"  - {msg}" for msg in messages)
+        raise PartitionError(
+            f"partition of {name!r} failed independent profit "
+            f"certification:\n{details}"
         )
     return result

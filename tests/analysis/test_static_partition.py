@@ -1,15 +1,15 @@
 """End-to-end: profile-driven partitioning **without running the program**.
 
-``partition_program(..., static_profile=True)`` must produce partitions
-that are lint-clean, certified, semantics-preserving, and that retire
-legally on both simulated machines.
+``partition_program(..., profile=static_profile(program))`` must produce
+partitions that are lint-clean, certified, semantics-preserving, and that
+retire legally on both simulated machines.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import ReproError
+from repro.analysis.freq import static_profile
 from repro.partition.program import partition_program
 from repro.regalloc.linear_scan import allocate_program
 from repro.runtime.interp import run_program
@@ -24,20 +24,14 @@ def _static_partitioned(name: str):
     program = compile_workload(name, scale=SCALE)
     # lint=True raises on any error diagnostic: this asserts the
     # static-profile partitions stay clean under all eight rules
-    result = partition_program(program, "advanced", static_profile=True, lint=True)
+    result = partition_program(
+        program, "advanced", profile=static_profile(program), lint=True
+    )
     allocate_program(program)
     return program, result
 
 
 class TestStaticProfilePartition:
-    def test_exclusive_with_measured_profile(self):
-        program = compile_workload("compress", scale=SCALE)
-        profile = run_program(program).profile
-        with pytest.raises(ReproError, match="exclusive"):
-            partition_program(
-                program, "advanced", profile=profile, static_profile=True
-            )
-
     def test_semantics_preserved(self):
         baseline = run_program(compile_workload("compress", scale=SCALE))
         program, _ = _static_partitioned("compress")

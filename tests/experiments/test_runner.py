@@ -75,26 +75,6 @@ class TestProfileRuns:
         assert untraced == profile_runs
         assert (artifacts.profile is not None) == (profile_runs == 1)
 
-    def test_basic_lints_clean_without_profile(self, monkeypatch):
-        """Under ``REPRO_LINT`` the partitioner lints its basic partitions
-        with ``profile=None`` and raises on any error diagnostic."""
-        import repro.lint
-
-        linted = []
-        real_lint = repro.lint.lint_program
-
-        def recording_lint(program, **kwargs):
-            result = real_lint(program, **kwargs)
-            linted.append((kwargs.get("profile"), result.ok))
-            return result
-
-        monkeypatch.setattr(repro.lint, "lint_program", recording_lint)
-        monkeypatch.setenv("REPRO_LINT", "1")
-        artifacts = prepare_program("compress", "basic", scale=SCALE["compress"])
-        assert artifacts.profile is None
-        assert len(linted) == 2  # pre-rewrite partition rules + post-rewrite
-        assert linted == [(None, True), (None, True)]
-
 
 class TestRunBenchmark:
     def test_result_fields(self):

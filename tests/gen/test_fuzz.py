@@ -16,6 +16,8 @@ from repro.gen.fuzz import (
 )
 from repro.partition.cost import CostParams
 
+from tests.lint.test_pipeline import count_certifications
+
 
 def test_healthy_seeds_have_no_violations():
     report = fuzz_run(3, oracle=DifferentialOracle(simulate=False))
@@ -28,20 +30,24 @@ def test_full_oracle_including_timing_sim():
     assert case.ok, [str(v) for v in case.violations]
 
 
-def test_injected_cost_bug_is_caught():
+def test_injected_cost_bug_is_caught(monkeypatch):
     oracle = DifferentialOracle(
         audit_params=CostParams(o_copy=12.0, o_dupl=6.0),
         schemes=("advanced",),
         simulate=False,
     )
-    report = fuzz_run(3, oracle=oracle)
-    assert not report.ok
-    kinds = {
-        v.kind for case in report.failures for v in case.violations
-    }
-    assert "certify" in kinds
-    # the independent §6.1 re-pricing and the lint rule agree
-    assert "lint" in kinds
+    calls = count_certifications(monkeypatch)
+    failing = 0
+    for seed in range(3):
+        calls.clear()
+        case = oracle.check_source(build_program(seed), seed=seed)
+        assert {v.kind for v in case.violations} <= {"certify"}
+        uncertified = {v.detail.split(":")[0] for v in case.violations}
+        failing += len(uncertified)
+        # each failing function is certified once, and reported once
+        assert all(calls["advanced", name] == 1 for name in uncertified)
+        assert len({v.detail for v in case.violations}) == len(case.violations)
+    assert failing
 
 
 def test_raise_on_failures_uses_exit_code_25():

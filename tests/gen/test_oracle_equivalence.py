@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import repro.gen.fuzz as fuzz
+import repro.lint
 from repro.errors import ReproError
 from repro.gen.build import build_program
 from repro.gen.fuzz import DifferentialOracle, Violation
@@ -45,7 +46,7 @@ def _outcome(oracle, source, monkeypatch):
     """Violations, per-scheme results and every lint diagnostic."""
     diagnostics = []
     runs = {}
-    lint = fuzz.lint_program
+    lint = repro.lint.lint_program
     run_schemes = oracle._run_schemes
 
     def recording_lint(*args, **kwargs):
@@ -58,7 +59,8 @@ def _outcome(oracle, source, monkeypatch):
         return runs
 
     with monkeypatch.context() as patch:
-        patch.setattr(fuzz, "lint_program", recording_lint)
+        # the shared partition pipeline looks the linter up here
+        patch.setattr(repro.lint, "lint_program", recording_lint)
         patch.setattr(oracle, "_run_schemes", recording_run_schemes)
         case = oracle.check_source(source)
     results = {

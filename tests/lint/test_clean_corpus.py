@@ -8,13 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.ir.verify import verify_program
 from repro.lint import Severity, lint_program, partition_rule_ids, render_text
 from repro.minic.compile import compile_source
-from repro.partition.advanced import advanced_partition
-from repro.partition.basic import basic_partition
-from repro.partition.program import partition_program
-from repro.partition.rewrite import apply_partition
+from repro.partition.program import (
+    audit_and_rewrite,
+    partition_program,
+    plan_partitions,
+)
 from repro.workloads import WORKLOADS, compile_workload
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -29,20 +29,10 @@ def test_examples_exist():
 @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.stem)
 def test_examples_lint_clean(path, scheme):
     program = compile_source(path.read_text())
-    partitions = {}
-    for name, func in program.functions.items():
-        partitions[name] = (
-            basic_partition(func) if scheme == "basic" else advanced_partition(func)
-        )
-    pre = lint_program(
-        program, partitions=partitions, scheme=scheme, rules=partition_rule_ids()
-    )
-    assert not pre.diagnostics, render_text(pre)
-    for name, func in program.functions.items():
-        apply_partition(func, partitions[name])
-    verify_program(program)
-    post = lint_program(program, scheme=scheme)
-    assert not post.failed(Severity.WARNING), render_text(post)
+    result = audit_and_rewrite(program, plan_partitions(program, scheme), lint=True)
+    pre = [d for d in result.lint.diagnostics if d.rule in partition_rule_ids()]
+    assert not pre, render_text(result.lint)
+    assert not result.lint.failed(Severity.WARNING), render_text(result.lint)
 
 
 @pytest.mark.parametrize("scheme", ["basic", "advanced"])

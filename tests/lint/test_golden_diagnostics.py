@@ -3,8 +3,8 @@
 For each target — the ``examples/*.mc`` programs, every workload at its
 default scale and a fixed slice of generator seeds — :func:`target_record`
 lints the optimized program unpartitioned and under the basic and the
-advanced scheme (partition-level rules before the rewrite, the rest
-after it, as ``repro lint --scheme`` does), and records each diagnostic
+advanced scheme through the shared partition pipeline (partition-level
+rules before the rewrite, the rest after it), and records each diagnostic
 in order with every field.  It also records what the value-range
 analysis proves about every function of the unpartitioned and the two
 rewritten programs: the fixpoint's iteration count, each block's
@@ -27,12 +27,9 @@ import pytest
 from repro.analysis.valueclass import analyze_values
 from repro.gen.build import build_program
 from repro.ir.program import Program
-from repro.ir.verify import verify_program
-from repro.lint import lint_program, partition_rule_ids
+from repro.lint import lint_program
 from repro.minic.compile import compile_source
-from repro.partition.advanced import advanced_partition
-from repro.partition.basic import basic_partition
-from repro.partition.rewrite import apply_partition
+from repro.partition.program import audit_and_rewrite, plan_partitions
 from repro.workloads import WORKLOADS, workload_source
 
 from tests.opt.test_golden_ir import CATALOG_SLICE
@@ -61,19 +58,9 @@ def _diagnostics(result) -> list[str]:
 
 
 def _scheme_record(program: Program, scheme: str) -> list[str]:
-    partitions = {
-        name: basic_partition(func) if scheme == "basic" else advanced_partition(func)
-        for name, func in program.functions.items()
-    }
-    result = lint_program(
-        program, partitions=partitions, scheme=scheme, rules=partition_rule_ids()
-    )
-    for name, func in program.functions.items():
-        apply_partition(func, partitions[name])
-    verify_program(program)
-    result.extend(lint_program(program, scheme=scheme))
-    result.finalize()
-    return [f"scheme {scheme}", *_diagnostics(result), *_value_facts(program)]
+    result = plan_partitions(program, scheme)
+    audit_and_rewrite(program, result, lint=True)
+    return [f"scheme {scheme}", *_diagnostics(result.lint), *_value_facts(program)]
 
 
 def target_record(source: str) -> list[str]:

@@ -1,10 +1,16 @@
-"""The debug-mode lint hook inside :func:`partition_program`."""
+"""The shared partition pipeline: the debug-mode lint hook inside
+:func:`partition_program`, and certification running once per advanced
+function on every path through it."""
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
-from repro.errors import ReproError
+from repro.errors import PartitionError, ReproError
+from repro.gen.build import build_program
+from repro.gen.fuzz import DifferentialOracle
 from repro.minic.compile import compile_source
 from repro.partition.program import partition_program
 from repro.rdg.graph import Pin
@@ -53,38 +59,59 @@ def test_lint_flag_accepts_clean_pipeline():
 
 
 def test_lint_flag_rejects_illegal_partition(monkeypatch):
-    # certify=False so the lint stage (not the earlier independent
-    # certifier, which also catches this) is what rejects the partition
+    # the sabotaged pin also fails certification, which the pre-rewrite
+    # lint runs through its profit-certification rule: the error is a
+    # PartitionError whose message is the pre-rewrite lint
     _sabotaging_advanced_partition(monkeypatch)
-    with pytest.raises(ReproError, match="pre-rewrite lint failed"):
-        partition_program(
-            compile_source(SOURCE), "advanced", lint=True, certify=False
-        )
+    with pytest.raises(PartitionError, match="pre-rewrite lint failed"):
+        partition_program(compile_source(SOURCE), "advanced", lint=True)
 
 
 def test_lint_failure_message_carries_diagnostics(monkeypatch):
     _sabotaging_advanced_partition(monkeypatch)
     with pytest.raises(ReproError, match="INT-pinned but assigned to FPa"):
-        partition_program(
-            compile_source(SOURCE), "advanced", lint=True, certify=False
-        )
-
-
-def test_env_var_enables_lint(monkeypatch):
-    _sabotaging_advanced_partition(monkeypatch)
-    monkeypatch.setenv("REPRO_LINT", "1")
-    with pytest.raises(ReproError, match="pre-rewrite lint failed"):
-        partition_program(compile_source(SOURCE), "advanced", certify=False)
+        partition_program(compile_source(SOURCE), "advanced", lint=True)
 
 
 def test_certifier_rejects_illegal_partition_by_default(monkeypatch):
     _sabotaging_advanced_partition(monkeypatch)
-    with pytest.raises(ReproError, match="failed independent profit"):
+    with pytest.raises(PartitionError, match="failed independent profit"):
         partition_program(compile_source(SOURCE), "advanced")
 
 
-def test_lint_false_overrides_env_var(monkeypatch):
-    monkeypatch.setenv("REPRO_LINT", "1")
-    # lint=False must win over the environment; the clean pipeline is
-    # used so the run succeeds either way and only the flag is probed.
-    partition_program(compile_source(SOURCE), "advanced", lint=False)
+def count_certifications(monkeypatch) -> Counter:
+    """Count ``certify_partition`` calls per (scheme, function), through
+    both of its bindings: the certifier module and the lint rule."""
+    import repro.analysis.certify as certify_module
+    import repro.lint.rules_absint as rules_module
+
+    calls: Counter = Counter()
+    real = certify_module.certify_partition
+
+    def counting(partition, **kwargs):
+        calls[partition.scheme, partition.rdg.func.name] += 1
+        return real(partition, **kwargs)
+
+    monkeypatch.setattr(certify_module, "certify_partition", counting)
+    monkeypatch.setattr(rules_module, "certify_partition", counting)
+    return calls
+
+
+def _advanced_counts(calls: Counter) -> dict[str, int]:
+    return {name: n for (scheme, name), n in calls.items() if scheme == "advanced"}
+
+
+def test_linted_pipeline_certifies_each_advanced_function_once(monkeypatch):
+    calls = count_certifications(monkeypatch)
+    program = compile_source(SOURCE)
+    partition_program(program, "advanced", lint=True)
+    assert _advanced_counts(calls) == dict.fromkeys(program.functions, 1)
+
+
+def test_oracle_certifies_each_advanced_function_once(monkeypatch):
+    calls = count_certifications(monkeypatch)
+    source = build_program(0)
+    case = DifferentialOracle(simulate=False).check_source(source)
+    assert case.ok
+    functions = compile_source(source, optimize=True).functions
+    assert _advanced_counts(calls) == dict.fromkeys(functions, 1)
