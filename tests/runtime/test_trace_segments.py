@@ -23,6 +23,7 @@ from repro.ir.parser import parse_program
 from repro.minic.compile import compile_source
 from repro.runtime.interp import run_program
 from repro.trace.pack import pack_entries
+from tests.trace.test_golden_pack import token_digest
 
 #: A call with a destination and one without, two calls in one block,
 #: a call as a block's last instruction, an empty block, ``lb``/``sb``
@@ -140,6 +141,14 @@ GOLDEN = {
     ),
 }
 
+#: name -> :func:`~tests.trace.test_golden_pack.token_digest` of the
+#: traced run's pack, on a little-endian host.
+GOLDEN_TOKENS = {
+    "calls": "88a1f69d71f402db73e809560f218d7492e3c897b5b82f8dde3a2efb6253b3cd",
+    "recursion": "d4ec6dcb55dc546e8479b3c0ab288c27873ec01490449b01f143f999da8f9c59",
+    "unverified": "1c1cdc9efee105b37512ba0290a58e078f170108b987f7d334fbbc09255c0544",
+}
+
 
 def _program(text, frames):
     program = parse_program(text)
@@ -160,6 +169,15 @@ def test_segment_boundaries_are_pinned(name):
     assert hashlib.sha256(packed.to_bytes()).hexdigest() == digest
     repacked = pack_entries(packed.unpack_entries(program), value=packed.value)
     assert repacked.to_bytes() == packed.to_bytes()
+    assert token_digest(repacked) == token_digest(packed)
+
+
+@pytest.mark.skipif(sys.byteorder != "little", reason="digest pins little-endian arrays")
+@pytest.mark.parametrize("name", sorted(GOLDEN_TOKENS))
+def test_segment_token_columns_are_pinned(name):
+    text, frames, _, _ = GOLDEN[name]
+    run = run_program(_program(text, frames), collect_trace=True)
+    assert token_digest(run.packed) == GOLDEN_TOKENS[name]
 
 
 def test_mid_block_branch_outcomes_and_addresses_land_on_their_entries():

@@ -17,6 +17,7 @@ round trip holds the two packers to the same bytes on every smoke cell.
 from __future__ import annotations
 
 import hashlib
+import json
 import sys
 
 import pytest
@@ -157,6 +158,62 @@ GOLDEN = {
 }
 
 
+#: (workload, scheme) -> :func:`token_digest` of the traced run's pack at
+#: :data:`GOLDEN_SCALES`, on a little-endian host: the pin on the
+#: interpreter's dependence recording, which the encoding does not hold.
+GOLDEN_TOKENS = {
+    ("compress", "advanced"): "dd829ba8ff61af3d08acbc22aef103138275f0f65b6cecf7767b3f81b9c82cbf",
+    ("compress", "basic"): "1bdfb2922d5012cace22571f37c913a65bdf45e17938f26222c5a05783265dd6",
+    ("compress", "conventional"): "eaa77ff468079ea437a0b55487e7043e66f068dab063070d10eb061639443510",
+    ("ear", "advanced"): "d8362c21de6f2a562bdc92622f9e23949c0b780dcd90cc9470c2b7646ce7d8f3",
+    ("ear", "basic"): "233db5ca47f409396bf2d0f4b3778124b17a44a4a36df94441c14bf63e569245",
+    ("ear", "conventional"): "83363d59dfaa2e59c63aa6fcc3e2499ad17b09ae1c42f10275f63a76b8a44092",
+    ("gcc", "advanced"): "4b727f2822177637e519073e66ca12722e1477ecf6c90a71213cdbe2356514df",
+    ("gcc", "basic"): "d1727eb012bcf762079930b722843c649c59d350253a7a845c5932ca9adf4199",
+    ("gcc", "conventional"): "dd71f27b057db117c1eb85266782e4bf567dc6a653c43cb67991a77c687fb446",
+    ("go", "advanced"): "580149389d1d27c87d24ffb9d6a8afef8a507b412d8004d3956ca0e7598ef3f0",
+    ("go", "basic"): "e2d9ce1a8d89f677db978abb09a1f6483c9d8b6eb3b72f0919bf1f20c1d3a636",
+    ("go", "conventional"): "d189aa9dd788df90e4757fd56e92c45d137725e2717c7043370b4edf5fb36b34",
+    ("ijpeg", "advanced"): "61f53d884f55c3ce0e924807a08b45358430a1c253f11e338a0dddd201ffc9a6",
+    ("ijpeg", "basic"): "29139e38f1668414c9a64d56349f535534e3cf9fe5d9ddd5702ff20d5bba1c72",
+    ("ijpeg", "conventional"): "d1867cf5761f245b3e9221874d7e23e3e06516aa544877a371cf31b714c4e7c7",
+    ("li", "advanced"): "7b32a5fa35f2631b0c908ed3f63e4da8b64d82815490598819632548612c2dfd",
+    ("li", "basic"): "4fcb21ad95bd70b4a9478a4d4fee7ff2e0387ee2708030a57bef3efa81502042",
+    ("li", "conventional"): "d652336616ea5db75762e8907775a2113112d5be11a2ce3b5b6d87aa38a51872",
+    ("m88ksim", "advanced"): "5496e6a0ddeb8a886411e0084fa28c31cc8d6d511ea45000d0f57941996e0a14",
+    ("m88ksim", "basic"): "6efe3a834da1ac653411ac032d1bf6180dd5d9a0bd47be1f81faaf34d872d924",
+    ("m88ksim", "conventional"): "dee6cb604bd27760c9a9355d57922d6e91cc7b3423a45d7bf2ff00d9f40568a3",
+    ("perl", "advanced"): "1ee6d7d5dfc5b7f8e48f2b3c2eb3cd5d4ca5629df9fc02f6d947b71702ae18bb",
+    ("perl", "basic"): "c1e7b3673bba9e9476d319b5b33dc6a6f8cde3b0a399aa1b31c4d79e9c1dbb31",
+    ("perl", "conventional"): "327a5ada1d19ca224e3ec82c652c592999fb372dcfa9965d81ab2ab39a28779b",
+    ("swim", "advanced"): "7b38b634ca0c79d92348765a9d6ec69bd4907c68f15672981372f6cc3c811f38",
+    ("swim", "basic"): "ad61a188d0e5373ce2c051e2467c1800419e267bed08e345d5ab4203ecffd0e5",
+    ("swim", "conventional"): "d787a07d6e47433cb9042a296648165635b964d3622294f8af6989f96dd68dc9",
+}
+
+#: A fresh pack's dependence recording: the columns the interpreter
+#: writes and :meth:`~repro.trace.pack.PackedTrace.unpack_entries` reads.
+TOKEN_COLUMNS = (
+    "read_offsets",
+    "read_tokens",
+    "write_offsets",
+    "write_tokens",
+    "token_frames",
+    "token_names",
+)
+
+
+def token_digest(pack) -> str:
+    """sha256 of a fresh pack's token and offset columns and name table."""
+    digest = hashlib.sha256()
+    for name in TOKEN_COLUMNS:
+        column = getattr(pack, name)
+        digest.update(f"{name}:{column.typecode}:{len(column)}:".encode())
+        digest.update(column)
+    digest.update(json.dumps(pack.names).encode())
+    return digest.hexdigest()
+
+
 def _traced(workload: str, scheme: str, scale: int):
     program = prepare_program(workload, scheme, scale=scale).program
     return program, run_program(program, collect_trace=True)
@@ -165,6 +222,7 @@ def _traced(workload: str, scheme: str, scale: int):
 def test_golden_covers_every_workload_and_scheme():
     assert set(GOLDEN_SCALES) == set(WORKLOADS)
     assert set(GOLDEN) == {(w, s) for w in WORKLOADS for s in SCHEMES}
+    assert set(GOLDEN_TOKENS) == set(GOLDEN)
 
 
 @pytest.mark.skipif(sys.byteorder != "little", reason="digest pins little-endian arrays")
@@ -177,6 +235,13 @@ def test_pack_and_profile_are_pinned(workload, scheme):
     assert hashlib.sha256(counts).hexdigest() == profile_digest
 
 
+@pytest.mark.skipif(sys.byteorder != "little", reason="digest pins little-endian arrays")
+@pytest.mark.parametrize("workload,scheme", sorted(GOLDEN_TOKENS))
+def test_token_columns_are_pinned(workload, scheme):
+    _, run = _traced(workload, scheme, GOLDEN_SCALES[workload])
+    assert token_digest(run.packed) == GOLDEN_TOKENS[workload, scheme]
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("workload", sorted(SMOKE))
 def test_unpack_repack_round_trip(workload, scheme):
@@ -184,3 +249,4 @@ def test_unpack_repack_round_trip(workload, scheme):
     packed = run.packed
     repacked = pack_entries(packed.unpack_entries(program), value=packed.value)
     assert repacked.to_bytes() == packed.to_bytes()
+    assert token_digest(repacked) == token_digest(packed)
