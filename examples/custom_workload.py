@@ -14,12 +14,7 @@ Usage::
 import sys
 
 from repro import compile_minic
-from repro.partition import (
-    advanced_partition,
-    apply_partition,
-    basic_partition,
-    partition_stats,
-)
+from repro.partition import partition_program
 from repro.regalloc import allocate_program
 from repro.runtime import run_program
 from repro.sim import eight_way, four_way, simulate_trace
@@ -67,28 +62,19 @@ def evaluate(source: str) -> None:
     for width, config in (("4-way", four_way()), ("8-way", eight_way())):
         sims[width] = simulate_trace(base_run.packed, config)
 
-    for scheme_name, scheme in (("basic", basic_partition), ("advanced", advanced_partition)):
+    for scheme in ("basic", "advanced"):
         program = compile_minic(source)
-        profile = run_program(program).profile
-        totals = {"offloaded_instructions": 0, "copies": 0, "dups": 0}
-        for func in program.functions.values():
-            if scheme is advanced_partition:
-                partition = scheme(func, profile=profile)
-            else:
-                partition = scheme(func)
-            stats = partition_stats(partition)
-            for key in totals:
-                totals[key] += stats[key]
-            apply_partition(func, partition)
+        profile = run_program(program).profile if scheme == "advanced" else None
+        result = partition_program(program, scheme, profile=profile)
         allocate_program(program)
         run = run_program(program, collect_trace=True)
         assert run.value == base_run.value, "partitioning changed semantics!"
         offload = run.packed.dynamic_mix()["fp_executed"] / run.instructions
 
-        print(f"\n--- {scheme_name} scheme ---")
+        print(f"\n--- {scheme} scheme ---")
         print(
-            f"static: {totals['offloaded_instructions']} instructions offloaded, "
-            f"{totals['copies']} copies, {totals['dups']} duplicates"
+            f"static: {result.total('offloaded_instructions')} instructions offloaded, "
+            f"{result.total('copies')} copies, {result.total('dups')} duplicates"
         )
         print(f"dynamic offload: {100 * offload:.1f}%")
         for width, config in (("4-way", four_way()), ("8-way", eight_way())):

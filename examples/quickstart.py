@@ -6,7 +6,8 @@ Runs the complete pipeline of the paper on a little histogram kernel:
 1. compile MiniC to the MIPS-like IR (machine-independent optimizations
    included),
 2. partition every function with the advanced scheme (profile-driven
-   cost model, copies + duplication),
+   cost model, copies + duplication), certify each partition with the
+   independent §6.1 re-pricing, rewrite and verify,
 3. register-allocate,
 4. execute both versions and replay their traces through the 4-way
    (2 int + 2 fp) machine of the paper's Table 1,
@@ -19,7 +20,7 @@ Usage::
 
 from repro import compile_minic
 from repro.ir.printer import print_function
-from repro.partition import advanced_partition, apply_partition, partition_stats
+from repro.partition import partition_program
 from repro.regalloc import allocate_program
 from repro.runtime import run_program
 from repro.sim import four_way, simulate_trace
@@ -55,12 +56,10 @@ def build(partitioned: bool):
     program = compile_minic(SOURCE)
     if partitioned:
         profile = run_program(program).profile
-        for func in program.functions.values():
-            partition = advanced_partition(func, profile=profile)
-            stats = partition_stats(partition)
-            apply_partition(func, partition)
+        result = partition_program(program, "advanced", profile=profile)
+        for name, stats in result.stats.items():
             print(
-                f"  {func.name}: offloaded {stats['offloaded_instructions']} "
+                f"  {name}: offloaded {stats['offloaded_instructions']} "
                 f"static instructions ({stats['copies']} copies, "
                 f"{stats['dups']} duplicates)"
             )

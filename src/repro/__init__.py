@@ -20,12 +20,13 @@ The package implements the paper's full pipeline:
 
 Quickstart::
 
-    from repro import compile_minic
     from repro.experiments import run_benchmark
 
-    program = compile_minic(source_text)
+    baseline = run_benchmark("compress", scheme="conventional", width=4)
     result = run_benchmark("compress", scheme="advanced", width=4)
-    print(result.speedup)
+    print(f"speedup: {100 * (result.speedup_over(baseline) - 1):+.1f}%")
+
+:func:`repro.experiments.run_pair` runs both and returns the same ratio.
 """
 
 from repro.errors import (

@@ -249,6 +249,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.ir.verify import verify_program
     from repro.partition.program import partition_program
     from repro.regalloc.linear_scan import allocate_program
     from repro.runtime.interp import run_program
@@ -270,6 +271,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             # partitions and the rewritten IR, raising on any error.
             partition_program(program, scheme, profile=profile, lint=args.verify)
         allocate_program(program)
+        verify_program(program)
         return program
 
     baseline_run = run_program(build(None), collect_trace=True, fuel=args.fuel)

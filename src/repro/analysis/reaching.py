@@ -85,11 +85,6 @@ class ReachingDefinitions:
         mask = self._solution.in_facts[block_label]
         return [self.defs[i] for i in _iter_bits(mask)]
 
-    def reaching_out(self, block_label: str) -> list[DefSite]:
-        """Definition sites live on exit from ``block_label``."""
-        mask = self._solution.out_facts[block_label]
-        return [self.defs[i] for i in _iter_bits(mask)]
-
     def reaching_defs_of_use(self, instr: Instruction, use_pos: int) -> list[DefSite]:
         """Definition sites that may reach use operand ``use_pos`` of
         ``instr``.  Uses of ``$zero`` have no reaching definitions."""

@@ -61,10 +61,6 @@ class Instruction:
         return self.op.info.kind
 
     @property
-    def is_branch(self) -> bool:
-        return self.kind is OpKind.BRANCH
-
-    @property
     def is_control(self) -> bool:
         """True for instructions that end or redirect control flow."""
         return self.kind in (OpKind.BRANCH, OpKind.JUMP, OpKind.RET)

@@ -72,11 +72,6 @@ class LintContext:
             self._dominators[func.name] = compute_dominators(func)
         return self._dominators[func.name]
 
-    def partition_of(self, func: Function) -> Partition | None:
-        if self.partitions is None:
-            return None
-        return self.partitions.get(func.name)
-
 
 class LintRule:
     """Base class for analysis rules.

@@ -44,9 +44,6 @@ class Partition:
     back_copies: set[Node] = field(default_factory=set)
     scheme: str = "none"
 
-    def is_fp(self, node: Node) -> bool:
-        return node in self.fp
-
     def int_nodes(self) -> list[Node]:
         return [n for n in self.rdg.nodes if n not in self.fp]
 

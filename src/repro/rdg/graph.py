@@ -138,24 +138,3 @@ class RDG:
                         work.append(other)
             components.append(comp)
         return components
-
-    def component_of(self, start: Node, *, ignore_edges: set[tuple[Node, Node]] | None = None) -> set[Node]:
-        """Undirected connected component containing ``start``, optionally
-        treating the directed edges in ``ignore_edges`` as absent (used in
-        phase 2 of the advanced scheme, where copies/duplicates disconnect
-        the graph)."""
-        ignored = ignore_edges or set()
-        comp: set[Node] = set()
-        work = [start]
-        while work:
-            node = work.pop()
-            if node in comp:
-                continue
-            comp.add(node)
-            for other in self.succs[node]:
-                if (node, other) not in ignored:
-                    work.append(other)
-            for other in self.preds[node]:
-                if (other, node) not in ignored:
-                    work.append(other)
-        return comp

@@ -1,4 +1,4 @@
-"""Columnar trace packing: the ``repro-trace`` format, version 2.
+"""Columnar trace packing: the ``repro-trace`` format, version 3.
 
 A dynamic trace is a long, highly redundant stream: a few hundred static
 instructions generate millions of dynamic instructions whose payload is
@@ -14,8 +14,8 @@ column-wise in :mod:`array` arrays —
 * **dependence tokens** interned to dense integers: the per-entry
   ``reads``/``writes`` tuples become ranges into flattened token-id
   columns (prefix-offset encoding), and a token table maps each id back
-  to its original ``(frame_id, register name)`` pair so unpacking is
-  lossless.
+  to its original ``(frame_id, register name)`` pair so unpacking a
+  fresh pack is lossless.
 
 :class:`TraceBuilder` owns the interning and fills the columns.  The
 interpreter writes to it a straight-line segment at a time as it
@@ -35,14 +35,19 @@ On-disk encoding (``to_bytes``/``from_bytes``)::
     MAGIC (8) | sha256(header+payload) (32) | header length (4, BE)
              | canonical-JSON header | concatenated array payloads
 
-The payload is the :data:`ARRAY_LAYOUT` columns, then the producer
-section (:data:`PRODUCER_LAYOUT`): the producer columns are derived once,
-when a fresh pack is first encoded or simulated, and a decoded pack
-carries them, so replaying a stored trace derives nothing.  The digest
-covers everything after the length field, so a bit flip anywhere —
-header or payload — is detected.  The header carries the format
-version, byte order, array manifest, token-name string table, and
-arbitrary caller metadata (the prepared program's identity and
+The encoding holds what replay reads and nothing else: the
+:data:`ARRAY_LAYOUT` columns (the static table, ``instr_ids``,
+``mem_addr``, ``taken``), then the producer section
+(:data:`PRODUCER_LAYOUT`).  The producer columns are derived once, when
+a fresh pack is first encoded or simulated, and a decoded pack carries
+them, so replaying a stored trace derives nothing.  The token columns
+(:data:`TOKEN_LAYOUT`) and their name table stay in memory on a fresh
+pack: a decoded pack is replay-only, and
+:meth:`PackedTrace.unpack_entries` on it raises
+:class:`~repro.errors.TracePackError`.  The digest covers everything
+after the length field, so a bit flip anywhere — header or payload — is
+detected.  The header carries the format version, byte order, array
+manifest, and arbitrary caller metadata (the prepared program's identity and
 summary, and the code fingerprint the trace store adds).  Both
 directions hash and copy each column once: encoding joins the columns
 straight into the output, and decoding reads them through
@@ -66,7 +71,7 @@ from repro.runtime.trace import Subsystem, TraceEntry
 #: Bump on any incompatible change to the header or column layout.
 #: Participates in bench cache keys (see :func:`repro.bench.cache.cell_key`)
 #: so a format bump invalidates both trace packs and cached cell results.
-TRACE_FORMAT_VERSION = 2
+TRACE_FORMAT_VERSION = 3
 
 #: File magic for the on-disk encoding.
 MAGIC = b"RPROTRC\x01"
@@ -129,6 +134,12 @@ ARRAY_LAYOUT = (
     ("instr_ids", "q"),
     ("mem_addr", "q"),
     ("taken", "b"),
+)
+
+#: A fresh pack's dependence tokens, kept in memory only: the
+#: interpreter writes them, and :meth:`PackedTrace.unpack_entries` and
+#: the producer derivation read them.
+TOKEN_LAYOUT = (
     ("read_offsets", "q"),
     ("read_tokens", "q"),
     ("write_offsets", "q"),
@@ -160,14 +171,15 @@ class PackedTrace:
         ``instr_ids`` (static row per entry), ``mem_addr`` (-1 = none),
         ``taken`` (-1 = none, else 0/1).
 
-    Token columns:
+    Token columns (a fresh pack only; ``None`` on a decoded one):
         ``read_offsets``/``write_offsets`` (length ``n + 1``) delimit
         each entry's slice of ``read_tokens``/``write_tokens``, which
         hold interned token ids; ``token_frames``/``token_names`` (+ the
         ``names`` string list) map ids back to ``(frame_id, name)``.
 
     Producer columns (:meth:`producer_columns`): derived from the
-    token columns once per pack and serialized as the producer section.
+    token columns once per pack and serialized as the producer section,
+    the only form of the dependences a decoded pack has.
 
     ``meta`` carries caller metadata (workload, scheme, partition
     summary, ...), round-tripped through the encoding.
@@ -183,9 +195,9 @@ class PackedTrace:
     )
 
     def __init__(self) -> None:
-        for name, typecode in ARRAY_LAYOUT:
+        for name, typecode in ARRAY_LAYOUT + TOKEN_LAYOUT:
             setattr(self, name, array(typecode))
-        self.names: list[str] = []
+        self.names: list[str] | None = []
         self.value: int | None = None
         self.meta: dict = {}
         self.row_lat = array("B")
@@ -279,14 +291,20 @@ class PackedTrace:
     def unpack_entries(self, program) -> list[TraceEntry]:
         """Reconstruct the original :class:`TraceEntry` stream.
 
-        Requires the :class:`~repro.ir.program.Program` the trace was
-        captured from — packing keeps pcs, not instruction objects, so
-        instructions are recovered through the program's layout.  Raises
-        :class:`TracePackError` when a pc has no instruction (the pack
-        does not belong to this program).
+        Requires a fresh pack and the :class:`~repro.ir.program.Program`
+        the trace was captured from — packing keeps pcs, not instruction
+        objects, so instructions are recovered through the program's
+        layout.  Raises :class:`TracePackError` on a decoded pack (the
+        encoding holds no tokens) and when a pc has no instruction (the
+        pack does not belong to this program).
         """
         from repro.runtime.trace import TEXT_BASE
 
+        if self.read_tokens is None:
+            raise TracePackError(
+                "a decoded trace pack is replay-only: the encoding holds no "
+                "dependence tokens, so it cannot be unpacked into entries"
+            )
         by_pc: dict[int, object] = {}
         addr = TEXT_BASE
         for func in program.functions.values():
@@ -340,7 +358,6 @@ class PackedTrace:
             "rows": self.rows,
             "value": self.value,
             "meta": self.meta,
-            "names": self.names,
             "arrays": [
                 [name, typecode, len(column)]
                 for (name, typecode), column in zip(_LAYOUT, columns)
@@ -415,12 +432,9 @@ class PackedTrace:
         pack = cls()
         for (name, _), column in zip(ARRAY_LAYOUT, columns):
             setattr(pack, name, column)
-        names = doc.get("names")
-        if not isinstance(names, list) or not all(
-            isinstance(s, str) for s in names
-        ):
-            raise TracePackError("bad trace-pack name table")
-        pack.names = names
+        for name, _ in TOKEN_LAYOUT:
+            setattr(pack, name, None)
+        pack.names = None
         pack.value = doc.get("value")
         meta = doc.get("meta")
         pack.meta = meta if isinstance(meta, dict) else {}
@@ -436,42 +450,19 @@ class PackedTrace:
             raise TracePackError("trace-pack length fields disagree")
         if len(self.mem_addr) != n or len(self.taken) != n:
             raise TracePackError("dynamic columns disagree in length")
-        if len(self.read_offsets) != n + 1 or len(self.write_offsets) != n + 1:
-            raise TracePackError("offset columns must have n + 1 entries")
-        if n:
-            if self.read_offsets[0] != 0 or self.write_offsets[0] != 0:
-                raise TracePackError("offset columns must start at 0")
-            if (
-                self.read_offsets[-1] != len(self.read_tokens)
-                or self.write_offsets[-1] != len(self.write_tokens)
-            ):
-                raise TracePackError("offset columns must end at token count")
-            if max(self.instr_ids) >= len(self.pcs):
-                raise TracePackError("dynamic row id out of static-table range")
+        if n and max(self.instr_ids) >= len(self.pcs):
+            raise TracePackError("dynamic row id out of static-table range")
         rows = len(self.pcs)
         for column in (self.kinds, self.fp_side, self.int_defs, self.fp_defs):
             if len(column) != rows:
                 raise TracePackError("static columns disagree in length")
         if any(k >= len(KIND_ORDER) for k in self.kinds):
             raise TracePackError("unknown opcode kind code")
-        token_count = len(self.token_frames)
-        if len(self.token_names) != token_count:
-            raise TracePackError("token columns disagree in length")
-        for tokens in (self.read_tokens, self.write_tokens):
-            if len(tokens) and (
-                min(tokens) < 0 or max(tokens) >= token_count
-            ):
-                raise TracePackError("token id out of table range")
-        if token_count and (
-            min(self.token_names) < 0
-            or max(self.token_names) >= len(self.names)
-        ):
-            raise TracePackError("token name index out of name-table range")
 
     def _read_producer_section(
         self, first: array, second: array, entries: array, distances: array
     ) -> tuple[array, array, dict[int, list[int]]]:
-        """The decoded producer columns, checked against the token columns.
+        """The decoded producer columns, checked for shape and order.
 
         ``entries``/``distances`` list the third and later reads one per
         row, in entry order: an entry with ``k > 2`` reads has exactly
@@ -494,10 +485,6 @@ class PackedTrace:
                 extra = more[s] = []
                 last = s
             extra.append(d)
-        roff = self.read_offsets
-        for s, extra in more.items():
-            if len(extra) != roff[s + 1] - roff[s] - 2:
-                raise TracePackError("extra-read entries disagree with the read counts")
         return first, second, more
 
 

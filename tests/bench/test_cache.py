@@ -84,12 +84,12 @@ class TestGoldenKeys:
     def test_cell_key_digest(self):
         cell = Cell("compress", "advanced", 4, 150)
         assert cell_key(cell, code_version="golden") == (
-            "6e34dfcdf4774ebbd444dc166ba6e3324f2714904d815e03eac7a1d1235268ff"
+            "03d853a3b972c1b708a00bb5805efecd9f3ecdc020ed8fd209ac46f21ff41807"
         )
 
     def test_trace_key_digest(self):
         assert trace_key("compress", "advanced", 150, code_version="golden") == (
-            "737c27cfdc6862da225d75bada2ba6098d7f2819283a85b4f2b3d2aed3fb17fe"
+            "065e1cdb9a58a9594235d37058ed7822fc848cce339c08d5116fd368ae0804e2"
         )
 
     def test_content_key_ignores_insertion_order(self):

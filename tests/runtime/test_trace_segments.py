@@ -6,8 +6,10 @@ would show: a call ending a block or in its middle, a return to a
 mid-block call site, loads and stores patching their ``mem_addr`` slot,
 a mid-block branch (taken, and not taken so that execution falls into
 the rest of its block), a mid-block jump, and the final ``ret``.
-:data:`GOLDEN` pins the pack of a small program for each, and the
-second half checks that tracing never changes what a run computes.
+:data:`GOLDEN` pins the pack of a small program for each (its encoding,
+and in :data:`GOLDEN_TOKENS` the token columns the encoding does not
+hold), and the second half checks that tracing never changes what a
+run computes.
 """
 
 from __future__ import annotations
@@ -117,27 +119,25 @@ exit:
 """
 
 #: name -> (program text, ``$sp`` frame sizes, value, sha256 of
-#: ``packed.to_bytes()``) on a little-endian host; the digests were
-#: computed with the interpreter that appended the columns one
-#: instruction at a time.
+#: ``packed.to_bytes()``) on a little-endian host.
 GOLDEN = {
     "calls": (
         CALLS,
         {},
         23,
-        "d5de518c93fa8b0289178f8ab8b5b0e64e1e7eedf51c1011fba8d985a28e26c5",
+        "544ca65321a0d285463ad336eabfa39dbd9b24729f5d932eb54105b7e5fe4990",
     ),
     "recursion": (
         RECURSION,
         {"count": 8},
         None,
-        "9ea89a43dcd0b79efd91316f10db28f159bd77de369c9f5715dd3a001d8f531b",
+        "c922baf00059f3f710a7e45fbe76ea3531e93f3eef932fabf56f75c748efdd46",
     ),
     "unverified": (
         UNVERIFIED,
         {},
         38,
-        "fb7e8a2ffce05093aaa9a2ea0b25a399a224998329a16fe4337ac729d72e8ac2",
+        "9d3d3152589d45376ec1dad00aeee1bc5788fe483ff84cc89de1ac80e3f62b01",
     ),
 }
 

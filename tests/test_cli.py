@@ -75,6 +75,28 @@ class TestCli:
         assert "pipeline timeline" in out
         assert "cycle" in out
 
+    def test_simulate_verifies_the_allocated_program(self, source_file, monkeypatch, capsys):
+        """``simulate`` verifies the IR after register allocation, as the
+        experiment runner and the fuzz oracle do."""
+        from repro.errors import IRError
+        from repro.ir.instructions import Instruction
+        from repro.ir.opcodes import Opcode
+        from repro.regalloc import linear_scan
+
+        allocate = linear_scan.allocate_program
+
+        def allocate_and_break(program):
+            result = allocate(program)
+            # an unreachable jump to a label that does not exist
+            func = program.function("main")
+            jump = func.attach(Instruction(Opcode.J, target="nowhere"))
+            func.new_block("dangling").instructions.append(jump)
+            return result
+
+        monkeypatch.setattr(linear_scan, "allocate_program", allocate_and_break)
+        assert main(["simulate", source_file]) == IRError.exit_code
+        assert "unknown label 'nowhere'" in capsys.readouterr().err
+
     def test_report_static(self, capsys):
         assert main(["report", "table1"]) == 0
         assert "Table 1" in capsys.readouterr().out

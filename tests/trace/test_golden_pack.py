@@ -4,14 +4,14 @@ A traced interpreter run packs its trace as it executes.  Trace stores
 are keyed by :data:`~repro.trace.pack.TRACE_FORMAT_VERSION`, so any
 change to what that packing writes — row or token order, a column value
 — must either keep every byte or bump the version.  :data:`GOLDEN` pins
-every workload under every scheme: the pack's bytes and the block
+every workload under every scheme: the pack's encoding and the block
 profile's counts in insertion order (the order the §6.1 cost model and
-the pack's ``meta`` see).  The compress/advanced digest was computed
-with the entry-stream packer (:func:`pack_entries` over the
-interpreter's ``TraceEntry`` list) before the interpreter packed
-directly, and the rest with the interpreter that decoded each
-instruction on every execution, before it became a step table; the
-round trip holds the two packers to the same bytes on every smoke cell.
+the pack's ``meta`` see).  The encoding holds only what replay reads,
+so :data:`GOLDEN_TOKENS` pins the rest of the interpreter's recording,
+the in-memory token and offset columns and their name table, on the
+same runs.  The round trip holds the interpreter and the entry-stream
+packer (:func:`pack_entries`) to the same encoding and token columns on
+every smoke cell.
 """
 
 from __future__ import annotations
@@ -48,111 +48,111 @@ GOLDEN_SCALES = {
 #: little-endian host.
 GOLDEN = {
     ("compress", "advanced"): (
-        "a241fa02afdca950a6b5ef71cea9c87f4ff89404df934c1dc228c38aa8e8b768",
+        "41e95a3f42ae8bf0c5a55f56469a2ed72367b16d0bb8709eb719a929d37f26eb",
         "1237e648df1e4a8df641ca1e51b2c52d466d508ecff801171e10007987123c54",
     ),
     ("compress", "basic"): (
-        "da879319f1de627d3154bf7a51bd8f1d54ee5d4c4134f0e3a4c66de3b29aef62",
+        "c97dd0541ceb81a42989a01246dde125e36992530b262e68e0b0a385fdfa012a",
         "1237e648df1e4a8df641ca1e51b2c52d466d508ecff801171e10007987123c54",
     ),
     ("compress", "conventional"): (
-        "77e3d3ed64bda4a4be2a46e17db5a6a1192c2abcbd482b46ca0c7b0c6d932de8",
+        "f22f742275555803f0de2504ce2eca280f4b342a2d010a8c8047b36fb35dc984",
         "1237e648df1e4a8df641ca1e51b2c52d466d508ecff801171e10007987123c54",
     ),
     ("ear", "advanced"): (
-        "791b7d85e75626386496df938b651a6eaf91e1cf51346c74bc87b88f4a157b2c",
+        "0bbc624f14023560b3455b6f8f71787f58a5d35aabe4dd7017beed9d83551935",
         "c9372d3978336cd6807865faf7ab0f82908be19f6f65ec7deb0bdf0ba97e3a1f",
     ),
     ("ear", "basic"): (
-        "acd9d5d1d25068946b2af2acd1fd40ed955881ddef292bd7d597ec4f7899ad2a",
+        "36b4ab93a05ec0661bb0babe9589ef872a5d633fa79f33867f9cd80137a02a11",
         "c9372d3978336cd6807865faf7ab0f82908be19f6f65ec7deb0bdf0ba97e3a1f",
     ),
     ("ear", "conventional"): (
-        "5160610227a3d0ed5b123c10bbb1bdf7f4c8ac95686e327f9d0a8c6f360db58b",
+        "8baa685368d372fa6662a9375768cea4ca3e23d7335174df1f8d5c4fc1a5c538",
         "c9372d3978336cd6807865faf7ab0f82908be19f6f65ec7deb0bdf0ba97e3a1f",
     ),
     ("gcc", "advanced"): (
-        "57ac633057382a22593df9159ca2137e1a1a5f89c63dc3d00a839c7a46ca7878",
+        "6b59049d8a571fbc3e2fe0f036090ffc94e329caa686745db1df880f38d438ae",
         "b4f19ee7bb2ab32711a6ca06e3f59ee843d573d8b4e3a4d9b825288341503cc4",
     ),
     ("gcc", "basic"): (
-        "9fdb3ed0804199136d467158cc76af25a7f4be9d4a0c04d33a8d5c7887f33ac9",
+        "435b23aa37a5e24d9bddb23d08a25880d73d26ee53194a89733d03a01a37eba9",
         "b4f19ee7bb2ab32711a6ca06e3f59ee843d573d8b4e3a4d9b825288341503cc4",
     ),
     ("gcc", "conventional"): (
-        "85910b42bb7f9289775858b4638a568a13abd617a5cdb33691bd8971d97d6d5b",
+        "cbce85bafa5518d394b39a9c959811856e14dad61925cd29fcef66d395bca18f",
         "b4f19ee7bb2ab32711a6ca06e3f59ee843d573d8b4e3a4d9b825288341503cc4",
     ),
     ("go", "advanced"): (
-        "7fa39bb153206f91baf98b872411d9eb3426d05a5de8395aa27306fa0ba40d34",
+        "5f8e9231ac6c543b355300f1c9e3514d1a40ca7a83bef9991b372beb067be9a8",
         "0284abf10ed9034f37961fd5350e30e389c003e857176ed1cd2bdab9b45bbdac",
     ),
     ("go", "basic"): (
-        "3b45040a178980051bfede751322681b4cec188339da909212d5a20096649d80",
+        "602d6738aeff08c433daa02d8af69423ec4a18fc91feb1a9a6a36b4027fb47c6",
         "0284abf10ed9034f37961fd5350e30e389c003e857176ed1cd2bdab9b45bbdac",
     ),
     ("go", "conventional"): (
-        "b8864ae480d2b0ea9f83aa45431c4cf4e3a723f0c911ced9c1b6a224ada8f2d9",
+        "6dbf3041f59b49425bea79716bc7ed852ef8ccbecda0c39c7dab9505b1152a54",
         "0284abf10ed9034f37961fd5350e30e389c003e857176ed1cd2bdab9b45bbdac",
     ),
     ("ijpeg", "advanced"): (
-        "4aa22eefcc9aa5c815da1346296bb02c2e27c3b38c956899ba98b58bb05d8a82",
+        "460612af6edc86b816cbbe0e5fd534d3c86aa7b43731fe9fd88d786eef73bd5c",
         "573bec2063747224c079c1bc6fd419d15e2b855d9c13773720f14d7390a863de",
     ),
     ("ijpeg", "basic"): (
-        "5b9e651962dbab8ac8916f716d475cd59cc598ae7ccbc460b91dd7fd8c98304d",
+        "1c6ab1e9e91ced7f3463119af2eec31cf1bf1a6cceae8954fb26c84c9d1d63ef",
         "573bec2063747224c079c1bc6fd419d15e2b855d9c13773720f14d7390a863de",
     ),
     ("ijpeg", "conventional"): (
-        "4925d3584be33ecfd0ede8c0c59e63b2e1c40a087a23313e69f6e4c36f37dad4",
+        "2f575f19e45bd2b57ce538bd4fd9117bd695d05b0218885bbd7220cff2fdf0d8",
         "573bec2063747224c079c1bc6fd419d15e2b855d9c13773720f14d7390a863de",
     ),
     ("li", "advanced"): (
-        "da1485594392e8e674cdc458e66e55933786954e5ae670b9851bcaca9642d4d5",
+        "5d81025fa2a9abdd286e5b8c70558b47291c248b3542abfa5687f0164c8a56ff",
         "a7deff441eda7214be83d76b62b3dda6a84e24f4bf0702d319cd4cf6e60406e3",
     ),
     ("li", "basic"): (
-        "86664d8d045ab4ce26b98e7e968bf83bc29cac8eaa69fbe8d5a030d4b4160725",
+        "0ead3d3142a640bcc7947ec2c6d786136d23161d1dbdbc549a16c406e6210dcf",
         "a7deff441eda7214be83d76b62b3dda6a84e24f4bf0702d319cd4cf6e60406e3",
     ),
     ("li", "conventional"): (
-        "f2156d84db36de61649ccaa1cdadc068c6c640d0a0b81e4cad2c6c7d3624abac",
+        "32942e13c420c26bf845a1101ef504fabb922408e04a7dd6251c57753dca8735",
         "a7deff441eda7214be83d76b62b3dda6a84e24f4bf0702d319cd4cf6e60406e3",
     ),
     ("m88ksim", "advanced"): (
-        "e4d0bc51a046610126636bb9a0f647b074b04d3fa60079883e4f49497f382dbb",
+        "c875b6969f29d1715bfd0ee410222682c9d9f61d77828ea0d9aeef55c2cf14c4",
         "1517aae10808c8e923c7b55475bfb7e74420f8b75c04b854e3d5664cf4df3336",
     ),
     ("m88ksim", "basic"): (
-        "97ff5f8634d0a1c9ed02ade42fad005b0c9b65b6024b93946d580df159018c59",
+        "38dfa215d0bc155317ffccec3b6320636921848e30007c4e5a4bab7f5d170a94",
         "1517aae10808c8e923c7b55475bfb7e74420f8b75c04b854e3d5664cf4df3336",
     ),
     ("m88ksim", "conventional"): (
-        "82700fcaf932b786aafb6721ea2164b914978eb65d4b262adc992bd86cfd6ff7",
+        "a6bf958bd5bdff2119437a19afbc3d879dd0c0a85a731342bd0ce04087b56a25",
         "1517aae10808c8e923c7b55475bfb7e74420f8b75c04b854e3d5664cf4df3336",
     ),
     ("perl", "advanced"): (
-        "aa70ec13e0b192a3c6c1a29cd5dbf01586ca9a577c1b8d237d757f5d12437fa3",
+        "947164ef5300d2a0dd7866943ade9f20ab815794909b94da8392c8217bc6250a",
         "14d319f47432c73a9f781b1a1247b25da745ec1fd3ce933e1f7849f190e7ccfd",
     ),
     ("perl", "basic"): (
-        "1da591c154f416afcdbb66f5d5cc5ed9d0ebc5c6deb588e4bfb9df52fa2c7aa6",
+        "862ee4bb74616bbbcf9064e563778d5bb335a99a67a6d6b1314a6c6071265108",
         "14d319f47432c73a9f781b1a1247b25da745ec1fd3ce933e1f7849f190e7ccfd",
     ),
     ("perl", "conventional"): (
-        "2a22d236a5bffa5f65f6ac0b940c9bf6abfcddc01a782e4616434bbb13b7ae5f",
+        "8109e17e330230a842711846721cade2309a9a7b4d0aa68d2c58313ccb074c8a",
         "14d319f47432c73a9f781b1a1247b25da745ec1fd3ce933e1f7849f190e7ccfd",
     ),
     ("swim", "advanced"): (
-        "2ed14c9a80c22a799bdfb04f57261bdb8014d4fb47c8b8cc56e89f195aee0ba5",
+        "dcf720ff91d08a6e1eec5aedb1854f03c9fa3c8493336ea20e0536417b0e5ac9",
         "a3dca298c03bac383dd39f411ba8d9bf281212d9bda3dae5c24357032aae729b",
     ),
     ("swim", "basic"): (
-        "7e61b34c1da3e8d805c9574a332411510d78b1b84240354c98dc4e6d0378f2e3",
+        "eefd2835b8ca7030c74f3993ea2ed6e1ab3d287e19b3607bb2e283889756aae9",
         "a3dca298c03bac383dd39f411ba8d9bf281212d9bda3dae5c24357032aae729b",
     ),
     ("swim", "conventional"): (
-        "f646e45deddb8f77ae4961c2a8b2fc30e2cbab40d1608465baa79645c3fa7594",
+        "fe65da7a4bb0aade48507b0a80962a84b2e70f13a6e6ffe0750a1164c3cb0512",
         "a3dca298c03bac383dd39f411ba8d9bf281212d9bda3dae5c24357032aae729b",
     ),
 }

@@ -5,7 +5,8 @@ Reuses the MiniC generators from the frontend test suites
 straight-line arithmetic, loops over arrays, and recursion-heavy call
 chains that exercise the per-activation frame-id token interning.  For
 every generated program, the pack a traced run returns must survive
-``unpack`` → :func:`pack_entries` byte for byte (so the interpreter's
+``unpack`` → :func:`pack_entries` byte for byte, in its encoding and
+in its in-memory token columns (so the interpreter's
 direct packing and the entry-stream packer agree), the encoding must
 round-trip byte-stably, and the packed summary/simulation must match
 the entry-stream ones.
@@ -19,7 +20,7 @@ from repro.minic.compile import compile_source
 from repro.runtime.interp import run_program
 from repro.sim.config import four_way
 from repro.sim.pipeline import simulate_trace
-from repro.trace.pack import PackedTrace, pack_entries
+from repro.trace.pack import TOKEN_LAYOUT, PackedTrace, pack_entries
 
 from tests.minic.test_properties import int_expr
 from tests.trace.test_replay_equivalence import entry_mix
@@ -37,7 +38,12 @@ def _assert_lossless(program, run):
     entries = pack.unpack_entries(program)
     assert len(entries) == run.instructions
     data = pack.to_bytes()
-    assert pack_entries(entries, value=run.value).to_bytes() == data
+    repacked = pack_entries(entries, value=run.value)
+    assert repacked.to_bytes() == data
+    # the encoding holds no tokens: compare the in-memory columns too
+    for name, _ in TOKEN_LAYOUT:
+        assert getattr(repacked, name) == getattr(pack, name), name
+    assert repacked.names == pack.names
     assert PackedTrace.from_bytes(data).to_bytes() == data
     assert pack.dynamic_mix() == entry_mix(entries)
     return entries
