@@ -1,12 +1,13 @@
 """Set-associative LRU cache model.
 
 Timing-only (no data): an access returns its latency and updates tag
-state.  Used for both the I-cache (once per fetched instruction) and
-the D-cache (per load/store issue).  The pipeline counts a fetch from
-the line the I-cache last accessed as a hit without calling
-:meth:`Cache.access`: that tag is already most recently used, so the
-access would change nothing but the hit count, which the pipeline adds
-to :attr:`Cache.hits` at the end of the run.
+state.  The pipeline uses it as the D-cache (per load/store issue).
+The I-cache is not accessed while simulating: trace-driven fetch visits
+the trace in program order, so each entry's I-cache miss is resolved
+once per pack, by
+:meth:`~repro.trace.pack.PackedTrace.front_end_events`, which inlines
+this class's LRU update for line changes only.  This class remains the
+I-cache of the reference simulator and of the tests' per-entry walk.
 """
 
 from __future__ import annotations

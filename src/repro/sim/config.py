@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ReproError, SimulationError
-from repro.trace.pack import NO_PRODUCER
+from repro.trace.pack import NO_PRODUCER, FrontEnd
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,6 +90,18 @@ class MachineConfig:
             raise ReproError(
                 f"max_inflight must be below {NO_PRODUCER}, got {self.max_inflight}"
             )
+
+    def front_end(self, perfect_branches: bool = False) -> FrontEnd:
+        """The key of this machine's fetch events on a pack (see
+        :meth:`~repro.trace.pack.PackedTrace.front_end_events`)."""
+        return FrontEnd(
+            self.icache.line_bytes,
+            self.icache.n_sets,
+            self.icache.assoc,
+            self.predictor.table_entries,
+            self.predictor.history_bits,
+            perfect_branches,
+        )
 
     @property
     def rename_int(self) -> int:

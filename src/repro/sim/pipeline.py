@@ -21,18 +21,26 @@ Per simulated cycle, in reverse pipeline order:
    decode width, blocked by window space, the in-flight cap, and free
    rename registers of the destination's register class.
 4. **Fetch** — up to the fetch width from the trace, stopping at taken
-   control flow; I-cache misses stall fetch; conditional branches are
-   predicted with gshare and a misprediction stalls fetch until the
-   branch resolves (wrong-path work is not simulated, its cost is the
-   fetch bubble — the standard trace-driven approximation).
+   control flow; an I-cache miss stalls fetch for the miss penalty;
+   conditional branches are predicted with gshare and a misprediction
+   stalls fetch until the branch resolves (wrong-path work is not
+   simulated, its cost is the fetch bubble — the standard trace-driven
+   approximation).  Fetch reads the trace in program order, so which
+   entries miss, mispredict or end a fetch group does not depend on the
+   machine's width: the loop reads them from the pack's front-end column
+   (:meth:`~repro.trace.pack.PackedTrace.front_end_events`) and never
+   touches an I-cache or a predictor.  The front end starts cold on
+   every :meth:`TimingSimulator.run`.
 
 The loop consumes a :class:`~repro.trace.pack.PackedTrace` — latency
-and control classes pre-resolved per static row, and register producers
-resolved once per pack as distances back in the trace
+classes pre-resolved per static row, register producers resolved once
+per pack as distances back in the trace
 (:meth:`~repro.trace.pack.PackedTrace.producer_columns`: one column for
 each entry's first and second read, a small dict for the rare third and
-later reads; a decoded pack carries them from its encoding).  A traced
-interpreter run returns such a pack directly.  A ``list[TraceEntry]``
+later reads), and one front-end event byte per entry, derived once per
+pack and front end; a decoded pack carries the producers and Table 1's
+front-end events from its encoding.  A traced interpreter run returns
+such a pack directly.  A ``list[TraceEntry]``
 (hand-built test traces, or
 :meth:`~repro.trace.pack.PackedTrace.unpack_entries` output for the
 timeline) is packed on entry with :func:`~repro.trace.pack.pack_entries`.
@@ -63,17 +71,20 @@ from typing import NamedTuple
 
 from repro.errors import SimulationError
 from repro.runtime.trace import TraceEntry
-from repro.sim.branch_pred import GSharePredictor, PerfectPredictor
 from repro.sim.cache import Cache
 from repro.sim.config import MachineConfig
 from repro.sim.stats import SimStats
 from repro.trace.pack import (
-    CTRL_BRANCH,
+    FE_BRANCH,
+    FE_MISPREDICT,
+    FE_MISS,
+    FE_STOP,
     LAT_LOAD,
     LAT_MUL,
     LAT_SINGLE,
     LAT_STORE,
     PackedTrace,
+    count_events,
     pack_entries,
 )
 
@@ -93,7 +104,11 @@ class StageTimes(NamedTuple):
 
 
 class TimingSimulator:
-    """Simulates one trace on one machine configuration."""
+    """Simulates one trace on one machine configuration.
+
+    The front end (I-cache and branch predictor) starts cold on every
+    :meth:`run`: its events are a column of the trace.
+    """
 
     def __init__(
         self,
@@ -102,13 +117,8 @@ class TimingSimulator:
         record_timeline: bool = False,
     ):
         self.config = config
-        self.icache = Cache(config.icache)
         self.dcache = Cache(config.dcache)
         self.perfect_branches = perfect_branches
-        if perfect_branches:
-            self.predictor = PerfectPredictor(config.predictor)
-        else:
-            self.predictor = GSharePredictor(config.predictor)
         self.stats = SimStats()
         self.record_timeline = record_timeline
         #: per-instruction :class:`StageTimes`, populated when
@@ -147,19 +157,11 @@ class TimingSimulator:
         # column handles: per-dynamic work is indexing into these
         ids = packed.instr_ids
         mem_col = packed.mem_addr
-        taken_col = packed.taken
         first_dist, second_dist, more_dist = packed.producer_columns()
-        # one tuple per static row:
-        # (pc, fp side, latency class, control class, int defs, fp defs)
+        fe = packed.front_end_events(config.front_end(self.perfect_branches))
+        # one tuple per static row: (fp side, latency class, int defs, fp defs)
         rows = list(
-            zip(
-                packed.pcs,
-                packed.fp_side,
-                packed.row_lat,
-                packed.row_ctrl,
-                packed.int_defs,
-                packed.fp_defs,
-            )
+            zip(packed.fp_side, packed.row_lat, packed.int_defs, packed.fp_defs)
         )
 
         fetch_width = config.fetch_width
@@ -208,14 +210,14 @@ class TimingSimulator:
             done_at = [-1] * n
             retired_at = [-1] * n
 
-        icache = self.icache
-        icache_access = icache.access
-        icache_line_bits = config.icache.line_bytes.bit_length() - 1
-        icache_hit_cycles = config.icache.hit_cycles
-        icache_last_line = -1
-        icache_fast_hits = 0
+        miss_penalty = config.icache.miss_penalty
+        # a miss without a penalty does not stall fetch
+        stalling_miss = FE_MISS if miss_penalty else 0
+        # the entry whose I-cache miss fetch has stalled for: its retry hits
+        miss_served = -1
+        stop = FE_STOP
+        mispredicted = FE_MISPREDICT
         dcache_access = self.dcache.access
-        predict = self.predictor.update
 
         # sequence numbers: [retired, dispatched) is the ROB and
         # [dispatched, fetch_index) the fetch buffer
@@ -228,7 +230,6 @@ class TimingSimulator:
         inflight_stores: deque[int] = deque()
 
         int_issued = fp_issued = loads = stores = 0
-        branches = mispredicts = 0
         int_busy = fp_busy = int_idle_fp_busy = 0
         fetch_stalls = dispatch_stalls = 0
 
@@ -255,9 +256,9 @@ class TimingSimulator:
                 if complete[slot] > now:
                     break
                 row = row_of[slot]
-                free_int += row[4]
-                free_fp += row[5]
-                if row[2] == LAT_STORE:
+                free_int += row[2]
+                free_fp += row[3]
+                if row[1] == LAT_STORE:
                     inflight_stores.popleft()  # stores retire in order
                 if record:
                     retired_at[retired] = now
@@ -284,7 +285,7 @@ class TimingSimulator:
                         if any(complete[p] > now for p in more_waits[s]):
                             continue
                         del more_waits[s]
-                    lat = row_of[slot][2]
+                    lat = row_of[slot][1]
                     if lat == LAT_SINGLE:
                         complete[slot] = now + 1
                     elif lat == LAT_LOAD:
@@ -346,7 +347,7 @@ class TimingSimulator:
                         del more_waits[s]
                     # no load/store port or ordering checks on this
                     # side, but FP-side memory rows still use the D-cache
-                    lat = row_of[slot][2]
+                    lat = row_of[slot][1]
                     if lat == LAT_SINGLE:
                         complete[slot] = now + 1
                     elif lat == LAT_LOAD:
@@ -390,15 +391,15 @@ class TimingSimulator:
                 s = dispatched
                 slot = s & mask
                 row = row_of[slot]
-                if row[1]:
+                if row[0]:
                     if len(fp_window) >= fp_cap:
                         break
                 elif len(int_window) >= int_cap:
                     break
-                if row[4] > free_int or row[5] > free_fp:
+                if row[2] > free_int or row[3] > free_fp:
                     break
-                free_int -= row[4]
-                free_fp -= row[5]
+                free_int -= row[2]
+                free_fp -= row[3]
                 # a producer more than max_inflight back has retired
                 d = first_dist[s]
                 wait0[slot] = (s - d) & mask if d <= max_inflight else ready
@@ -408,11 +409,11 @@ class TimingSimulator:
                     extra = [(s - d) & mask for d in more_dist[s] if d <= max_inflight]
                     if extra:
                         more_waits[s] = extra
-                if row[1]:
+                if row[0]:
                     fp_window.append(s)
                 else:
                     int_window.append(s)
-                if row[2] == LAT_STORE:
+                if row[1] == LAT_STORE:
                     inflight_stores.append(s)
                 if record:
                     dispatched_at[s] = now
@@ -432,55 +433,41 @@ class TimingSimulator:
                 end = n
             while fetch_index < end:
                 s = fetch_index
-                row = rows[ids[s]]
-                pc = row[0]
-                line = pc >> icache_line_bits
-                if line == icache_last_line:
-                    # the line is already most recently used: a hit that
-                    # leaves the LRU state as Cache.access would
-                    icache_fast_hits += 1
-                else:
-                    icache_last_line = line
-                    latency = icache_access(pc)
-                    if latency > icache_hit_cycles:
-                        fetch_stall_until = now + (latency - icache_hit_cycles)
-                        break
+                ev = fe[s]
+                if ev & stalling_miss and s != miss_served:
+                    miss_served = s
+                    fetch_stall_until = now + miss_penalty
+                    break
                 slot = s & mask
                 complete[slot] = _INF
-                row_of[slot] = row
+                row_of[slot] = rows[ids[s]]
                 if record:
                     fetched_at[s] = now
                 fetch_index += 1
-                ctrl = row[3]
-                if ctrl:
-                    if ctrl != CTRL_BRANCH:
-                        break  # taken control flow, perfectly predicted
-                    raw = taken_col[s]
-                    taken = None if raw < 0 else raw == 1
-                    branches += 1
-                    if not predict(pc, taken):
-                        mispredicts += 1
+                if ev & stop:
+                    # taken control flow ends the fetch group; a
+                    # mispredict stalls fetch until the branch resolves
+                    if ev & mispredicted:
                         blocking_branch = s
-                        break
-                    if taken:
-                        break  # cannot fetch past a taken branch this cycle
+                    break
 
-        icache.hits += icache_fast_hits
         stats.cycles = now
         stats.retired = retired
         stats.int_issued += int_issued
         stats.fp_issued += fp_issued
         stats.loads += loads
         stats.stores += stores
-        stats.branches += branches
-        stats.branch_mispredicts += mispredicts
+        stats.branches += count_events(fe, FE_BRANCH)
+        stats.branch_mispredicts += count_events(fe, FE_MISPREDICT)
         stats.int_busy_cycles += int_busy
         stats.fp_busy_cycles += fp_busy
         stats.int_idle_fp_busy_cycles += int_idle_fp_busy
         stats.fetch_stall_cycles += fetch_stalls
         stats.dispatch_stall_cycles += dispatch_stalls
-        stats.icache_hits = icache.hits
-        stats.icache_misses = icache.misses
+        # every entry is fetched once from a resident line: a missed
+        # one on its retry
+        stats.icache_hits = n
+        stats.icache_misses = count_events(fe, FE_MISS)
         stats.dcache_hits = self.dcache.hits
         stats.dcache_misses = self.dcache.misses
         if record:

@@ -1,4 +1,4 @@
-"""Columnar trace packing: the ``repro-trace`` format, version 3.
+"""Columnar trace packing: the ``repro-trace`` format, version 4.
 
 A dynamic trace is a long, highly redundant stream: a few hundred static
 instructions generate millions of dynamic instructions whose payload is
@@ -26,9 +26,10 @@ finished pack and no per-instruction objects are built;
 traces, tests), and :meth:`PackedTrace.unpack_entries` goes back.
 The timing simulator consumes the columns directly — register producers
 resolved once per pack from the integer token ids
-(:meth:`PackedTrace.producer_columns`), pre-resolved latency/control
-classes instead of per-entry ``OpKind`` tests (see
-:mod:`repro.sim.pipeline`).
+(:meth:`PackedTrace.producer_columns`), each entry's I-cache miss,
+mispredict and fetch stop resolved once per pack and front end
+(:meth:`PackedTrace.front_end_events`), pre-resolved latency classes
+instead of per-entry ``OpKind`` tests (see :mod:`repro.sim.pipeline`).
 
 On-disk encoding (``to_bytes``/``from_bytes``)::
 
@@ -38,11 +39,16 @@ On-disk encoding (``to_bytes``/``from_bytes``)::
 The encoding holds what replay reads and nothing else: the
 :data:`ARRAY_LAYOUT` columns (the static table, ``instr_ids``,
 ``mem_addr``, ``taken``), then the producer section
-(:data:`PRODUCER_LAYOUT`).  The producer columns are derived once, when
-a fresh pack is first encoded or simulated, and a decoded pack carries
-them, so replaying a stored trace derives nothing.  The token columns
-(:data:`TOKEN_LAYOUT`) and their name table stay in memory on a fresh
-pack: a decoded pack is replay-only, and
+(:data:`PRODUCER_LAYOUT`), then the front-end section: one byte per
+entry, the :meth:`PackedTrace.front_end_events` column of Table 1's
+front end (:data:`TABLE1_FRONT_END`, shared by both machines).  The
+producer and front-end columns are derived once, when a fresh pack is
+first encoded or simulated, and a decoded pack carries them, so
+replaying a stored trace on Table 1's machines derives nothing; any
+other front end (an ablation) derives its column from ``pcs``,
+``instr_ids`` and ``taken``.  The token columns (:data:`TOKEN_LAYOUT`)
+and their name table stay in memory on a fresh pack: a decoded pack is
+replay-only (see :meth:`PackedTrace.drop_tokens`), and
 :meth:`PackedTrace.unpack_entries` on it raises
 :class:`~repro.errors.TracePackError`.  The digest covers everything
 after the length field, so a bit flip anywhere — header or payload — is
@@ -62,16 +68,18 @@ import hashlib
 import json
 import sys
 from array import array
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import ne
+from typing import NamedTuple
 
-from repro.errors import TracePackError
+from repro.errors import SimulationError, TracePackError
 from repro.ir.opcodes import OpKind
 from repro.runtime.trace import Subsystem, TraceEntry
 
 #: Bump on any incompatible change to the header or column layout.
 #: Participates in bench cache keys (see :func:`repro.bench.cache.cell_key`)
 #: so a format bump invalidates both trace packs and cached cell results.
-TRACE_FORMAT_VERSION = 3
+TRACE_FORMAT_VERSION = 4
 
 #: File magic for the on-disk encoding.
 MAGIC = b"RPROTRC\x01"
@@ -109,6 +117,41 @@ CTRL_JUMP = 2  # unconditional taken control flow: JUMP/CALL/RET
 #: A producer distance meaning "no producer, or one farther back than
 #: any instruction window" (see :meth:`PackedTrace.producer_columns`).
 NO_PRODUCER = 0xFFFF
+
+# Front-end event bits, one byte per entry (see
+# :meth:`PackedTrace.front_end_events`).
+FE_MISS = 1  # fetching the entry misses the I-cache
+FE_MISPREDICT = 2  # the conditional branch is mispredicted
+FE_STOP = 4  # fetch stops after the entry: taken control flow or a mispredict
+FE_BRANCH = 8  # the entry is a conditional branch (for the branch count)
+
+
+class FrontEnd(NamedTuple):
+    """What a trace's front-end events depend on besides the trace.
+
+    The I-cache and gshare geometry (the caches' latencies only time the
+    stall), and whether branches are predicted perfectly.
+    """
+
+    line_bytes: int
+    icache_sets: int
+    icache_assoc: int
+    predictor_entries: int
+    history_bits: int
+    perfect_branches: bool = False
+
+
+#: Table 1's front end, shared by the 4- and 8-way machines: a 64 KB
+#: 2-way I-cache with 128 B lines, gshare with 32K counters and 15 bits of
+#: history.  The encoding stores its events.
+TABLE1_FRONT_END = FrontEnd(128, 256, 2, 32 * 1024, 15)
+
+
+def count_events(events: bytearray, bit: int) -> int:
+    """How many entries of a front-end column have ``bit`` set."""
+    has_bit = bytes(1 if value & bit else 0 for value in range(256))
+    return events.translate(has_bit).count(1)
+
 
 _LAT_OF_KIND = {
     KIND_CODE[OpKind.LOAD]: LAT_LOAD,
@@ -157,7 +200,11 @@ PRODUCER_LAYOUT = (
     ("more_entries", "q"),
     ("more_distances", "H"),
 )
-_LAYOUT = ARRAY_LAYOUT + PRODUCER_LAYOUT
+
+#: The front-end section, serialized last: the events of
+#: :data:`TABLE1_FRONT_END` (``n`` bytes).
+FRONT_END_LAYOUT = (("front_end", "B"),)
+_LAYOUT = ARRAY_LAYOUT + PRODUCER_LAYOUT + FRONT_END_LAYOUT
 
 
 class PackedTrace:
@@ -181,6 +228,9 @@ class PackedTrace:
     token columns once per pack and serialized as the producer section,
     the only form of the dependences a decoded pack has.
 
+    Front-end columns (:meth:`front_end_events`): derived once per pack
+    and front end; Table 1's is serialized as the front-end section.
+
     ``meta`` carries caller metadata (workload, scheme, partition
     summary, ...), round-tripped through the encoding.
     """
@@ -191,7 +241,7 @@ class PackedTrace:
         "read_offsets", "read_tokens", "write_offsets", "write_tokens",
         "token_frames", "token_names", "names",
         "value", "meta",
-        "row_lat", "row_ctrl", "_producers",
+        "row_lat", "row_ctrl", "_producers", "_front_end",
     )
 
     def __init__(self) -> None:
@@ -203,6 +253,7 @@ class PackedTrace:
         self.row_lat = array("B")
         self.row_ctrl = array("B")
         self._producers: tuple[array, array, dict[int, list[int]]] | None = None
+        self._front_end: dict[FrontEnd, bytearray] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -242,6 +293,41 @@ class PackedTrace:
         if self._producers is None:
             self._producers = _producer_distances(self)
         return self._producers
+
+    def front_end_events(self, front_end: FrontEnd = TABLE1_FRONT_END) -> bytearray:
+        """Each entry's fetch events on ``front_end``, one byte per entry.
+
+        Trace-driven fetch reads the trace in program order: it accesses
+        the I-cache once per line change and trains gshare once per
+        conditional branch with its true outcome.  So whether fetching
+        entry ``s`` misses (:data:`FE_MISS`), whether branch ``s`` is
+        mispredicted (:data:`FE_MISPREDICT`) and whether fetch stops
+        after ``s`` (:data:`FE_STOP`: jumps, calls, returns, taken or
+        mispredicted branches) depend on the trace and the front end,
+        never on the machine's width.  :data:`FE_BRANCH` marks the
+        conditional branches.  The I-cache and gshare start cold.
+
+        Derived on first call for a front end and kept on the object, so
+        a pack simulated on several machines derives it once; a decoded
+        pack has :data:`TABLE1_FRONT_END`'s from its encoding.  Raises
+        :class:`~repro.errors.SimulationError` on a conditional branch
+        with no recorded outcome.
+        """
+        events = self._front_end.get(front_end)
+        if events is None:
+            events = self._front_end[front_end] = _front_end_events(self, front_end)
+        return events
+
+    def drop_tokens(self) -> None:
+        """Make the pack replay-only, as a decoded pack is.
+
+        Derives the producer columns first (they are read from the
+        tokens), then releases the token columns and name table.
+        """
+        self.producer_columns()
+        for name, _ in TOKEN_LAYOUT:
+            setattr(self, name, None)
+        self.names = None
 
     # ------------------------------------------------------------------
     def token(self, token_id: int) -> tuple[int, str]:
@@ -345,11 +431,13 @@ class PackedTrace:
     def to_bytes(self) -> bytes:
         """Serialize (see module docstring); deterministic byte-for-byte.
 
-        A fresh pack derives its producer columns here, so they are
-        cached on it for a later simulation as well.
+        A fresh pack derives its producer columns and Table 1's
+        front-end events here, so they are cached on it for a later
+        simulation as well.
         """
         columns = [getattr(self, name) for name, _ in ARRAY_LAYOUT]
         columns += _producer_section(self.producer_columns())
+        columns.append(self.front_end_events())
         header_doc = {
             "format": "repro-trace",
             "version": TRACE_FORMAT_VERSION,
@@ -432,14 +520,17 @@ class PackedTrace:
         pack = cls()
         for (name, _), column in zip(ARRAY_LAYOUT, columns):
             setattr(pack, name, column)
-        for name, _ in TOKEN_LAYOUT:
-            setattr(pack, name, None)
-        pack.names = None
         pack.value = doc.get("value")
         meta = doc.get("meta")
         pack.meta = meta if isinstance(meta, dict) else {}
         pack._validate_structure(doc)
-        pack._producers = pack._read_producer_section(*columns[len(ARRAY_LAYOUT):])
+        producers = columns[len(ARRAY_LAYOUT): len(ARRAY_LAYOUT) + len(PRODUCER_LAYOUT)]
+        pack._producers = pack._read_producer_section(*producers)
+        events = columns[-1]
+        if len(events) != pack.n:
+            raise TracePackError("front-end column must have n entries")
+        pack._front_end[TABLE1_FRONT_END] = bytearray(events)
+        pack.drop_tokens()
         pack._finalize()
         return pack
 
@@ -500,6 +591,80 @@ def _producer_section(
         entries.extend(repeat(s, len(extra)))
         distances.extend(extra)
     return [first, second, entries, distances]
+
+
+def _front_end_events(pack: PackedTrace, front_end: FrontEnd) -> bytearray:
+    """The column of :meth:`PackedTrace.front_end_events`.
+
+    The I-cache pass visits only line changes and the control pass only
+    control-flow entries, both found with ``compress`` at C speed; they
+    inline the state updates of :class:`~repro.sim.cache.Cache` (LRU)
+    and :class:`~repro.sim.branch_pred.GSharePredictor`.
+    """
+    n = pack.n
+    ids = pack.instr_ids
+    events = bytearray(n)
+
+    # I-cache: a fetch from the line fetched last is a hit that leaves
+    # the LRU state alone, so only line changes can miss
+    shift = front_end.line_bytes.bit_length() - 1
+    set_mask = front_end.icache_sets - 1
+    assoc = front_end.icache_assoc
+    row_line = [pc >> shift for pc in pack.pcs]
+    lines = list(map(row_line.__getitem__, ids))
+    # each set's lines, most recently used last
+    sets: list[list[int]] = [[] for _ in range(front_end.icache_sets)]
+    for s in compress(range(n), map(ne, lines, chain((None,), lines))):
+        line = lines[s]
+        ways = sets[line & set_mask]
+        if line in ways:
+            if ways[-1] != line:
+                ways.remove(line)
+                ways.append(line)
+        else:
+            events[s] = FE_MISS
+            ways.append(line)
+            if len(ways) > assoc:
+                del ways[0]
+
+    # control flow: jumps, calls and returns end a fetch group; gshare
+    # (2-bit counters, weakly not-taken, indexed by pc XOR history)
+    # predicts each conditional branch, or an oracle does
+    row_ctrl = list(pack.row_ctrl)
+    row_index = [pc >> 2 for pc in pack.pcs]
+    taken_col = pack.taken
+    gshare = not front_end.perfect_branches
+    table = [1] * front_end.predictor_entries
+    index_mask = front_end.predictor_entries - 1
+    history_mask = (1 << front_end.history_bits) - 1
+    history = 0
+    for s in compress(range(n), map(row_ctrl.__getitem__, ids)):
+        sid = ids[s]
+        if row_ctrl[sid] == CTRL_JUMP:
+            events[s] |= FE_STOP
+            continue
+        taken = taken_col[s]
+        if taken < 0:
+            raise SimulationError(
+                f"conditional branch at trace entry {s} has no recorded outcome"
+            )
+        ev = FE_BRANCH | FE_STOP if taken else FE_BRANCH
+        if gshare:
+            index = (row_index[sid] ^ history) & index_mask
+            counter = table[index]
+            if taken:
+                if counter < 3:
+                    table[index] = counter + 1
+                if counter < 2:
+                    ev |= FE_MISPREDICT
+            else:
+                if counter:
+                    table[index] = counter - 1
+                if counter >= 2:
+                    ev |= FE_MISPREDICT | FE_STOP
+            history = ((history << 1) | taken) & history_mask
+        events[s] |= ev
+    return events
 
 
 def _producer_distances(pack: PackedTrace) -> tuple[array, array, dict[int, list[int]]]:

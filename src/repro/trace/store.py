@@ -11,10 +11,11 @@ machine config of a sweep.
 :func:`load_trace` consults two layers, both built from the shared
 cache pieces of :mod:`repro.ioutil`:
 
-* the pool — an :class:`~repro.ioutil.LRU` of decoded
+* the pool — an :class:`~repro.ioutil.LRU` of replay-only
   :class:`~repro.trace.pack.PackedTrace` objects (:data:`DEFAULT_POOL_CAP`
-  packs).  Always on, so a serial sweep interprets each
-  (workload, scheme) once even without any disk cache.
+  packs), decoded or published by :func:`store_trace`.  Always on, so a
+  serial sweep interprets each (workload, scheme) once even without any
+  disk cache.
 * :class:`TraceStore` — the ``REPRO_TRACE_CACHE=<dir>`` opt-in
   :class:`~repro.ioutil.DiskStore` of encoded packs under
   ``<root>/<key[:2]>/<key>.rtp``.
@@ -166,8 +167,15 @@ def load_trace(key: str, accept: Accept | None = None) -> PackedTrace | None:
 
 
 def store_trace(key: str, pack: PackedTrace) -> None:
-    """Publish a freshly captured pack to the pool and (if set) the store."""
-    _POOL.put(key, pack)
+    """Publish a freshly captured pack to the (opt-in) store and the pool.
+
+    The pack is left replay-only, as a decoded one is: after the store
+    has encoded it, which derives its producer and front-end columns,
+    its token columns are dropped (:meth:`PackedTrace.drop_tokens`), so
+    the pool holds no more of a pack than replay reads.
+    """
     store = TraceStore.from_env()
     if store is not None:
         store.put(key, pack)
+    pack.drop_tokens()
+    _POOL.put(key, pack)

@@ -84,12 +84,12 @@ class TestGoldenKeys:
     def test_cell_key_digest(self):
         cell = Cell("compress", "advanced", 4, 150)
         assert cell_key(cell, code_version="golden") == (
-            "03d853a3b972c1b708a00bb5805efecd9f3ecdc020ed8fd209ac46f21ff41807"
+            "871daa782f0e5af0bdc62c26817214123570d48cddd898fd87cbc3d5c13748c7"
         )
 
     def test_trace_key_digest(self):
         assert trace_key("compress", "advanced", 150, code_version="golden") == (
-            "065e1cdb9a58a9594235d37058ed7822fc848cce339c08d5116fd368ae0804e2"
+            "a892e45730e86ca4b4f61184441c8fd8f28bea26b813165b4c954707fb35469b"
         )
 
     def test_content_key_ignores_insertion_order(self):

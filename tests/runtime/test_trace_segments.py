@@ -125,19 +125,19 @@ GOLDEN = {
         CALLS,
         {},
         23,
-        "544ca65321a0d285463ad336eabfa39dbd9b24729f5d932eb54105b7e5fe4990",
+        "94e631f735123dfbcae4d05083e5165df43aa0f2920f01d8eeac36ad4173bcba",
     ),
     "recursion": (
         RECURSION,
         {"count": 8},
         None,
-        "c922baf00059f3f710a7e45fbe76ea3531e93f3eef932fabf56f75c748efdd46",
+        "40e81344efb7c9eae436a00334cd82e73ae5e45140ddf0e94cda17380e686469",
     ),
     "unverified": (
         UNVERIFIED,
         {},
         38,
-        "9d3d3152589d45376ec1dad00aeee1bc5788fe483ff84cc89de1ac80e3f62b01",
+        "c0d9587f150398744600694c4dc36a16a8e0296d81627d77a469d4d80357adf9",
     ),
 }
 

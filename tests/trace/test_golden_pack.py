@@ -48,111 +48,111 @@ GOLDEN_SCALES = {
 #: little-endian host.
 GOLDEN = {
     ("compress", "advanced"): (
-        "41e95a3f42ae8bf0c5a55f56469a2ed72367b16d0bb8709eb719a929d37f26eb",
+        "83a9ed662292bfd67927f21a0bb7c2b264167a53dc73db7aaac44fc5817698fe",
         "1237e648df1e4a8df641ca1e51b2c52d466d508ecff801171e10007987123c54",
     ),
     ("compress", "basic"): (
-        "c97dd0541ceb81a42989a01246dde125e36992530b262e68e0b0a385fdfa012a",
+        "f2463418e0cf407c198275d943da580e1e9c93e3e01e736b2859482cef62cc7a",
         "1237e648df1e4a8df641ca1e51b2c52d466d508ecff801171e10007987123c54",
     ),
     ("compress", "conventional"): (
-        "f22f742275555803f0de2504ce2eca280f4b342a2d010a8c8047b36fb35dc984",
+        "6f5dd180e38268d83f798a5249ad95745e551dbae53082f92815b08d2299f099",
         "1237e648df1e4a8df641ca1e51b2c52d466d508ecff801171e10007987123c54",
     ),
     ("ear", "advanced"): (
-        "0bbc624f14023560b3455b6f8f71787f58a5d35aabe4dd7017beed9d83551935",
+        "b106c4f79614e6ae924baf586e09322e15352f2a677084971c8cff5f038122c6",
         "c9372d3978336cd6807865faf7ab0f82908be19f6f65ec7deb0bdf0ba97e3a1f",
     ),
     ("ear", "basic"): (
-        "36b4ab93a05ec0661bb0babe9589ef872a5d633fa79f33867f9cd80137a02a11",
+        "c7add8eb54566f79ed38e76c952c1214398560910909217a669674b141ee45df",
         "c9372d3978336cd6807865faf7ab0f82908be19f6f65ec7deb0bdf0ba97e3a1f",
     ),
     ("ear", "conventional"): (
-        "8baa685368d372fa6662a9375768cea4ca3e23d7335174df1f8d5c4fc1a5c538",
+        "b86f52445a24db2de85bc80171438dc3f72e60b22b66d611e0d02c70a2cbcf9b",
         "c9372d3978336cd6807865faf7ab0f82908be19f6f65ec7deb0bdf0ba97e3a1f",
     ),
     ("gcc", "advanced"): (
-        "6b59049d8a571fbc3e2fe0f036090ffc94e329caa686745db1df880f38d438ae",
+        "44ad181a81bc31f45f3961a9f3b2b37d0de24ca83273731f4f0086630070d78b",
         "b4f19ee7bb2ab32711a6ca06e3f59ee843d573d8b4e3a4d9b825288341503cc4",
     ),
     ("gcc", "basic"): (
-        "435b23aa37a5e24d9bddb23d08a25880d73d26ee53194a89733d03a01a37eba9",
+        "7e20dc25883ee9930abd2b70307a18bc18197d372912e5e732dcfe1798f5e438",
         "b4f19ee7bb2ab32711a6ca06e3f59ee843d573d8b4e3a4d9b825288341503cc4",
     ),
     ("gcc", "conventional"): (
-        "cbce85bafa5518d394b39a9c959811856e14dad61925cd29fcef66d395bca18f",
+        "1eff3d974fea001cc3761f1cecfb6ce70b24dbf72d7eed58043f174b215d3a65",
         "b4f19ee7bb2ab32711a6ca06e3f59ee843d573d8b4e3a4d9b825288341503cc4",
     ),
     ("go", "advanced"): (
-        "5f8e9231ac6c543b355300f1c9e3514d1a40ca7a83bef9991b372beb067be9a8",
+        "6686bf5149528a2eeeb28d176fbd7f4ce375819f8a6cd0ce265ae456013a694d",
         "0284abf10ed9034f37961fd5350e30e389c003e857176ed1cd2bdab9b45bbdac",
     ),
     ("go", "basic"): (
-        "602d6738aeff08c433daa02d8af69423ec4a18fc91feb1a9a6a36b4027fb47c6",
+        "ad707e5dccb1c103f6cd9985265116f4b334d3dc9baab8ed5f7f4d57a67ee906",
         "0284abf10ed9034f37961fd5350e30e389c003e857176ed1cd2bdab9b45bbdac",
     ),
     ("go", "conventional"): (
-        "6dbf3041f59b49425bea79716bc7ed852ef8ccbecda0c39c7dab9505b1152a54",
+        "4bda74a16adfcd8951fbb6f6eba024045e223c3c1a911d88ea3a51ceb8b0ec55",
         "0284abf10ed9034f37961fd5350e30e389c003e857176ed1cd2bdab9b45bbdac",
     ),
     ("ijpeg", "advanced"): (
-        "460612af6edc86b816cbbe0e5fd534d3c86aa7b43731fe9fd88d786eef73bd5c",
+        "2c2e06c2b7fbba9242a2ad3eacb7d96d4b1171ce425fb28c65a485097a40ea01",
         "573bec2063747224c079c1bc6fd419d15e2b855d9c13773720f14d7390a863de",
     ),
     ("ijpeg", "basic"): (
-        "1c6ab1e9e91ced7f3463119af2eec31cf1bf1a6cceae8954fb26c84c9d1d63ef",
+        "7731e4011bab688b6f0d99953a32cdb40723a24fea0817195b7706c5faeeb1d6",
         "573bec2063747224c079c1bc6fd419d15e2b855d9c13773720f14d7390a863de",
     ),
     ("ijpeg", "conventional"): (
-        "2f575f19e45bd2b57ce538bd4fd9117bd695d05b0218885bbd7220cff2fdf0d8",
+        "3facd4dfaff5a34373c038f28a7b5367ff949d4096cbd047f77319f29e01ce61",
         "573bec2063747224c079c1bc6fd419d15e2b855d9c13773720f14d7390a863de",
     ),
     ("li", "advanced"): (
-        "5d81025fa2a9abdd286e5b8c70558b47291c248b3542abfa5687f0164c8a56ff",
+        "b1efc7e486332e2758f62d7e8c05f376c446f7b7210e1add11a79c791ab6d2d7",
         "a7deff441eda7214be83d76b62b3dda6a84e24f4bf0702d319cd4cf6e60406e3",
     ),
     ("li", "basic"): (
-        "0ead3d3142a640bcc7947ec2c6d786136d23161d1dbdbc549a16c406e6210dcf",
+        "92a88285740a725d59ff852a1c7a7a813b3b12756d15c0c76cc82d943b63547d",
         "a7deff441eda7214be83d76b62b3dda6a84e24f4bf0702d319cd4cf6e60406e3",
     ),
     ("li", "conventional"): (
-        "32942e13c420c26bf845a1101ef504fabb922408e04a7dd6251c57753dca8735",
+        "21f7719645f57b333350f21783adc82733b4d3ba11805ca5be0620e237d78c3d",
         "a7deff441eda7214be83d76b62b3dda6a84e24f4bf0702d319cd4cf6e60406e3",
     ),
     ("m88ksim", "advanced"): (
-        "c875b6969f29d1715bfd0ee410222682c9d9f61d77828ea0d9aeef55c2cf14c4",
+        "a03ab78c58f048814109038ab80f47a6a12c70e0bc49e8358559ee1b3378bb19",
         "1517aae10808c8e923c7b55475bfb7e74420f8b75c04b854e3d5664cf4df3336",
     ),
     ("m88ksim", "basic"): (
-        "38dfa215d0bc155317ffccec3b6320636921848e30007c4e5a4bab7f5d170a94",
+        "67b5f328c6c5027df208ca574e619b0e618af442671b504bf250824a4cba4290",
         "1517aae10808c8e923c7b55475bfb7e74420f8b75c04b854e3d5664cf4df3336",
     ),
     ("m88ksim", "conventional"): (
-        "a6bf958bd5bdff2119437a19afbc3d879dd0c0a85a731342bd0ce04087b56a25",
+        "1a6808e5047e681956a28d7d2b596b1030148acd584fad3dc51dbe959778ca20",
         "1517aae10808c8e923c7b55475bfb7e74420f8b75c04b854e3d5664cf4df3336",
     ),
     ("perl", "advanced"): (
-        "947164ef5300d2a0dd7866943ade9f20ab815794909b94da8392c8217bc6250a",
+        "8cea844dd935896c3827ac7d90d49f5c3c6085e3700b84a418a392ac3ed1c71a",
         "14d319f47432c73a9f781b1a1247b25da745ec1fd3ce933e1f7849f190e7ccfd",
     ),
     ("perl", "basic"): (
-        "862ee4bb74616bbbcf9064e563778d5bb335a99a67a6d6b1314a6c6071265108",
+        "a78e35788357a2efc27bfde9cacd53d57feb08838c25334c490fa94efbef2226",
         "14d319f47432c73a9f781b1a1247b25da745ec1fd3ce933e1f7849f190e7ccfd",
     ),
     ("perl", "conventional"): (
-        "8109e17e330230a842711846721cade2309a9a7b4d0aa68d2c58313ccb074c8a",
+        "7e8272a27c92c69dfc2586ac2e5e96753d0cf4add0e3f6f9e010d0692143a9a4",
         "14d319f47432c73a9f781b1a1247b25da745ec1fd3ce933e1f7849f190e7ccfd",
     ),
     ("swim", "advanced"): (
-        "dcf720ff91d08a6e1eec5aedb1854f03c9fa3c8493336ea20e0536417b0e5ac9",
+        "bf39432c5e85e4836a7b6607d1816a4ad92c6d0022ecc48c681d61e3360b9698",
         "a3dca298c03bac383dd39f411ba8d9bf281212d9bda3dae5c24357032aae729b",
     ),
     ("swim", "basic"): (
-        "eefd2835b8ca7030c74f3993ea2ed6e1ab3d287e19b3607bb2e283889756aae9",
+        "7735bd40ecd01c05756eb0a0287f3f7f8b624ab3a6c9d10fc1cf50f606520049",
         "a3dca298c03bac383dd39f411ba8d9bf281212d9bda3dae5c24357032aae729b",
     ),
     ("swim", "conventional"): (
-        "fe65da7a4bb0aade48507b0a80962a84b2e70f13a6e6ffe0750a1164c3cb0512",
+        "b26fd8ef1fbd8c55345c89695c7f7aeadd3db6fd472d75670d6a07c7147e9894",
         "a3dca298c03bac383dd39f411ba8d9bf281212d9bda3dae5c24357032aae729b",
     ),
 }

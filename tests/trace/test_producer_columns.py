@@ -31,6 +31,7 @@ from repro.sim.pipeline import simulate_trace
 from repro.trace.pack import (
     MAGIC,
     NO_PRODUCER,
+    TABLE1_FRONT_END,
     PackedTrace,
     _producer_distances,
     pack_entries,
@@ -179,16 +180,24 @@ def test_damaged_producer_section_is_rejected(edit, match):
         PackedTrace.from_bytes(_damaged(edit))
 
 
+def test_short_front_end_section_is_rejected():
+    pack = many_args_pack()
+    pack._front_end[TABLE1_FRONT_END] = pack.front_end_events()[:-1]
+    with pytest.raises(TracePackError, match="front-end column must have n entries"):
+        PackedTrace.from_bytes(pack.to_bytes())
+
+
 def test_encoding_holds_only_what_replay_reads():
     data = many_args_pack().to_bytes()
     prefix = len(MAGIC) + 32 + 4
     header_len = int.from_bytes(data[prefix - 4:prefix], "big")
     header = json.loads(data[prefix:prefix + header_len])
-    assert header["version"] == 3
+    assert header["version"] == 4
     assert [name for name, _, _ in header["arrays"]] == [
         "pcs", "kinds", "fp_side", "int_defs", "fp_defs",
         "instr_ids", "mem_addr", "taken",
         "first_producer", "second_producer", "more_entries", "more_distances",
+        "front_end",
     ]
     assert "names" not in header
 

@@ -24,7 +24,7 @@ from repro.runtime.trace import Subsystem
 from repro.sim.config import eight_way, four_way
 from repro.sim.pipeline import simulate_trace
 from repro.trace.pack import PackedTrace
-from repro.trace.store import TRACE_CACHE_ENV, clear_trace_pool
+from repro.trace.store import TRACE_CACHE_ENV, clear_trace_pool, load_trace, trace_key
 
 #: The smoke matrix (mirrors ``repro.bench.matrix``'s smoke suite).
 SMOKE = {"compress": 150, "m88ksim": 2}
@@ -185,6 +185,21 @@ class TestInterpretOnce:
         assert fresh.stats.to_counters() == first.stats.to_counters()
         assert fresh.checksum == first.checksum
         assert fresh.mix == first.mix
+
+
+    @pytest.mark.parametrize("stored", [False, True], ids=["pool", "store"])
+    def test_published_pack_is_replay_only(self, monkeypatch, tmp_path, stored):
+        """The pool holds a captured pack as it holds a decoded one: with
+        its producer columns and without its dependence tokens."""
+        from repro.experiments import runner
+
+        if stored:
+            monkeypatch.setenv(TRACE_CACHE_ENV, str(tmp_path))
+        scale = SMOKE["compress"]
+        runner.run_benchmark("compress", "basic", width=4, scale=scale)
+        pack = load_trace(trace_key("compress", "basic", scale))
+        assert pack is not None and pack._producers is not None
+        assert pack.read_tokens is None and pack.names is None
 
 
 class TestReplayNeedsNoProgram:
