@@ -4,21 +4,20 @@ Examples::
 
     repro bench --suite fig8 --jobs 4
     repro bench --suite fig8 --jobs 4 --baseline benchmarks/baseline.json
-    repro bench --suite all --jobs 2 --timeout 60
+    repro bench --suite all --jobs 2 --max-failures 3
     repro bench --validate BENCH_fig8.json
     repro bench --list
 
-A failing, hung or crashed cell does not abort the sweep: it is
-recorded in the document's ``failures`` section and the run exits 4
-when the count exceeds ``--max-failures`` (default 0, so CI still fails
-loudly).  Rerunning a killed or failed sweep recomputes only what the
-on-disk result cache does not already hold.
+A failing cell, or one whose worker process dies, does not abort the
+sweep: it is recorded in the document's ``failures`` section and the
+run exits 4 when the count exceeds ``--max-failures`` (default 0, so CI
+still fails loudly).  Rerunning a killed or failed sweep recomputes
+only what the on-disk result cache does not already hold.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import time
@@ -30,13 +29,6 @@ def _non_negative_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return value
-
-
-def _positive_seconds(text: str) -> float:
-    value = float(text)
-    if not (value > 0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
     return value
 
 
@@ -91,14 +83,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         "--force",
         action="store_true",
         help="recompute every cell even on cache hits (cache is rewritten)",
-    )
-    parser.add_argument(
-        "--timeout",
-        type=_positive_seconds,
-        default=None,
-        metavar="SECS",
-        help="hard per-cell wall-clock limit; a cell still running at "
-        "the limit is killed and recorded as a timeout (default: none)",
     )
     parser.add_argument(
         "--max-failures",
@@ -218,7 +202,6 @@ def run(args: argparse.Namespace) -> int:
         cache=cache,
         force=args.force,
         progress=progress,
-        timeout=args.timeout,
     )
     total_seconds = time.perf_counter() - start
 

@@ -20,23 +20,16 @@ so a parallel run, a serial run and a cache replay all yield
 bit-identical result documents — the property the harness tests and
 the CI baseline gate rely on.
 
-Failure isolation (``docs/robustness.md``): one misbehaving cell never
+Failure isolation (``docs/robustness.md``): one failing cell never
 discards its siblings' work.  Every cell resolves to a
-:class:`CellOutcome` whose ``status`` is ``ok``, ``failed`` or
-``timeout``; pipeline exceptions are captured as a :class:`CellError`
-(type/stage/message) instead of propagating out of ``run_cells``.
-Cells are deterministic and bounded by the interpreter's fuel and the
-simulator's cycle limit, so a failure is recorded once and never
-retried — a retry would only repeat it.  The pool path adds the two
-guards an inline run cannot give:
-
-* a **hard** per-cell ``timeout``: a cell still running at the limit is
-  killed and recorded ``timeout``; siblings interrupted by the pool
-  teardown are resubmitted uncharged;
-* **crash isolation**: a worker that dies outright breaks the pool.  A
-  lone in-flight cell is charged the crash; with several suspects the
-  harness requeues them all uncharged and drops to one worker, so the
-  next crash names exactly one cell.
+:class:`CellOutcome` whose ``status`` is ``ok`` or ``failed``; pipeline
+exceptions are captured as a :class:`CellError` (type/stage/message)
+instead of propagating out of ``run_cells``.  Cells are deterministic
+and bounded by the interpreter's fuel and the simulator's cycle limit,
+so a failure is recorded once and never retried — a retry would only
+repeat it.  A worker process that dies breaks the pool, which fails
+every cell not yet resolved as ``BrokenProcessPool``; rerunning the
+sweep recomputes exactly those cells.
 
 Callers that need raise-on-failure behaviour use
 :meth:`CellOutcome.unwrap`.
@@ -45,8 +38,7 @@ Callers that need raise-on-failure behaviour use
 from __future__ import annotations
 
 import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable
@@ -67,7 +59,6 @@ _MEMO = LRU(DEFAULT_MEMO_CAP)
 
 STATUS_OK = "ok"
 STATUS_FAILED = "failed"
-STATUS_TIMEOUT = "timeout"
 
 
 def clear_memo() -> None:
@@ -80,8 +71,8 @@ class CellError:
     """What failed inside one cell, reduced to picklable strings.
 
     Attributes:
-        type: Exception class name (or ``BrokenProcessPool``/``Timeout``
-            for process-level failures the cell never got to raise).
+        type: Exception class name (``BrokenProcessPool`` when the
+            worker process died before returning a result).
         stage: Pipeline stage the failure is attributed to.
         message: The exception text.
     """
@@ -121,7 +112,7 @@ class CellOutcome:
         seconds: Wall-clock this invocation spent obtaining the cell
             (≈0 for replays).
         compute_seconds: Wall-clock of the original fresh computation.
-        status: ``"ok"``, ``"failed"`` or ``"timeout"``.
+        status: ``"ok"`` or ``"failed"``.
         error: Captured failure details when ``status != "ok"``.
     """
 
@@ -187,17 +178,6 @@ def _decode_cache_entry(entry: dict) -> tuple[BenchmarkResult, float] | None:
     return result, compute_seconds
 
 
-def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear a pool down *now*, terminating hung or wedged workers."""
-    processes = getattr(pool, "_processes", None) or {}
-    for proc in list(processes.values()):
-        try:
-            proc.terminate()
-        except Exception:
-            pass
-    pool.shutdown(wait=False, cancel_futures=True)
-
-
 def run_cells(
     cells: list[Cell],
     *,
@@ -205,7 +185,6 @@ def run_cells(
     cache: ResultCache | None = None,
     force: bool = False,
     progress: Callable[[CellOutcome], None] | None = None,
-    timeout: float | None = None,
 ) -> list[CellOutcome]:
     """Resolve every cell; returns outcomes in input order (deduplicated).
 
@@ -214,15 +193,12 @@ def run_cells(
 
     Args:
         cells: Cells to run; duplicates are resolved once.
-        jobs: Worker processes (<=1 runs inline in this process, unless
-            ``timeout`` is set, which requires the pool for isolation).
+        jobs: Worker processes (<=1 runs inline in this process).
         cache: Optional on-disk cache consulted before computing and
             updated (atomically, best effort) after.
         force: Recompute even on a cache hit (the cache is rewritten).
         progress: Callback invoked as each cell resolves, in completion
             order.
-        timeout: Hard per-cell wall-clock limit in seconds; a cell still
-            running at the limit is killed and recorded ``timeout``.
     """
     ordered: list[tuple[Cell, str]] = []
     seen: set[str] = set()
@@ -307,9 +283,8 @@ def run_cells(
             CellOutcome(cell, None, key, False, "none", 0.0, 0.0, status, error)
         )
 
-    if pending and timeout is None and (jobs <= 1 or len(pending) == 1):
-        # inline: no worker to lose, and no way to kill a hung cell —
-        # callers wanting those guarantees set ``timeout`` or ``jobs > 1``
+    if pending and (jobs <= 1 or len(pending) == 1):
+        # inline: no worker to lose
         for cell, key in pending:
             try:
                 result, seconds = compute_cell(cell)
@@ -322,107 +297,24 @@ def run_cells(
                     cell, key, result_from_dict(result_to_dict(result)), seconds
                 )
     elif pending:
-        _run_pool(pending, jobs, timeout, _computed, _failed)
-
-    return [outcomes[key] for _, key in ordered]
-
-
-def _run_pool(
-    pending: list[tuple[Cell, str]],
-    jobs: int,
-    timeout: float | None,
-    _computed: Callable,
-    _failed: Callable,
-) -> None:
-    """Fan out over a worker pool, surviving crashes and hung cells.
-
-    Submission is throttled to the worker count so a task's submit time
-    approximates its start time, which makes ``submit + timeout`` a
-    meaningful per-cell deadline.
-    """
-    queue: deque[tuple[Cell, str]] = deque(pending)
-    workers = max(1, min(jobs, len(pending)))
-    pool: ProcessPoolExecutor | None = None
-    # future -> (cell, key, deadline or None)
-    inflight: dict[object, tuple[Cell, str, float | None]] = {}
-
-    def _restart(interrupted: list[tuple[Cell, str, float | None]]) -> None:
-        """Kill the pool and put ``interrupted`` cells back at the front
-        of the queue, uncharged."""
-        nonlocal pool
-        inflight.clear()
-        if pool is not None:
-            _kill_pool(pool)
-            pool = None
-        queue.extendleft((cell, key) for cell, key, _ in reversed(interrupted))
-
-    def _handle_break() -> None:
-        """The pool died under us: every in-flight cell is a suspect.
-
-        A ``BrokenProcessPool`` carries no attribution, so a cell is
-        only charged the crash when it was the lone in-flight cell.
-        Otherwise every suspect is requeued uncharged and the pool
-        shrinks to one worker, where the next break names one cell.
-        """
-        nonlocal workers
-        suspects = list(inflight.values())
-        _restart(suspects if len(suspects) > 1 else [])
-        if len(suspects) == 1:
-            cell, key, _ = suspects[0]
-            _failed(
-                cell, key, STATUS_FAILED,
-                CellError(
-                    "BrokenProcessPool", "worker",
-                    "worker process died before returning a result",
-                ),
-            )
-        elif suspects:
-            workers = 1
-
-    clean_exit = False
-    try:
-        while queue or inflight:
-            if pool is None:
-                pool = ProcessPoolExecutor(max_workers=workers)
-            while queue and len(inflight) < workers:
-                cell, key = queue.popleft()
+        # a worker that dies breaks the pool: every cell not yet resolved
+        # fails as BrokenProcessPool, and a rerun recomputes those
+        with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
+            futures = {}
+            for cell, key in pending:
                 try:
                     future = pool.submit(_pool_worker, cell.as_dict())
-                except BrokenProcessPool:
-                    queue.appendleft((cell, key))
-                    _handle_break()
-                    break
-                deadline = None if timeout is None else time.monotonic() + timeout
-                inflight[future] = (cell, key, deadline)
-            if pool is None:
-                continue  # pool broke during submission; respawn and retry
-
-            deadlines = [d for _, _, d in inflight.values() if d is not None]
-            wait_timeout = (
-                max(0.0, min(deadlines) - time.monotonic()) + 0.01
-                if deadlines
-                else None
-            )
-            done, _ = wait(
-                set(inflight), timeout=wait_timeout, return_when=FIRST_COMPLETED
-            )
-
-            broken = False
-            for future in done:
-                cell, key, deadline = inflight.pop(future)
+                except BrokenProcessPool as exc:
+                    _failed(cell, key, STATUS_FAILED, _future_error(exc))
+                else:
+                    futures[future] = cell, key
+            for future in as_completed(futures):
+                cell, key = futures[future]
                 try:
                     payload = future.result()
-                except BrokenProcessPool:
-                    broken = True
-                    inflight[future] = (cell, key, deadline)
-                    continue
                 except Exception as exc:
-                    # e.g. the payload failed to unpickle; a cell-level
-                    # failure, not a pool-level one
-                    payload = {
-                        "ok": False,
-                        "error": CellError.from_exception(exc).as_dict(),
-                    }
+                    _failed(cell, key, STATUS_FAILED, _future_error(exc))
+                    continue
                 if payload["ok"]:
                     _computed(
                         cell, key, result_from_dict(payload["result"]),
@@ -433,38 +325,16 @@ def _run_pool(
                         cell, key, STATUS_FAILED,
                         CellError.from_dict(payload["error"]),
                     )
-            if broken:
-                _handle_break()
-                continue
 
-            now = time.monotonic()
-            expired = [
-                future
-                for future, (_, _, deadline) in inflight.items()
-                if deadline is not None and now >= deadline
-            ]
-            if expired:
-                for future in expired:
-                    cell, key, _ = inflight.pop(future)
-                    _failed(
-                        cell, key, STATUS_TIMEOUT,
-                        CellError(
-                            "Timeout", "worker",
-                            f"cell exceeded the {timeout:g}s per-cell timeout",
-                        ),
-                    )
-                # the hung workers still occupy pool slots: kill the pool
-                # and resubmit the interrupted (innocent) cells uncharged
-                _restart(list(inflight.values()))
-        clean_exit = True
-    finally:
-        if pool is not None:
-            if clean_exit:
-                pool.shutdown(wait=True, cancel_futures=True)
-            else:
-                # abnormal exit (KeyboardInterrupt, internal error):
-                # waiting on possibly-hung workers would wedge shutdown
-                _kill_pool(pool)
+    return [outcomes[key] for _, key in ordered]
+
+
+def _future_error(exc: Exception) -> CellError:
+    """A pool future that raised: its worker died, or (rarely) its
+    payload failed to unpickle — a cell-level failure either way."""
+    if isinstance(exc, BrokenProcessPool):
+        return CellError(type(exc).__name__, "worker", str(exc))
+    return CellError.from_exception(exc)
 
 
 def results_by_cell(outcomes: list[CellOutcome]) -> dict[Cell, BenchmarkResult]:

@@ -29,7 +29,7 @@ uploads and gates on.  Layout (schema ``repro-bench/1``)::
           "workload": "m88ksim", "scheme": "advanced",
           "width": 4, "scale": null,
           "key": "<cache key>", "cached": false, "source": "none",
-          "status": "failed",        # or "timeout"
+          "status": "failed",        # "timeout" in older documents
           "seconds": 0.0, "compute_seconds": 0.0,
           "error": {"type": "PartitionError", "stage": "partition",
                     "message": "..."}
@@ -228,6 +228,7 @@ _RESULT_REQUIRED = _RESULT_FIELDS + ("partition_summary", "mix", "stats")
 
 _FAILURE_REQUIRED = ("workload", "scheme", "width", "key", "status", "error")
 
+#: ``timeout`` came from the retired per-cell limit; old documents keep it.
 _FAILURE_STATUSES = ("failed", "timeout")
 
 

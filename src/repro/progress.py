@@ -8,8 +8,8 @@ each stage of a cell.
 
 With no sink installed — the default everywhere, including the bench
 harness — reporting is a near-free no-op: one global read and a
-``None`` check.  The bench harness does not watch progress: its
-per-cell ``--timeout`` is an absolute wall-clock limit.
+``None`` check.  A cell replayed from a pooled or stored trace skips
+straight to ``simulate``.
 """
 
 from __future__ import annotations

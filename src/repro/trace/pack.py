@@ -68,6 +68,7 @@ import hashlib
 import json
 import sys
 from array import array
+from collections import Counter
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import ne
 from typing import NamedTuple
@@ -341,10 +342,6 @@ class PackedTrace:
         subsystem — the paper's "offloaded" metric numerator for integer
         programs.
         """
-        # per-row dynamic occurrence counts, then one combine per row
-        occurrences = [0] * self.rows
-        for sid in self.instr_ids:
-            occurrences[sid] += 1
         out = {
             "total": self.n,
             "fp_executed": 0,
@@ -357,9 +354,8 @@ class PackedTrace:
         store = KIND_CODE[OpKind.STORE]
         branch = KIND_CODE[OpKind.BRANCH]
         copy = KIND_CODE[OpKind.COPY]
-        for sid, count in enumerate(occurrences):
-            if not count:
-                continue
+        # per-row dynamic occurrence counts, then one combine per row
+        for sid, count in Counter(self.instr_ids).items():
             if self.fp_side[sid]:
                 out["fp_executed"] += count
             kind = self.kinds[sid]

@@ -3,13 +3,12 @@
 Every test starts with an empty in-process memo so cache/memo hit
 assertions are about *this* test's actions, not a previous test's.
 The helpers below script a failing cell (a raising stage, a dying
-worker, a hang) with ``monkeypatch``.
+worker) with ``monkeypatch``.
 """
 
 from __future__ import annotations
 
 import os
-import time
 
 import pytest
 
@@ -59,8 +58,3 @@ def under_patch(obj, name, value):
 def crash(cell):
     """A scripted cell whose worker process dies."""
     os._exit(13)
-
-
-def hang(cell):
-    """A scripted cell that outlives any test's ``timeout``."""
-    time.sleep(120)

@@ -1,18 +1,22 @@
 """Failure isolation in the bench harness, one test per failure class.
 
 Each test scripts one failure with ``monkeypatch`` — a pipeline stage
-that raises, a worker that dies, a cell that hangs, a torn cache entry
-— and asserts it costs only its own cell: siblings finish with results
-identical to a clean run, and the failed cell carries a usable error
-record.
+that raises, a worker that dies, a torn cache entry — and asserts what
+it costs: a raising stage or a torn entry costs only its own cell,
+siblings finish with results identical to a clean run, and a failed
+cell carries a usable error record.  A dead worker breaks the whole
+pool, so it may also fail siblings not yet resolved; a rerun recomputes
+exactly the failed cells.
 
-Crash and hang tests need ``jobs >= 2`` / a ``timeout`` so the harness
-takes the process-pool path (an in-process crash would take pytest down
-with it).  The pool forks, so a patch made in the parent reaches the
-workers.
+The crash test needs ``jobs >= 2`` so the harness takes the
+process-pool path (an in-process crash would take pytest down with it).
+The pool forks, so a patch made in the parent reaches the workers.
 """
 
 from __future__ import annotations
+
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -25,7 +29,8 @@ from repro.errors import ExecutionError, PartitionError, ReproError, SimulationE
 from repro.experiments import runner
 from repro.trace.store import clear_trace_pool
 
-from .conftest import SMALL, crash, hang, script_cells, under_patch
+from .conftest import SMALL, crash, script_cells, under_patch
+
 
 def small_cells(*specs) -> list[Cell]:
     """``("compress", "basic")``-style specs -> smoke-scale cells."""
@@ -104,39 +109,58 @@ class TestPipelineError:
 
 
 class TestWorkerCrash:
-    def test_crash_is_charged_to_one_cell(self, monkeypatch):
+    def test_dead_worker_fails_only_unresolved_cells(self, monkeypatch, tmp_path):
+        """Whatever the scheduling: every crashing cell fails as
+        ``BrokenProcessPool``, a sibling either finished cleanly or fell
+        with the pool, nothing failed is kept, and a rerun recomputes
+        exactly the failed cells."""
         cells = small_cells(
             ("compress", "conventional"),
             ("compress", "basic"),
             ("m88ksim", "conventional"),
+            ("m88ksim", "basic"),
         )
         expected = clean_results(cells)
-        script_cells(monkeypatch, "m88ksim", crash)
-        outcomes = run_cells(cells, jobs=2)
+        cache = ResultCache(tmp_path / "cache")
+        with monkeypatch.context() as patch:
+            script_cells(patch, "m88ksim", crash)
+            outcomes = run_cells(cells, jobs=2, cache=cache)
 
-        # innocents sharing a pool with the crasher are requeued, never
-        # failed by association
-        for outcome in outcomes[:2]:
-            assert outcome.ok, outcome.error
-            assert result_to_dict(outcome.result) == expected[outcome.key]
-        crashed = outcomes[2]
-        assert crashed.status == "failed"
-        assert crashed.error.type == "BrokenProcessPool"
-        assert crashed.key not in harness._MEMO
+        for outcome in outcomes:
+            if outcome.ok:
+                assert outcome.cell.workload != "m88ksim"
+                assert result_to_dict(outcome.result) == expected[outcome.key]
+                continue
+            assert outcome.status == "failed" and outcome.result is None
+            assert outcome.error.type == "BrokenProcessPool"
+            assert outcome.error.stage == "worker"
+            assert outcome.key not in harness._MEMO
+            assert cache.get(outcome.key) is None
 
+        clear_memo()
+        rerun = run_cells(cells, cache=cache)
+        assert [o.source for o in rerun] == [
+            "disk" if o.ok else "computed" for o in outcomes
+        ]
+        assert {o.key: result_to_dict(o.result) for o in rerun} == expected
 
-class TestHang:
-    def test_hang_past_timeout_is_killed_and_recorded(self, monkeypatch):
+    def test_pool_broken_at_submission_fails_the_cell(self, monkeypatch):
+        """A pool that broke while cells were still being submitted
+        refuses the rest; those cells fail too, and nothing raises."""
+
+        class BreaksAtM88k(ProcessPoolExecutor):
+            def submit(self, fn, cell_doc):
+                if cell_doc["workload"] == "m88ksim":
+                    raise BrokenProcessPool("scripted")
+                return super().submit(fn, cell_doc)
+
         cells = small_cells(("compress", "conventional"), ("m88ksim", "conventional"))
         expected = clean_results(cells)
-        script_cells(monkeypatch, "m88ksim", hang)
-        good, hung = run_cells(cells, jobs=2, timeout=4.0)
-
-        assert good.ok
-        assert result_to_dict(good.result) == expected[good.key]
-        assert hung.status == "timeout"
-        assert hung.error.type == "Timeout"
-        assert "4s" in hung.error.message
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", BreaksAtM88k)
+        good, bad = run_cells(cells, jobs=2)
+        assert good.ok and result_to_dict(good.result) == expected[good.key]
+        assert bad.status == "failed"
+        assert (bad.error.type, bad.error.stage) == ("BrokenProcessPool", "worker")
 
 
 class TestTornCacheEntry:

@@ -8,6 +8,7 @@ from repro.bench.cache import ResultCache
 from repro.bench.harness import clear_memo, results_by_cell, run_cells
 from repro.bench.matrix import Cell
 from repro.bench.results import result_to_dict
+from repro.progress import set_progress_sink
 
 from .conftest import SMALL
 
@@ -70,6 +71,34 @@ class TestResolution:
         seen = []
         run_cells(CELLS[:2], progress=lambda o: seen.append(o.cell))
         assert sorted(seen, key=str) == sorted(CELLS[:2], key=str)
+
+
+class StageSink:
+    """A progress sink that records the ``stage`` of every update."""
+
+    def __init__(self):
+        self.stages = []
+
+    def update(self, **fields):
+        self.stages.append(fields.get("stage"))
+
+
+class TestProgressSink:
+    def test_sink_sees_cold_stages_then_replay_only_simulates(self):
+        sink = StageSink()
+        set_progress_sink(sink)
+        try:
+            run_cells([CELLS[0]])
+            assert sink.stages == ["prepare", "execute", "simulate"]
+
+            # memo cleared, pooled trace kept: the cell replays the trace
+            sink.stages.clear()
+            clear_memo()
+            [outcome] = run_cells([CELLS[0]])
+            assert outcome.source == "computed"
+            assert sink.stages == ["simulate"]
+        finally:
+            set_progress_sink(None)
 
 
 class TestMemoBound:

@@ -16,6 +16,8 @@ from repro.bench.results import (
 )
 from repro.errors import ReproError
 
+from .conftest import SMALL
+
 CELL = Cell("m88ksim", "advanced", 4, 2)
 
 
@@ -66,6 +68,18 @@ class TestValidation:
         del bad["cells"][0]["result"]["cycles"]
         with pytest.raises(ReproError, match="cycles"):
             validate_document(bad)
+
+    def test_clean_document_has_no_breakers_key(self):
+        """No field of the retired retry, heartbeat and circuit-breaker
+        layers is written any more."""
+        cell = Cell("compress", "conventional", 4, SMALL["compress"])
+        [outcome] = run_cells([cell])
+        doc = build_document("smoke", [outcome], jobs=1, total_seconds=0.1)
+        validate_document(doc)
+        assert "breakers" not in doc
+        [cell] = doc["cells"]
+        for retired in ("attempts", "attempt_seconds", "progress"):
+            assert retired not in cell
 
     def test_not_a_document(self):
         with pytest.raises(ReproError):
