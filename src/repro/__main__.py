@@ -20,8 +20,6 @@ Usage::
 the language).  ``-`` reads from stdin, and ``workload:<name>`` uses the
 generated source of a registered benchmark workload (e.g.
 ``workload:compress``) so CI can lint exactly what the harness runs.
-Generator specs (``gen:mixer?seed=7&ldst=0.3`` — see ``docs/fuzzing.md``)
-are accepted anywhere a workload name is.
 
 Exit codes are documented per error class — 0 success, 1 generic
 failure, 2 usage, 3 unreadable input file, 4 the bench failure gate,
@@ -42,12 +40,10 @@ from repro.errors import EXIT_IO, ReproError, exit_code_for
 def _read_source(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    if path.startswith("workload:") or path.startswith("gen:"):
+    if path.startswith("workload:"):
         from repro.workloads import workload_source
 
-        if path.startswith("workload:"):
-            path = path[len("workload:"):]
-        return workload_source(path)
+        return workload_source(path[len("workload:"):])
     with open(path) as handle:
         return handle.read()
 

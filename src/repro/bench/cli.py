@@ -22,7 +22,7 @@ import os
 import sys
 import time
 
-from repro.errors import EXIT_BENCH_FAILURES, ReproError, exit_code_for
+from repro.errors import EXIT_BENCH_FAILURES
 
 
 def _non_negative_int(text: str) -> int:
@@ -138,17 +138,6 @@ def run(args: argparse.Namespace) -> int:
             print(f"{name:8s} {len(cells):3d} cells  "
                   + ", ".join(c.label for c in cells[:4])
                   + (", ..." if len(cells) > 4 else ""))
-        from repro.gen import GENERATORS
-
-        print()
-        print("generator specs (usable anywhere a workload name is; "
-              "see docs/fuzzing.md):")
-        for gname in sorted(GENERATORS):
-            generator = GENERATORS[gname]
-            axes = ", ".join(generator.axes)
-            print(f"  gen:{gname:8s} {generator.description}  [axes: {axes}]")
-        print("  example: repro bench --suite gen-smoke, or any cell with "
-              "workload='gen:mixer?seed=7&ldst=0.3'")
         return 0
 
     if args.validate is not None:
@@ -262,20 +251,3 @@ def run(args: argparse.Namespace) -> int:
         if not report.ok:
             return 1
     return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Standalone entry point (``python -m repro.bench.cli``)."""
-    parser = argparse.ArgumentParser(
-        prog="repro bench", description=__doc__.splitlines()[0]
-    )
-    configure_parser(parser)
-    try:
-        return run(parser.parse_args(argv))
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exit_code_for(exc)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

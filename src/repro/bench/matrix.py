@@ -25,10 +25,7 @@ class Cell:
     """One point of the experiment matrix.
 
     Attributes:
-        workload: Workload name from :mod:`repro.workloads`, or a
-            generator spec (``gen:mixer?seed=7&ldst=0.3``).  Spec
-            strings are normalized to their canonical spelling at
-            construction so equal specs land on equal cache keys.
+        workload: Workload name from :mod:`repro.workloads`.
         scheme: ``"conventional"``, ``"basic"`` or ``"advanced"``.
         width: Machine width, 4 or 8 (Table 1).
         scale: Workload scale override (``None`` = the workload default).
@@ -40,21 +37,10 @@ class Cell:
     scale: int | None = None
 
     def __post_init__(self) -> None:
-        from repro.gen import GeneratorSpec, is_generator_spec
-
-        if is_generator_spec(self.workload):
-            # parse validates; canonicalize so spellings of the same
-            # spec share one cache key
-            spec = GeneratorSpec.parse(self.workload)
-            object.__setattr__(self, "workload", spec.canonical())
-        elif self.workload not in WORKLOADS:
-            from repro.gen import GENERATORS
-
-            examples = ", ".join(f"gen:{g}?seed=N" for g in sorted(GENERATORS))
+        if self.workload not in WORKLOADS:
             raise ReproError(
                 f"unknown workload {self.workload!r}; "
-                f"available: {sorted(WORKLOADS)} "
-                f"or generator specs ({examples})"
+                f"available: {sorted(WORKLOADS)}"
             )
         if self.scheme not in SCHEMES:
             raise ReproError(
@@ -134,21 +120,6 @@ def smoke_matrix() -> list[Cell]:
     ]
 
 
-#: Generator-spec cells for the gen-smoke suite: one point per
-#: generator plus an axis variation, small scales for CI.
-_GEN_SMOKE_SPECS = (
-    "gen:mixer?scale=40&seed=1",
-    "gen:mixer?ldst=0.6&scale=40&seed=2",
-    "gen:chains?scale=40&seed=3",
-)
-
-
-def gen_smoke_matrix() -> list[Cell]:
-    """Generated workloads through the same cell machinery (CI smoke)."""
-    return [Cell(spec, scheme, 4) for spec in _GEN_SMOKE_SPECS
-            for scheme in SCHEMES]
-
-
 SUITES = {
     "fig8": fig8_matrix,
     "fig9": fig9_matrix,
@@ -156,7 +127,6 @@ SUITES = {
     "fp": fp_matrix,
     "all": all_matrix,
     "smoke": smoke_matrix,
-    "gen-smoke": gen_smoke_matrix,
 }
 
 

@@ -20,7 +20,6 @@ This is the self-test that proves the oracle has teeth.
 from __future__ import annotations
 
 import argparse
-import sys
 from pathlib import Path
 
 from repro.errors import ReproError
@@ -226,13 +225,3 @@ def run(args: argparse.Namespace) -> int:
     if args.replay is not None:
         return _cmd_replay(args)
     return _cmd_campaign(args)
-
-
-def main(argv: list[str] | None = None) -> int:  # pragma: no cover
-    parser = argparse.ArgumentParser(prog="repro fuzz", description=__doc__)
-    configure_parser(parser)
-    return run(parser.parse_args(argv))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

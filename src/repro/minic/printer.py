@@ -1,8 +1,8 @@
 """MiniC pretty-printer: AST back to parseable source text.
 
-The inverse of :mod:`repro.minic.parser`, used by the workload
-generator framework (:mod:`repro.gen`) to emit builder-constructed
-programs and by the fuzz shrinker to re-render candidate reductions.
+The inverse of :mod:`repro.minic.parser`, used by the fuzzer's program
+builder (:mod:`repro.gen.build`) to emit its programs and by the fuzz
+shrinker to re-render candidate reductions.
 
 The output is *normalized*: four-space indentation, one statement per
 line, every operand of a binary expression parenthesized only when

@@ -25,7 +25,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.errors import EXIT_PERF_DEGRADED, ReproError, exit_code_for
+from repro.errors import EXIT_PERF_DEGRADED
 
 
 def configure_parser(parser: argparse.ArgumentParser) -> None:
@@ -213,20 +213,3 @@ def _run_log(args: argparse.Namespace) -> int:
             line += f"  {args.cell}: {value}"
         print(line)
     return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Standalone entry point (``python -m repro.perf.cli``)."""
-    parser = argparse.ArgumentParser(
-        prog="repro perf", description=__doc__.splitlines()[0]
-    )
-    configure_parser(parser)
-    try:
-        return run(parser.parse_args(argv))
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exit_code_for(exc)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -242,7 +242,7 @@ class PackedTrace:
         "read_offsets", "read_tokens", "write_offsets", "write_tokens",
         "token_frames", "token_names", "names",
         "value", "meta",
-        "row_lat", "row_ctrl", "_producers", "_front_end",
+        "row_lat", "row_ctrl", "_producers", "_front_end", "_mix",
     )
 
     def __init__(self) -> None:
@@ -255,6 +255,7 @@ class PackedTrace:
         self.row_ctrl = array("B")
         self._producers: tuple[array, array, dict[int, list[int]]] | None = None
         self._front_end: dict[FrontEnd, bytearray] = {}
+        self._mix: dict[str, int] | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -341,7 +342,15 @@ class PackedTrace:
         ``fp_executed`` counts instructions executing in the FP/FPa
         subsystem — the paper's "offloaded" metric numerator for integer
         programs.
+
+        Counted on first call and kept on the object, so the cells that
+        share a pack count it once; each call returns a fresh copy.
         """
+        if self._mix is None:
+            self._mix = self._count_mix()
+        return dict(self._mix)
+
+    def _count_mix(self) -> dict[str, int]:
         out = {
             "total": self.n,
             "fp_executed": 0,

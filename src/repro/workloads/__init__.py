@@ -88,24 +88,12 @@ FP_BENCHMARKS = [n for n, s in WORKLOADS.items() if s.category == "fp"]
 
 
 def get_workload(name: str) -> WorkloadSpec:
-    """Look up a workload; raises :class:`WorkloadError` if unknown.
-
-    ``gen:<generator>?axis=value&...`` spec strings resolve to generated
-    workloads (see :mod:`repro.gen`); anything else must name a static
-    surrogate in :data:`WORKLOADS`.
-    """
-    from repro.gen import generated_workload_spec, is_generator_spec
-
-    if is_generator_spec(name):
-        return generated_workload_spec(name)
+    """Look up a registered surrogate in :data:`WORKLOADS`; raises
+    :class:`WorkloadError` if unknown."""
     spec = WORKLOADS.get(name)
     if spec is None:
-        from repro.gen import GENERATORS
-
-        gen_examples = ", ".join(f"gen:{g}?seed=N" for g in sorted(GENERATORS))
         raise WorkloadError(
-            f"unknown workload {name!r}; available: {sorted(WORKLOADS)} "
-            f"or generator specs ({gen_examples})"
+            f"unknown workload {name!r}; available: {sorted(WORKLOADS)}"
         )
     return spec
 

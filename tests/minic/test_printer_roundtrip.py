@@ -1,12 +1,11 @@
 """Property: the MiniC printer is a normal form — ``parse -> print``
 reaches a fixpoint after one round trip, for both the hand-written
-surrogates and the generator/fuzzer program families."""
+surrogates and the fuzzer's programs."""
 
 from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.gen import GeneratorSpec, generate_source
 from repro.gen.build import build_program
 from repro.minic.parser import parse
 from repro.minic.printer import print_unit
@@ -23,17 +22,6 @@ def _round_trip_is_idempotent(source: str) -> None:
 @given(st.integers(min_value=0, max_value=10_000))
 def test_fuzzer_programs_round_trip(seed):
     _round_trip_is_idempotent(build_program(seed))
-
-
-@settings(max_examples=15, deadline=None)
-@given(
-    st.integers(min_value=0, max_value=1000),
-    st.sampled_from(["mixer", "chains"]),
-    st.floats(min_value=0.0, max_value=1.0),
-)
-def test_generated_workloads_round_trip(seed, generator, fp):
-    spec = GeneratorSpec(generator, seed=seed, fp=round(fp, 2))
-    _round_trip_is_idempotent(generate_source(spec, scale=5))
 
 
 def test_surrogate_workloads_round_trip():

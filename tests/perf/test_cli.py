@@ -10,9 +10,9 @@ import random
 
 import pytest
 
+from repro.__main__ import main as repro_main
 from repro.bench.results import save_document, validate_document
 from repro.errors import EXIT_PERF_DEGRADED
-from repro.perf.cli import main as perf_main
 from repro.perf.history import PerfHistory
 from repro.perf.report import PERF_SCHEMA, validate_verdict_document
 from tests.perf.conftest import (
@@ -21,6 +21,10 @@ from tests.perf.conftest import (
     make_entry,
     series_entries,
 )
+
+
+def perf_main(argv):
+    return repro_main(["perf", *argv])
 
 
 def write_history(path, wall_values):
@@ -116,8 +120,6 @@ class TestAppendAndLog:
     def test_round_trip_through_the_main_cli(
         self, history_path, tmp_path, capsys
     ):
-        from repro.__main__ import main as repro_main
-
         bench = tmp_path / "BENCH_fig8.json"
         save_document(make_document([make_cell()]), bench)
         status = repro_main(
@@ -163,8 +165,6 @@ class TestLegacyDocuments:
         ``attempts``, ``attempt_seconds``, ``progress`` and ``breakers``;
         histories hold them, so validate/append/check must keep
         accepting them."""
-        from repro.__main__ import main as repro_main
-
         cell = make_cell()
         cell.update(attempts=2, attempt_seconds=[0.9, 1.1])
         failure = {

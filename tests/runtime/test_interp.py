@@ -274,6 +274,15 @@ entry:
         assert mix["fp_executed"] == 0
         assert mix["total"] == result.instructions
 
+    def test_dynamic_mix_is_a_copy_of_the_memo(self, vector_sum_program):
+        packed = run_program(vector_sum_program, collect_trace=True).packed
+        first = packed.dynamic_mix()
+        assert packed.dynamic_mix() == first
+        first["loads"] = -1
+        del first["stores"]
+        assert packed.dynamic_mix()["loads"] == 32
+        assert packed.dynamic_mix()["stores"] == 16
+
     def test_global_initialization(self):
         result = _run_body(
             "  v0 = li @t\n  v1 = lw v0, 4\n  ret v1",

@@ -1,17 +1,16 @@
-"""Scale edge cases for workload_source / compile_workload, including
-generator specs: zero, one, very large, and unknown names."""
+"""Scale edge cases for workload_source / compile_workload: zero, one,
+and unknown names."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import WorkloadError
-from repro.minic.compile import compile_source
 from repro.runtime.interp import run_program
 from repro.workloads import compile_workload, workload_source
 
 
-@pytest.mark.parametrize("name", ["compress", "gen:mixer?seed=1"])
+@pytest.mark.parametrize("name", ["compress"])
 @pytest.mark.parametrize("scale", [0, -3])
 def test_non_positive_scale_is_rejected(name, scale):
     with pytest.raises(WorkloadError, match="scale must be positive"):
@@ -20,31 +19,10 @@ def test_non_positive_scale_is_rejected(name, scale):
         compile_workload(name, scale=scale)
 
 
-@pytest.mark.parametrize("name", ["compress", "gen:chains?seed=2"])
+@pytest.mark.parametrize("name", ["compress"])
 def test_scale_one_compiles_and_runs(name):
     result = run_program(compile_workload(name, scale=1), fuel=5_000_000)
     assert result.instructions > 0
-
-
-def test_very_large_scale_still_emits_source():
-    # source generation is O(text), not O(scale): a huge trip count must
-    # not hang or exhaust memory at emit/compile time
-    source = workload_source("gen:mixer?seed=1", scale=50_000_000)
-    assert "50000000" in source
-    compile_source(source)
-
-
-def test_gen_spec_default_scale_axis_is_honored():
-    def body(text: str) -> str:
-        # drop the provenance comment header: it spells the spec string,
-        # which legitimately differs between the two spellings
-        return "\n".join(
-            ln for ln in text.splitlines() if not ln.startswith("//")
-        )
-
-    assert body(workload_source("gen:mixer?seed=1&scale=17")) == body(
-        workload_source("gen:mixer?seed=1", scale=17)
-    )
 
 
 def test_unknown_workload_name_raises():
@@ -52,8 +30,3 @@ def test_unknown_workload_name_raises():
         workload_source("does-not-exist")
     with pytest.raises(WorkloadError, match="unknown workload"):
         compile_workload("does-not-exist")
-
-
-def test_unknown_generator_raises():
-    with pytest.raises(WorkloadError, match="unknown generator"):
-        workload_source("gen:does-not-exist?seed=1")
