@@ -31,12 +31,7 @@ from repro.analysis.reaching import ReachingDefinitions, DefSite
 from repro.analysis.liveness import LivenessResult, compute_liveness
 from repro.analysis.dominators import DominatorTree, compute_dominators
 from repro.analysis.loops import NaturalLoop, find_loops, loop_nesting_depth
-from repro.analysis.absint import (
-    AbsintResult,
-    AbstractDomain,
-    interpret,
-    states_at_instructions,
-)
+from repro.analysis.absint import AbsintResult, AbstractDomain, interpret
 from repro.analysis.valueclass import (
     Interval,
     ValueClassDomain,
@@ -81,7 +76,6 @@ __all__ = [
     "AbstractDomain",
     "AbsintResult",
     "interpret",
-    "states_at_instructions",
     "Interval",
     "ValueInfo",
     "ValueClassDomain",

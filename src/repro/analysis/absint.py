@@ -195,20 +195,3 @@ def interpret(func: Function, domain: AbstractDomain[S]) -> AbsintResult[S]:
 
     return AbsintResult(in_states=in_states, out_states=out_states, iterations=iterations)
 
-
-def states_at_instructions(
-    func: Function, domain: AbstractDomain[S], result: AbsintResult[S]
-) -> dict[int, S]:
-    """Per-instruction *pre*-states of a forward analysis, replayed from
-    the block in-states (instructions of unreachable blocks are absent)."""
-    if not domain.forward:
-        raise ValueError("states_at_instructions requires a forward domain")
-    states: dict[int, S] = {}
-    for blk in func.blocks:
-        state = result.in_states.get(blk.label)
-        if state is None:
-            continue
-        for instr in blk.instructions:
-            states[instr.uid] = state
-            state = domain.transfer_instruction(instr, state)
-    return states

@@ -24,19 +24,23 @@ register, a pair of abstractions:
 The interval half is deliberately conservative around 32-bit wrap:
 any computed bound outside the int32 range drops to an infinity, so a
 bounded interval is always a true statement about the wrapped value.
+
+States are sparse: a block-boundary state holds only the registers live
+there, in the style of sparse evaluation (Wegman & Zadeck, "Constant
+propagation with conditional branches", TOPLAS 1991).  A dead register
+cannot change any fact at a use, so the answers are those of a state
+over every register; the engine's convergence test just stops comparing
+dead temporaries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import is_
+from typing import Callable
 
-from repro.analysis.absint import (
-    AbsintResult,
-    AbstractDomain,
-    interpret,
-    states_at_instructions,
-)
+from repro.analysis.absint import AbsintResult, AbstractDomain, interpret
+from repro.analysis.dataflow import DataflowProblem, solve_dataflow
 from repro.ir.function import BasicBlock, Function
 from repro.ir.instructions import Instruction
 from repro.ir.opcodes import FPA_OPCODES, Opcode, OpKind
@@ -158,17 +162,20 @@ class _Unbound(ValueInfo):
     __slots__ = ()
 
 
-#: Slot value of a register no path has bound yet.  Its fields read as
-#: the unknown value, but it compares unequal to ``ValueInfo()`` (the
-#: dataclass ``__eq__`` only matches its own class): a state where some
-#: path bound a register to the unknown value differs from one where no
-#: path bound it, and the engine's convergence test, so its visit
-#: counts and widening, see that difference.
+#: Value of a register no path has bound yet: a state has no key for it.
+#: Its fields read as the unknown value, but it compares unequal to
+#: ``ValueInfo()`` (the dataclass ``__eq__`` only matches its own
+#: class), so the lattice operations treat a missing key as this
+#: sentinel: a state where some path bound a register to the unknown
+#: value differs from one where no path bound it, and the engine's
+#: convergence test, so its visit counts and widening, see that
+#: difference.
 _UNBOUND: ValueInfo = _Unbound()
 
-#: One abstract value per register slot of the function
-#: (:attr:`ValueClassDomain.slot`).
-State = list[ValueInfo]
+#: Register slot (:attr:`ValueClassDomain.slot`) -> abstract value, over
+#: the registers live at the state's program point; a missing live
+#: register is :data:`_UNBOUND`.
+State = dict[int, ValueInfo]
 
 
 def _is_zero(reg: Reg) -> bool:
@@ -250,9 +257,11 @@ class _Site:
 class ValueClassDomain(AbstractDomain[State]):
     """Forward interval + origin-class domain (see module docstring).
 
-    A state is a list with one slot per register of ``func``
-    (:attr:`slot` numbers them once), so a join is one pass over two
-    lists that skips identical slots.  Each instruction's def value is
+    :attr:`slot` numbers the function's registers once.  A state maps
+    the slots live at its program point to their values: an edge into a
+    block keeps the block's live-in registers, and a block's out-state
+    keeps its live-out registers plus the branch operands that
+    :meth:`transfer_edge` reads.  Each instruction's def value is
     memoized on the identity of its input values: an unchanged input
     yields the very same :class:`ValueInfo`, and the joins and equality
     checks downstream stop at ``is``.
@@ -266,16 +275,21 @@ class ValueClassDomain(AbstractDomain[State]):
         #: Register -> state slot, for every register ``func`` mentions.
         self.slot: dict[Reg, int] = {}
         self._sites: dict[Instruction, _Site] = {}
+        self._block_sites: dict[str, list[_Site]] = {}
         self._def_sites: dict[str, list[_Site]] = {}
         self._fallthrough: dict[str, str | None] = {}
         slot = self.slot
         bind = slot.setdefault
+        gen: dict[str, int] = {}  # upward-exposed uses, as slot bits
+        kill: dict[str, int] = {}  # defs
+        term_uses: dict[str, int] = {}
         for index, blk in enumerate(func.blocks):
             self._fallthrough[blk.label] = (
                 func.blocks[index + 1].label if index + 1 < len(func.blocks) else None
             )
-            def_sites: list[_Site] = []
-            self._def_sites[blk.label] = def_sites
+            block_sites: list[_Site] = []
+            self._block_sites[blk.label] = block_sites
+            used = defined = 0
             for instr in blk.instructions:
                 site = _Site(
                     instr=instr,
@@ -291,39 +305,53 @@ class ValueClassDomain(AbstractDomain[State]):
                     ),
                 )
                 self._sites[instr] = site
-                if site.defs:
-                    def_sites.append(site)
+                block_sites.append(site)
+                for use in site.uses:
+                    if use >= 0 and not defined >> use & 1:
+                        used |= 1 << use
+                for use in site.defs:
+                    defined |= 1 << use
+            gen[blk.label] = used
+            kill[blk.label] = defined
+            term_uses[blk.label] = 0
+            if blk.terminator is not None:  # the last site
+                for use in block_sites[-1].uses:
+                    if use >= 0:
+                        term_uses[blk.label] |= 1 << use
+            self._def_sites[blk.label] = [site for site in block_sites if site.defs]
+        live = solve_dataflow(
+            func, DataflowProblem(forward=False, may=True, gen=gen, kill=kill)
+        )
+        #: Block label -> slots live on entry (what an edge into it keeps).
+        self._live_in = {label: _slots(mask) for label, mask in live.in_facts.items()}
+        #: Block label -> slots its out-state keeps: live on exit, plus
+        #: the terminator's operands (edge refinement reads them even
+        #: when they are dead after the branch).
+        self._keep_out = {
+            label: _slots(mask | term_uses[label])
+            for label, mask in live.out_facts.items()
+        }
 
     # -- lattice ---------------------------------------------------------
     def entry_state(self, func: Function) -> State:
-        return [_UNBOUND] * len(self.slot)
+        return {}
 
     def join(self, a: State, b: State) -> State:
-        if a is b:
-            return a
-        # an unbound register meeting the unknown value is the commonest
-        # unequal pair; it joins to the unknown value without a call
-        return [
-            x if x is y
-            else _UNKNOWN if (x is _UNBOUND and y is _UNKNOWN)
-            or (x is _UNKNOWN and y is _UNBOUND)
-            else _join_info(x, y)
-            for x, y in zip(a, b)
-        ]
+        return a if a is b else _pointwise(_join_info, a, b)
 
     def widen(self, old: State, new: State) -> State:
-        if old is new:
-            return old
-        return [x if x is y else _widen_info(x, y) for x, y in zip(old, new)]
+        return old if old is new else _pointwise(_widen_info, old, new)
 
     # -- semantics -------------------------------------------------------
     def value_of(self, state: State, reg: Reg) -> ValueInfo:
+        """``reg``'s value in ``state``; unknown when the state does not
+        bind it (never bound, or dead at the state's program point)."""
         if _is_zero(reg):
             return _ZERO_INFO
         index = self.slot.get(reg)
-        if index is None or state[index] is _UNBOUND:
+        if index is None:
             return _UNKNOWN
-        return state[index]
+        return state.get(index, _UNKNOWN)
 
     def transfer_instruction(self, instr: Instruction, state: State) -> State:
         site = self._sites[instr]
@@ -336,20 +364,50 @@ class ValueClassDomain(AbstractDomain[State]):
         return out
 
     def transfer_block(self, func: Function, block: BasicBlock, state: State) -> State:
-        """:meth:`transfer_instruction` folded over the block, copying
-        the state once instead of once per defining instruction."""
-        out: State | None = None
-        for site in self._def_sites[block.label]:
-            value = self._def_value(site, state if out is None else out)
-            if out is None:
-                out = state.copy()
-            for index in site.defs:
-                out[index] = value
-        return state if out is None else out
+        """:meth:`transfer_instruction` folded over the block in one local
+        map, then cut down to the registers the out-state keeps."""
+        local = state
+        sites = self._def_sites[block.label]
+        if sites:
+            local = state.copy()
+            for site in sites:
+                value = self._def_value(site, local)
+                for index in site.defs:
+                    local[index] = value
+        keep = self._keep_out[block.label]
+        return {index: local[index] for index in keep if index in local}
+
+    def operand_values(
+        self, in_states: dict[str, State | None]
+    ) -> dict[int, tuple[ValueInfo, ...]]:
+        """Instruction uid -> the values of its use operands just before
+        it executes, replayed from the fixed point's block in-states
+        (instructions of unreachable blocks are absent).  The def values
+        come from the per-site memo, which the fixpoint's last pass over
+        each block left holding exactly these inputs."""
+        operands: dict[int, tuple[ValueInfo, ...]] = {}
+        for label, sites in self._block_sites.items():
+            state = in_states.get(label)
+            if state is None:
+                continue
+            local = state.copy()
+            for site in sites:
+                operands[site.instr.uid] = tuple([
+                    _ZERO_INFO if index < 0 else local.get(index, _UNKNOWN)
+                    for index in site.uses
+                ])
+                if site.defs:
+                    value = self._def_value(site, local)
+                    for index in site.defs:
+                        local[index] = value
+        return operands
 
     def _def_value(self, site: _Site, state: State) -> ValueInfo:
         """Abstract value ``site``'s instruction writes to each of its defs."""
-        inputs = [_ZERO_INFO if index < 0 else state[index] for index in site.uses]
+        inputs = [
+            _ZERO_INFO if index < 0 else state.get(index, _UNBOUND)
+            for index in site.uses
+        ]
         memo = site.memo_inputs
         if memo is not None and all(map(is_, memo, inputs)):
             return site.memo_value
@@ -447,6 +505,17 @@ class ValueClassDomain(AbstractDomain[State]):
     def transfer_edge(
         self, func: Function, src: BasicBlock, dst_label: str, state: State
     ) -> State | None:
+        """Refine ``state`` along the edge, then keep the registers live
+        into ``dst_label`` (``None``: the edge is infeasible)."""
+        out = self._refine_edge(src, dst_label, state)
+        if out is None:
+            return None
+        live = self._live_in[dst_label]
+        return {index: out[index] for index in live if index in out}
+
+    def _refine_edge(
+        self, src: BasicBlock, dst_label: str, state: State
+    ) -> State | None:
         term = src.terminator
         if term is None or term.kind is not OpKind.BRANCH:
             return state
@@ -481,7 +550,7 @@ class ValueClassDomain(AbstractDomain[State]):
         if _is_zero(reg):
             return None if meet_interval(const(0), narrow) is None else state
         index = self.slot[reg]
-        info = state[index]
+        info = state.get(index, _UNBOUND)
         met = meet_interval(info.interval, narrow)
         if met is None:
             return None
@@ -492,27 +561,68 @@ class ValueClassDomain(AbstractDomain[State]):
         return out
 
 
+def _pointwise(
+    combine: Callable[[ValueInfo, ValueInfo], ValueInfo], a: State, b: State
+) -> State:
+    """``combine`` over every slot either state binds (a missing slot is
+    :data:`_UNBOUND`), keeping a value both sides share by identity."""
+    out: State = {}
+    for index, x in a.items():
+        y = b.get(index, _UNBOUND)
+        out[index] = x if x is y else combine(x, y)
+    for index, y in b.items():
+        if index not in a:
+            out[index] = combine(_UNBOUND, y)
+    return out
+
+
+def _slots(mask: int) -> tuple[int, ...]:
+    """The slot numbers of the set bits of ``mask``."""
+    slots: list[int] = []
+    while mask:
+        low = mask & -mask
+        slots.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(slots)
+
+
 @dataclass(eq=False, slots=True)
 class ValueClassResult:
-    """Fixed point of the value-class analysis over one function."""
+    """Fixed point of the value-class analysis over one function.
+
+    Attributes:
+        operands: Instruction uid -> the values of its use operands just
+            before it executes, for every instruction a feasible path
+            reaches (see :meth:`ValueClassDomain.operand_values`).
+    """
 
     func: Function
     domain: ValueClassDomain
     fixpoint: AbsintResult[State]
-    at_instruction: dict[int, State]
+    operands: dict[int, tuple[ValueInfo, ...]]
 
     def reachable(self, label: str) -> bool:
         """True when some feasible path reaches the block (interval
         refinement included — stronger than CFG reachability)."""
         return self.fixpoint.reachable(label)
 
+    def reached(self, instr: Instruction) -> bool:
+        """True when some feasible path reaches ``instr``."""
+        return instr.uid in self.operands
+
     def value_at(self, instr: Instruction, reg: Reg) -> ValueInfo:
-        """Abstract value of ``reg`` just before ``instr`` executes
-        (unknown for instructions in unreachable blocks)."""
-        state = self.at_instruction.get(instr.uid)
-        if state is None:
+        """Abstract value of the use operand ``reg`` just before ``instr``
+        executes (unknown for instructions in unreachable blocks).
+
+        Only use operands are recorded; a ``reg`` that is not one of
+        ``instr.uses`` raises :class:`ValueError`.
+        """
+        if reg not in instr.uses:
+            raise ValueError(f"{reg} is not a use operand of #{instr.uid} {instr.op}")
+        values = self.operands.get(instr.uid)
+        if values is None:
             return _UNKNOWN
-        return self.domain.value_of(state, reg)
+        return values[instr.uses.index(reg)]
 
 
 def analyze_values(func: Function) -> ValueClassResult:
@@ -523,5 +633,5 @@ def analyze_values(func: Function) -> ValueClassResult:
         func=func,
         domain=domain,
         fixpoint=fixpoint,
-        at_instruction=states_at_instructions(func, domain, fixpoint),
+        operands=domain.operand_values(fixpoint.in_states),
     )

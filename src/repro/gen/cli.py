@@ -80,7 +80,7 @@ def configure_parser(p: argparse.ArgumentParser) -> None:
     p.add_argument("--replay", nargs="*", default=None, metavar="PATH",
                    help="replay crash bundles or .mc files through the "
                         "oracle instead of fuzzing; with no PATH, replays "
-                        f"the committed corpus under {REGRESSION_DIR}")
+                        "the committed corpus (--corpus-dir)")
     p.add_argument("--promote", default=None, metavar="PATH",
                    help="shrink PATH (bundle or .mc) under the honest "
                         "oracle's failure kinds recorded in its bundle, "
@@ -94,7 +94,7 @@ def configure_parser(p: argparse.ArgumentParser) -> None:
                         "corpus header")
     p.add_argument("--corpus-dir", default=str(REGRESSION_DIR), metavar="DIR",
                    help="regression corpus directory (default: "
-                        f"{REGRESSION_DIR})")
+                        "tests/corpus/regressions in the checkout)")
 
 
 def _make_oracle(args: argparse.Namespace) -> DifferentialOracle:

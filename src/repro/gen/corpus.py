@@ -32,8 +32,11 @@ from repro.gen.fuzz import DifferentialOracle, FuzzCase
 #: Default crash-bundle directory (CI uploads it on failure).
 DEFAULT_CRASH_DIR = "repro-fuzz-crashes"
 
-#: The committed regression corpus, relative to the repo root.
-REGRESSION_DIR = Path("tests") / "corpus" / "regressions"
+#: The committed regression corpus, in the checkout this module runs
+#: from (so ``repro fuzz --replay`` finds it from any working directory).
+REGRESSION_DIR = (
+    Path(__file__).resolve().parents[3] / "tests" / "corpus" / "regressions"
+)
 
 
 def write_crash_bundle(

@@ -4,9 +4,8 @@ A rule is a subclass of :class:`LintRule` registered with
 :func:`register`.  Rules are pure: they read the :class:`LintContext`
 and yield :class:`~repro.lint.diagnostics.Diagnostic` objects, never
 mutating the program.  The context lazily computes and caches the
-per-function dataflow analyses (reaching definitions, liveness,
-dominators) so that several rules over the same function share one
-solve.
+per-function dataflow analyses (reaching definitions, dominators) so
+that several rules over the same function share one solve.
 
 Rules that need a :class:`~repro.partition.partition.Partition` (the
 pre-rewrite partition objects, whose RDGs still reference the live
@@ -20,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Type
 
 from repro.analysis.dominators import DominatorTree, compute_dominators
-from repro.analysis.liveness import LivenessResult, compute_liveness
 from repro.analysis.reaching import ReachingDefinitions
 from repro.errors import ReproError
 from repro.ir.function import Function
@@ -54,18 +52,12 @@ class LintContext:
     params: CostParams | None = None
     scheme: str | None = None
     _reaching: dict[str, ReachingDefinitions] = field(default_factory=dict)
-    _liveness: dict[str, LivenessResult] = field(default_factory=dict)
     _dominators: dict[str, DominatorTree] = field(default_factory=dict)
 
     def reaching(self, func: Function) -> ReachingDefinitions:
         if func.name not in self._reaching:
             self._reaching[func.name] = ReachingDefinitions(func)
         return self._reaching[func.name]
-
-    def liveness(self, func: Function) -> LivenessResult:
-        if func.name not in self._liveness:
-            self._liveness[func.name] = compute_liveness(func)
-        return self._liveness[func.name]
 
     def dominators(self, func: Function) -> DominatorTree:
         if func.name not in self._dominators:

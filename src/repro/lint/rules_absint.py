@@ -104,7 +104,7 @@ class ValueRangeRule(LintRule):
         instr_of: dict[int, object],
         instr,
     ) -> Iterator[Diagnostic]:
-        if instr.uid not in values.at_instruction:
+        if not values.reached(instr):
             return  # unreachable; reported by the copy/warning checks
         pos = 0 if instr.kind is OpKind.LOAD else 1
         reg = instr.uses[pos]
@@ -133,7 +133,7 @@ class ValueRangeRule(LintRule):
         self, func: Function, values: ValueClassResult, instr
     ) -> Iterator[Diagnostic]:
         which = "cp_to_comp" if instr.op is Opcode.CP_TO_COMP else "cp_from_comp"
-        if instr.uid not in values.at_instruction:
+        if not values.reached(instr):
             yield self.report(
                 f"{which} copy is never executed (its block is unreachable "
                 "under the computed value ranges)",

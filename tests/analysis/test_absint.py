@@ -2,14 +2,8 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.analysis.absint import (
-    AbstractDomain,
-    interpret,
-    states_at_instructions,
-)
-from repro.ir.opcodes import Opcode, OpKind
+from repro.analysis.absint import AbstractDomain, interpret
+from repro.ir.opcodes import OpKind
 from repro.ir.parser import parse_function
 
 DIAMOND = """
@@ -154,32 +148,3 @@ class TestBackward:
         live_into_join = result.out_states["join"]
         names = {reg.name for reg in live_into_join}
         assert "v2" in names and "v1" in names
-
-    def test_states_at_instructions_rejects_backward(self):
-        func = parse_function(DIAMOND)
-        domain = LiveDefsBackward()
-        result = interpret(func, domain)
-        with pytest.raises(ValueError):
-            states_at_instructions(func, domain, result)
-
-
-class TestPerInstruction:
-    def test_pre_states_replay(self):
-        func = parse_function(DIAMOND)
-        domain = DefCountDomain()
-        result = interpret(func, domain)
-        states = states_at_instructions(func, domain, result)
-        rets = [i for i in func.instructions() if i.op is Opcode.RET]
-        assert states[rets[0].uid] == 4  # after v3's def
-
-    def test_unreachable_instructions_absent(self):
-        func = parse_function(UNREACHABLE)
-        domain = DefCountDomain()
-        states = states_at_instructions(func, domain, interpret(func, domain))
-        dead_uids = {
-            i.uid
-            for blk in func.blocks
-            if blk.label == "dead"
-            for i in blk.instructions
-        }
-        assert not dead_uids & set(states)

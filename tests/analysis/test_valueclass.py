@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.absint import AbstractDomain
+from repro.analysis.liveness import compute_liveness
 from repro.analysis.valueclass import (
+    BOOL,
     Interval,
     ValueClassDomain,
     ValueInfo,
@@ -21,10 +24,11 @@ from repro.analysis.valueclass import (
     sub_interval,
     widen_interval,
 )
+from repro.analysis.warnings import analyze_function
 from repro.gen.build import build_program
 from repro.ir.opcodes import Opcode, OpKind
 from repro.ir.parser import parse_function, parse_program
-from repro.ir.registers import Reg, RegClass
+from repro.ir.registers import ZERO, Reg, RegClass
 from repro.minic.compile import compile_source
 
 
@@ -279,21 +283,14 @@ def _pool_domain():
     return ValueClassDomain(parse_function(f"func f(0) {{\nentry:\n{body}  ret\n}}"))
 
 
-def _vector(domain, state):
-    """Dense form of a register -> ValueInfo dict (absent = unbound)."""
-    out = domain.entry_state(domain.func)
-    for reg, value in state.items():
-        out[domain.slot[reg]] = value
-    return out
+def _sparse(domain, state):
+    """Slot-keyed form of a register -> ValueInfo dict (absent = unbound)."""
+    return {domain.slot[reg]: value for reg, value in state.items()}
 
 
-def _as_dict(domain, vector):
-    """Register -> ValueInfo dict of the bound slots of ``vector``."""
-    return {
-        reg: vector[index]
-        for reg, index in domain.slot.items()
-        if vector[index] is not _UNBOUND
-    }
+def _as_dict(domain, sparse):
+    """Register -> ValueInfo dict of the bound slots of ``sparse``."""
+    return {reg: sparse[index] for reg, index in domain.slot.items() if index in sparse}
 
 
 @st.composite
@@ -310,12 +307,20 @@ def _state_pair(draw):
     return a, b
 
 
-def _vector_pair(domain, pair):
-    """Both states of ``pair`` in dense form; one list when they are the
-    same dict."""
+def _sparse_pair(domain, pair):
+    """Both states of ``pair`` in slot-keyed form; one dict when they are
+    the same dict."""
     a, b = pair
-    va = _vector(domain, a)
-    return va, va if b is a else _vector(domain, b)
+    sa = _sparse(domain, a)
+    return sa, sa if b is a else _sparse(domain, b)
+
+
+def _kept_registers(liveness, blk):
+    """Registers a block's out-state must keep, from the register-level
+    liveness solver: live on exit, plus the terminator's operands."""
+    term = blk.terminator
+    operands = {reg for reg in (term.uses if term else []) if reg != ZERO}
+    return liveness.live_out[blk.label] | operands
 
 
 class TestLattice:
@@ -323,7 +328,7 @@ class TestLattice:
     @given(_state_pair())
     def test_join_matches_naive_reference(self, pair):
         domain = _pool_domain()
-        got = _as_dict(domain, domain.join(*_vector_pair(domain, pair)))
+        got = _as_dict(domain, domain.join(*_sparse_pair(domain, pair)))
         want = _naive_join(*pair)
         assert set(got) == set(want)
         assert got == want
@@ -332,7 +337,7 @@ class TestLattice:
     @given(_state_pair())
     def test_widen_matches_naive_reference(self, pair):
         domain = _pool_domain()
-        got = _as_dict(domain, domain.widen(*_vector_pair(domain, pair)))
+        got = _as_dict(domain, domain.widen(*_sparse_pair(domain, pair)))
         want = _naive_widen(*pair)
         assert set(got) == set(want)
         assert got == want
@@ -340,22 +345,23 @@ class TestLattice:
     @settings(max_examples=100, deadline=None)
     @given(_state_pair())
     def test_state_equality_matches_dict_equality(self, pair):
-        """Dense-state equality, the engine's convergence test, is
-        equality of the register -> value maps."""
+        """State equality, the engine's convergence test, is equality of
+        the register -> value maps."""
         domain = _pool_domain()
         a, b = pair
-        assert (_vector(domain, a) == _vector(domain, b)) == (a == b)
+        sa, sb = _sparse_pair(domain, pair)
+        assert domain.equal(sa, sb) == (a == b)
 
     def test_unbound_is_not_unknown_but_reads_as_it(self):
-        """An unbound slot differs from one bound to the unknown value
-        (as a missing dict key did), yet both read as unknown."""
+        """An unbound register (no key) differs from one bound to the
+        unknown value, yet both read as unknown."""
         domain = _pool_domain()
         reg = _POOL[0]
         unbound = domain.entry_state(domain.func)
-        assert unbound[domain.slot[reg]] is _UNBOUND
+        assert domain.slot[reg] not in unbound
         assert _UNBOUND != ValueInfo() and ValueInfo() != _UNBOUND
-        bound = _vector(domain, {reg: ValueInfo()})
-        assert bound != unbound
+        bound = _sparse(domain, {reg: ValueInfo()})
+        assert not domain.equal(bound, unbound)
         assert domain.value_of(unbound, reg) is _UNKNOWN
         assert domain.value_of(bound, reg) == _UNKNOWN
 
@@ -372,28 +378,196 @@ entry:
         )
         domain = ValueClassDomain(func)
         add = instr_named(func, Opcode.ADDIU)
-        state = _vector(domain, {add.uses[0]: ValueInfo(interval=const(4))})
+        state = _sparse(domain, {add.uses[0]: ValueInfo(interval=const(4))})
         first = domain.transfer_instruction(add, state)
         second = domain.transfer_instruction(add, state.copy())
         slot = domain.slot[add.defs[0]]
         assert first[slot] is second[slot]
         assert first[slot].interval == const(5)
-        moved = _vector(domain, {add.uses[0]: ValueInfo(interval=const(9))})
+        moved = _sparse(domain, {add.uses[0]: ValueInfo(interval=const(9))})
         assert domain.transfer_instruction(add, moved)[slot].interval == const(10)
 
     def test_block_transfer_matches_instruction_fold(self):
-        """Copying the state once per block gives the same out-states as
-        folding the per-instruction transfer."""
+        """Evaluating a block in one local map gives the per-instruction
+        fold, cut down to the live-out registers and the terminator's
+        operands; and every fixpoint in-state holds only live-in
+        registers (both sets from the register-level liveness solver)."""
         for seed in (0, 5):
             program = compile_source(build_program(seed), optimize=True)
             for func in program.functions.values():
                 domain = ValueClassDomain(func)
                 fixpoint = analyze_values(func).fixpoint
+                liveness = compute_liveness(func)
                 for blk in func.blocks:
                     state = fixpoint.in_states[blk.label]
                     if state is None:
                         continue
-                    state = _vector(domain, _as_dict(domain, state))
+                    assert set(_as_dict(domain, state)) <= liveness.live_in[blk.label]
                     folded = AbstractDomain.transfer_block(domain, func, blk, state)
-                    got = domain.transfer_block(func, blk, state)
-                    assert _as_dict(domain, got) == _as_dict(domain, folded)
+                    got = _as_dict(domain, domain.transfer_block(func, blk, state))
+                    kept = _kept_registers(liveness, blk)
+                    want = {
+                        reg: value
+                        for reg, value in _as_dict(domain, folded).items()
+                        if reg in kept
+                    }
+                    assert got == want
+
+
+# -- sparse states: dead branch operands and dead loop temporaries --------
+
+def _assert_dead_after_branch(values, label, reg):
+    """``reg`` is bound in ``label``'s out-state but live into no block,
+    so no in-state holds it."""
+    slot = values.domain.slot[reg]
+    assert slot in values.fixpoint.out_states[label]
+    for state in values.fixpoint.in_states.values():
+        assert state is None or slot not in state
+
+
+class TestSparseStates:
+    def test_dead_zero_compare_operand_proves_edge_infeasible(self):
+        func = parse_function(
+            """
+func f(0) returns {
+entry:
+  v0 = li 5
+  blez v0, dead
+live:
+  v1 = li 1
+  ret v1
+dead:
+  v2 = li 2
+  ret v2
+}
+"""
+        )
+        values = analyze_values(func)
+        _assert_dead_after_branch(values, "entry", Reg("v0"))
+        assert values.reachable("live")
+        assert not values.reachable("dead")
+
+    def test_dead_equal_constants_prove_disequality_edge_infeasible(self):
+        func = parse_function(
+            """
+func f(0) returns {
+entry:
+  v0 = li 3
+  v1 = li 3
+  beq v0, v1, same
+differ:
+  v2 = li 1
+  ret v2
+same:
+  v3 = li 2
+  ret v3
+}
+"""
+        )
+        values = analyze_values(func)
+        _assert_dead_after_branch(values, "entry", Reg("v0"))
+        _assert_dead_after_branch(values, "entry", Reg("v1"))
+        assert values.reachable("same")
+        assert not values.reachable("differ")
+
+    def test_dead_exit_operand_proves_loop_unbounded(self):
+        """The unbounded-loop warning re-runs ``transfer_edge`` on the
+        fixpoint's out-states, so those must keep the branch operand."""
+        func = parse_function(
+            """
+func f(0) returns {
+entry:
+  v0 = li 0
+loop:
+  v1 = li 7
+  bgtz v1, loop
+exit:
+  ret v0
+}
+"""
+        )
+        values = analyze_values(func)
+        _assert_dead_after_branch(values, "loop", Reg("v1"))
+        kinds = {(w.kind, w.block) for w in analyze_function(func)}
+        assert ("unbounded-loop", "loop") in kinds
+        assert ("unreachable-block", "exit") in kinds
+
+    def test_dead_loop_temporary_does_not_drag_the_tail_along(self):
+        """The counter ``v0`` changes on every trip and is dead once the
+        loop exits.  A state over every register carried each new value
+        into ``exit`` and ``tail`` and revisited ``tail`` on every trip
+        (14 iterations); live-only states stop at the loop exit and
+        converge in 12, with the same facts."""
+        func = parse_function(
+            """
+func f(0) returns {
+entry:
+  v0 = li 0
+loop:
+  v1 = slti v0, 4
+  blez v1, exit
+body:
+  v0 = addiu v0, 1
+  j loop
+exit:
+  v2 = li 5
+tail:
+  ret v2
+}
+"""
+        )
+        values = analyze_values(func)
+        assert values.fixpoint.iterations == 12
+        in_states = values.fixpoint.in_states
+        assert set(_as_dict(values.domain, in_states["loop"])) == {Reg("v0")}
+        assert in_states["exit"] == {}
+        assert set(_as_dict(values.domain, in_states["tail"])) == {Reg("v2")}
+        compare = instr_named(func, Opcode.SLTI)
+        assert values.value_at(compare, Reg("v0")).interval == Interval(0, None)
+        branch = instr_named(func, Opcode.BLEZ)
+        assert values.value_at(branch, Reg("v1")).interval == BOOL
+        step = instr_named(func, Opcode.ADDIU)
+        assert values.value_at(step, Reg("v0")).interval == Interval(0, None)
+        ret = instr_named(func, Opcode.RET)
+        assert values.value_at(ret, Reg("v2")).interval == const(5)
+
+
+class TestValueAt:
+    FUNC = """
+func f(1) returns {
+entry:
+  v0 = param 0
+  v1 = li 4
+  bgtz v1, live
+dead:
+  v2 = addiu v0, 1
+  ret v2
+live:
+  v3 = addu v0, v1
+  ret v3
+}
+"""
+
+    def test_answers_every_use_operand(self):
+        func = parse_function(self.FUNC)
+        values = analyze_values(func)
+        add = instr_named(func, Opcode.ADDU)
+        assert values.reached(add)
+        assert values.value_at(add, Reg("v1")).interval == const(4)
+        assert values.value_at(add, Reg("v0")) is _UNKNOWN
+
+    def test_unreachable_instruction_reads_unknown(self):
+        func = parse_function(self.FUNC)
+        values = analyze_values(func)
+        dead = instr_named(func, Opcode.ADDIU)
+        assert not values.reached(dead)
+        assert values.value_at(dead, Reg("v0")) is _UNKNOWN
+
+    def test_non_use_register_is_an_error(self):
+        func = parse_function(self.FUNC)
+        values = analyze_values(func)
+        add = instr_named(func, Opcode.ADDU)
+        with pytest.raises(ValueError):
+            values.value_at(add, Reg("v3"))  # its def, not a use
+        with pytest.raises(ValueError):
+            values.value_at(instr_named(func, Opcode.ADDIU), Reg("v1"))

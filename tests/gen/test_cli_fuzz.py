@@ -8,7 +8,7 @@ import json
 import pytest
 
 from repro.__main__ import main
-from repro.gen.corpus import write_crash_bundle
+from repro.gen.corpus import iter_regressions, write_crash_bundle
 from repro.gen.fuzz import FuzzCase, Violation
 
 
@@ -57,6 +57,15 @@ def test_replay_committed_corpus(capsys):
     code = _fuzz("--no-simulate", "--replay")
     assert code == 0
     assert "0 failing" in capsys.readouterr().out
+
+
+def test_replay_committed_corpus_from_another_directory(tmp_path, monkeypatch, capsys):
+    # the default corpus lives in the checkout, not under the working directory
+    monkeypatch.chdir(tmp_path)
+    code = _fuzz("--no-simulate", "--replay")
+    assert code == 0
+    out = capsys.readouterr().out
+    assert f"{len(iter_regressions())} programs, 0 failing" in out
 
 
 def test_replay_empty_corpus_dir_is_an_error(tmp_path):

@@ -4,7 +4,6 @@ committed regression through the honest differential oracle."""
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import pytest
 
@@ -18,9 +17,6 @@ from repro.gen.corpus import (
     write_regression,
 )
 from repro.gen.fuzz import DifferentialOracle, FuzzCase, Violation
-
-REPO_CORPUS = Path(__file__).resolve().parents[2] / REGRESSION_DIR
-
 
 def _case() -> FuzzCase:
     return FuzzCase(
@@ -71,11 +67,11 @@ def test_iter_regressions_is_sorted(tmp_path):
 def test_committed_corpus_is_nonempty():
     # the corpus pins fixed bugs; losing it silently would defeat the
     # point, so its presence is itself an invariant
-    assert len(iter_regressions(REPO_CORPUS)) >= 3
+    assert len(iter_regressions(REGRESSION_DIR)) >= 3
 
 
 @pytest.mark.parametrize(
-    "path", iter_regressions(REPO_CORPUS), ids=lambda p: p.stem
+    "path", iter_regressions(REGRESSION_DIR), ids=lambda p: p.stem
 )
 def test_committed_corpus_replays_green(path):
     case = replay_regression(path)
@@ -83,7 +79,7 @@ def test_committed_corpus_replays_green(path):
 
 
 @pytest.mark.parametrize(
-    "path", iter_regressions(REPO_CORPUS), ids=lambda p: p.stem
+    "path", iter_regressions(REGRESSION_DIR), ids=lambda p: p.stem
 )
 def test_committed_corpus_is_minimal(path):
     # shrunk regressions must stay small enough to debug by eye
