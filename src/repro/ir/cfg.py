@@ -13,8 +13,12 @@ from repro.ir.opcodes import OpKind
 
 def successors(func: Function, block: BasicBlock) -> list[str]:
     """Successor block labels of ``block`` in layout order semantics."""
-    term = block.terminator
-    index = func.block_index(block.label)
+    return _successors_at(func, func.block_index(block.label))
+
+
+def _successors_at(func: Function, index: int) -> list[str]:
+    """:func:`successors` of the block at layout position ``index``."""
+    term = func.blocks[index].terminator
     fallthrough = func.blocks[index + 1].label if index + 1 < len(func.blocks) else None
     if term is None:
         return [fallthrough] if fallthrough is not None else []
@@ -34,8 +38,8 @@ def successors(func: Function, block: BasicBlock) -> list[str]:
 def predecessors(func: Function) -> dict[str, list[str]]:
     """Map block label -> predecessor labels, for all blocks."""
     preds: dict[str, list[str]] = {blk.label: [] for blk in func.blocks}
-    for blk in func.blocks:
-        for succ in successors(func, blk):
+    for i, blk in enumerate(func.blocks):
+        for succ in _successors_at(func, i):
             if succ not in preds:
                 raise KeyError(f"branch to unknown block {succ!r} in {func.name}")
             preds[succ].append(blk.label)
@@ -44,7 +48,7 @@ def predecessors(func: Function) -> dict[str, list[str]]:
 
 def successor_map(func: Function) -> dict[str, list[str]]:
     """Map block label -> successor labels, for all blocks."""
-    return {blk.label: successors(func, blk) for blk in func.blocks}
+    return {blk.label: _successors_at(func, i) for i, blk in enumerate(func.blocks)}
 
 
 def block_order(func: Function) -> dict[str, int]:

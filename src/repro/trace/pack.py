@@ -1,4 +1,4 @@
-"""Columnar trace packing: the ``repro-trace`` format, version 4.
+"""Columnar trace packing: the ``repro-trace`` format, version 5.
 
 A dynamic trace is a long, highly redundant stream: a few hundred static
 instructions generate millions of dynamic instructions whose payload is
@@ -16,6 +16,13 @@ column-wise in :mod:`array` arrays —
   columns (prefix-offset encoding), and a token table maps each id back
   to its original ``(frame_id, register name)`` pair so unpacking a
   fresh pack is lossless.
+
+``instr_ids`` and ``mem_addr`` are written as ``'q'`` and then held in
+the narrowest typecode that fits each pack (:data:`NARROW_TYPECODES`):
+``instr_ids`` by the static-row count, ``mem_addr`` by its smallest and
+largest value.  Encoding a fresh pack and :meth:`PackedTrace.drop_tokens`
+share that one conversion, and the manifest records the typecodes, so a
+decoded pack holds the same narrow columns as the pooled fresh one.
 
 :class:`TraceBuilder` owns the interning and fills the columns.  The
 interpreter writes to it a straight-line segment at a time as it
@@ -53,8 +60,9 @@ replay-only (see :meth:`PackedTrace.drop_tokens`), and
 :class:`~repro.errors.TracePackError`.  The digest covers everything
 after the length field, so a bit flip anywhere — header or payload — is
 detected.  The header carries the format version, byte order, array
-manifest, and arbitrary caller metadata (the prepared program's identity and
-summary, and the code fingerprint the trace store adds).  Both
+manifest (each column's name, typecode and length), and arbitrary
+caller metadata (the prepared program's identity and summary, and the
+code fingerprint the trace store adds).  Both
 directions hash and copy each column once: encoding joins the columns
 straight into the output, and decoding reads them through
 ``memoryview`` slices of the input.  Any validation failure raises
@@ -80,7 +88,7 @@ from repro.runtime.trace import Subsystem, TraceEntry
 #: Bump on any incompatible change to the header or column layout.
 #: Participates in bench cache keys (see :func:`repro.bench.cache.cell_key`)
 #: so a format bump invalidates both trace packs and cached cell results.
-TRACE_FORMAT_VERSION = 4
+TRACE_FORMAT_VERSION = 5
 
 #: File magic for the on-disk encoding.
 MAGIC = b"RPROTRC\x01"
@@ -168,7 +176,8 @@ _CTRL_OF_KIND = {
 }
 
 #: Serialized arrays, in payload order: (attribute name, typecode).
-#: ``q``/``b``/``B`` have fixed item sizes on every supported platform.
+#: ``b``/``B``, ``h``/``H``, ``i`` and ``q`` are 1, 2, 4 and 8 bytes on
+#: every supported platform.
 ARRAY_LAYOUT = (
     ("pcs", "q"),
     ("kinds", "B"),
@@ -207,6 +216,23 @@ PRODUCER_LAYOUT = (
 FRONT_END_LAYOUT = (("front_end", "B"),)
 _LAYOUT = ARRAY_LAYOUT + PRODUCER_LAYOUT + FRONT_END_LAYOUT
 
+#: The typecodes a manifest may give the columns held narrow (see
+#: :meth:`PackedTrace._narrow`); every other column has its layout's.
+NARROW_TYPECODES = {"instr_ids": ("B", "H", "q"), "mem_addr": ("b", "h", "i", "q")}
+
+
+def ids_typecode(rows: int) -> str:
+    """The ``instr_ids`` typecode of a pack with ``rows`` static rows."""
+    return "B" if rows <= 1 << 8 else "H" if rows <= 1 << 16 else "q"
+
+
+def addr_typecode(low: int, high: int) -> str:
+    """The narrowest signed typecode holding every value in ``[low, high]``."""
+    for typecode, bound in (("b", 1 << 7), ("h", 1 << 15), ("i", 1 << 31)):
+        if -bound <= low and high < bound:
+            return typecode
+    return "q"
+
 
 class PackedTrace:
     """A dynamic trace as columnar arrays (see module docstring).
@@ -217,7 +243,8 @@ class PackedTrace:
 
     Dynamic columns (length = ``n``):
         ``instr_ids`` (static row per entry), ``mem_addr`` (-1 = none),
-        ``taken`` (-1 = none, else 0/1).
+        ``taken`` (-1 = none, else 0/1); the first two are ``'q'`` until
+        encoding or :meth:`drop_tokens` narrows them (:meth:`_narrow`).
 
     Token columns (a fresh pack only; ``None`` on a decoded one):
         ``read_offsets``/``write_offsets`` (length ``n + 1``) delimit
@@ -324,12 +351,32 @@ class PackedTrace:
         """Make the pack replay-only, as a decoded pack is.
 
         Derives the producer columns first (they are read from the
-        tokens), then releases the token columns and name table.
+        tokens), narrows ``instr_ids`` and ``mem_addr`` as the encoding
+        does, then releases the token columns and name table.
         """
         self.producer_columns()
+        self._narrow()
         for name, _ in TOKEN_LAYOUT:
             setattr(self, name, None)
         self.names = None
+
+    def _narrow(self) -> None:
+        """Hold ``instr_ids`` and ``mem_addr`` in their narrowest typecodes.
+
+        ``instr_ids`` takes :func:`ids_typecode` of the row count and
+        ``mem_addr`` :func:`addr_typecode` of its range.  Converts through
+        one list per column, which is cheaper than reading the ``'q'``
+        array twice.  A narrow column is left alone, so narrowing again
+        costs nothing unless ``mem_addr`` needs all 64 bits.
+        """
+        typecode = ids_typecode(self.rows)
+        if self.instr_ids.typecode != typecode:
+            self.instr_ids = array(typecode, self.instr_ids.tolist())
+        if self.mem_addr.typecode == "q":
+            values = self.mem_addr.tolist()
+            typecode = addr_typecode(min(values, default=-1), max(values, default=-1))
+            if typecode != "q":
+                self.mem_addr = array(typecode, values)
 
     # ------------------------------------------------------------------
     def token(self, token_id: int) -> tuple[int, str]:
@@ -437,9 +484,10 @@ class PackedTrace:
         """Serialize (see module docstring); deterministic byte-for-byte.
 
         A fresh pack derives its producer columns and Table 1's
-        front-end events here, so they are cached on it for a later
-        simulation as well.
+        front-end events and narrows its ``instr_ids`` and ``mem_addr``
+        here, so they are kept on it for a later simulation as well.
         """
+        self._narrow()
         columns = [getattr(self, name) for name, _ in ARRAY_LAYOUT]
         columns += _producer_section(self.producer_columns())
         columns.append(self.front_end_events())
@@ -452,7 +500,11 @@ class PackedTrace:
             "value": self.value,
             "meta": self.meta,
             "arrays": [
-                [name, typecode, len(column)]
+                [
+                    name,
+                    column.typecode if name in NARROW_TYPECODES else typecode,
+                    len(column),
+                ]
                 for (name, typecode), column in zip(_LAYOUT, columns)
             ],
         }
@@ -509,9 +561,13 @@ class PackedTrace:
         columns = []
         offset = prefix + header_len
         for (name, typecode), row in zip(_LAYOUT, manifest):
-            if row[1] != typecode or not isinstance(row[2], int) or row[2] < 0:
+            if (
+                row[1] not in NARROW_TYPECODES.get(name, (typecode,))
+                or not isinstance(row[2], int)
+                or row[2] < 0
+            ):
                 raise TracePackError(f"bad manifest entry for {name!r}")
-            column = array(typecode)
+            column = array(row[1])
             nbytes = row[2] * column.itemsize
             chunk = view[offset: offset + nbytes]
             if len(chunk) != nbytes:

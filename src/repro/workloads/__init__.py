@@ -37,7 +37,9 @@ stable microarchitectural behaviour yet laptop-friendly.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from repro.errors import WorkloadError
@@ -109,10 +111,22 @@ def workload_source(name: str, scale: int | None = None) -> str:
 
 
 def compile_workload(name: str, scale: int | None = None, optimize: bool = True) -> Program:
-    """Compile a workload to IR."""
+    """Compile a workload to IR.
+
+    Each workload is compiled once per process: every call returns a
+    private copy of the memoized program, so a caller may rewrite it
+    (partitioning, register allocation) without affecting the next.
+    """
+    return pickle.loads(_compiled(name, scale, optimize))
+
+
+@lru_cache(maxsize=32)
+def _compiled(name: str, scale: int | None, optimize: bool) -> bytes:
+    """The pickled program of :func:`compile_workload`."""
     from repro.minic.compile import compile_source
 
-    return compile_source(workload_source(name, scale), optimize=optimize)
+    program = compile_source(workload_source(name, scale), optimize=optimize)
+    return pickle.dumps(program, pickle.HIGHEST_PROTOCOL)
 
 
 __all__ = [

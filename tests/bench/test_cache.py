@@ -84,12 +84,12 @@ class TestGoldenKeys:
     def test_cell_key_digest(self):
         cell = Cell("compress", "advanced", 4, 150)
         assert cell_key(cell, code_version="golden") == (
-            "871daa782f0e5af0bdc62c26817214123570d48cddd898fd87cbc3d5c13748c7"
+            "a76a37307b4590dbc6e57a593e6141b2b93f5a8ec1614e540a833b543a91643d"
         )
 
     def test_trace_key_digest(self):
         assert trace_key("compress", "advanced", 150, code_version="golden") == (
-            "a892e45730e86ca4b4f61184441c8fd8f28bea26b813165b4c954707fb35469b"
+            "7b9a8c1eec753f64ff855a840fbb1d02fc1c7f43a4c9ab5162d4ed1c52b672bb"
         )
 
     def test_content_key_ignores_insertion_order(self):

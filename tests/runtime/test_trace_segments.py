@@ -125,19 +125,19 @@ GOLDEN = {
         CALLS,
         {},
         23,
-        "94e631f735123dfbcae4d05083e5165df43aa0f2920f01d8eeac36ad4173bcba",
+        "944d614e669bd9b3a230de5c0284a0dbcc51d72692722f14cfb881f9e1b69b3e",
     ),
     "recursion": (
         RECURSION,
         {"count": 8},
         None,
-        "40e81344efb7c9eae436a00334cd82e73ae5e45140ddf0e94cda17380e686469",
+        "5abd424e497121c668b778a5c66738e22a8e1a8c386636e75244021adb88ad91",
     ),
     "unverified": (
         UNVERIFIED,
         {},
         38,
-        "c0d9587f150398744600694c4dc36a16a8e0296d81627d77a469d4d80357adf9",
+        "4dddd8edcdccc5c3d6feaa37864f02f601f22bcb228b09f05570ce5462fad402",
     ),
 }
 

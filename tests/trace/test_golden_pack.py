@@ -48,111 +48,111 @@ GOLDEN_SCALES = {
 #: little-endian host.
 GOLDEN = {
     ("compress", "advanced"): (
-        "83a9ed662292bfd67927f21a0bb7c2b264167a53dc73db7aaac44fc5817698fe",
+        "51187c859750e5312d082f2fea19f89dff5174d3b222142aff10e6e6a9bc2cb4",
         "1237e648df1e4a8df641ca1e51b2c52d466d508ecff801171e10007987123c54",
     ),
     ("compress", "basic"): (
-        "f2463418e0cf407c198275d943da580e1e9c93e3e01e736b2859482cef62cc7a",
+        "ba07e78d75100dc9d219a1192bf1985952de8a2a5cf23f2650c6d8c2d6f75963",
         "1237e648df1e4a8df641ca1e51b2c52d466d508ecff801171e10007987123c54",
     ),
     ("compress", "conventional"): (
-        "6f5dd180e38268d83f798a5249ad95745e551dbae53082f92815b08d2299f099",
+        "595fb2222765f0d7ac80836eb1399ffbff3a816384142739c500ba8a4782f122",
         "1237e648df1e4a8df641ca1e51b2c52d466d508ecff801171e10007987123c54",
     ),
     ("ear", "advanced"): (
-        "b106c4f79614e6ae924baf586e09322e15352f2a677084971c8cff5f038122c6",
+        "8b8277676deda0ef31a95011f2521497c881932f67eab4be916577032a8646cf",
         "c9372d3978336cd6807865faf7ab0f82908be19f6f65ec7deb0bdf0ba97e3a1f",
     ),
     ("ear", "basic"): (
-        "c7add8eb54566f79ed38e76c952c1214398560910909217a669674b141ee45df",
+        "63d65597c9923f2257276a014b3f288981c1673ee2d1aaf845a027f4d02768a1",
         "c9372d3978336cd6807865faf7ab0f82908be19f6f65ec7deb0bdf0ba97e3a1f",
     ),
     ("ear", "conventional"): (
-        "b86f52445a24db2de85bc80171438dc3f72e60b22b66d611e0d02c70a2cbcf9b",
+        "7d0c572846c182aac2db222662cd984db3a1a4627e619ae842ff2ff5aa16994f",
         "c9372d3978336cd6807865faf7ab0f82908be19f6f65ec7deb0bdf0ba97e3a1f",
     ),
     ("gcc", "advanced"): (
-        "44ad181a81bc31f45f3961a9f3b2b37d0de24ca83273731f4f0086630070d78b",
+        "657b94404fde9d7f7848c02598f031a47496ddb0cbbdf378c2ae610fc2f01bdd",
         "b4f19ee7bb2ab32711a6ca06e3f59ee843d573d8b4e3a4d9b825288341503cc4",
     ),
     ("gcc", "basic"): (
-        "7e20dc25883ee9930abd2b70307a18bc18197d372912e5e732dcfe1798f5e438",
+        "76f64fc9c10abb6807d9879d3f93984278822c36d20b9c59d75d278ba7bd58f8",
         "b4f19ee7bb2ab32711a6ca06e3f59ee843d573d8b4e3a4d9b825288341503cc4",
     ),
     ("gcc", "conventional"): (
-        "1eff3d974fea001cc3761f1cecfb6ce70b24dbf72d7eed58043f174b215d3a65",
+        "cae1969be9fc835f3b01f63567361523982a1d1c90ccade236470234211b82cf",
         "b4f19ee7bb2ab32711a6ca06e3f59ee843d573d8b4e3a4d9b825288341503cc4",
     ),
     ("go", "advanced"): (
-        "6686bf5149528a2eeeb28d176fbd7f4ce375819f8a6cd0ce265ae456013a694d",
+        "570e341ce6487bd4e59d32c63b1af780846c0a59b0806d6560e719122fd28962",
         "0284abf10ed9034f37961fd5350e30e389c003e857176ed1cd2bdab9b45bbdac",
     ),
     ("go", "basic"): (
-        "ad707e5dccb1c103f6cd9985265116f4b334d3dc9baab8ed5f7f4d57a67ee906",
+        "4bd1b6feda2582e89e7932566313399669dc09c320e1242db9facb545333340a",
         "0284abf10ed9034f37961fd5350e30e389c003e857176ed1cd2bdab9b45bbdac",
     ),
     ("go", "conventional"): (
-        "4bda74a16adfcd8951fbb6f6eba024045e223c3c1a911d88ea3a51ceb8b0ec55",
+        "509f306b36c8787737fcc3cc982d07c54b3dd828d30196a2c095b479c3597295",
         "0284abf10ed9034f37961fd5350e30e389c003e857176ed1cd2bdab9b45bbdac",
     ),
     ("ijpeg", "advanced"): (
-        "2c2e06c2b7fbba9242a2ad3eacb7d96d4b1171ce425fb28c65a485097a40ea01",
+        "c50851fb99da914858b3be6389184c9926bd25fa146e9bc7f85de3c19d098e7c",
         "573bec2063747224c079c1bc6fd419d15e2b855d9c13773720f14d7390a863de",
     ),
     ("ijpeg", "basic"): (
-        "7731e4011bab688b6f0d99953a32cdb40723a24fea0817195b7706c5faeeb1d6",
+        "be9a9492c6b136e3b2bab5e5a1caf8c10fe082927d2aa88882394c9b7f19420a",
         "573bec2063747224c079c1bc6fd419d15e2b855d9c13773720f14d7390a863de",
     ),
     ("ijpeg", "conventional"): (
-        "3facd4dfaff5a34373c038f28a7b5367ff949d4096cbd047f77319f29e01ce61",
+        "7c180ffee5e676c65f4654f15a824ebdaa4ce949bcae024ba3d98f1c6b7825e8",
         "573bec2063747224c079c1bc6fd419d15e2b855d9c13773720f14d7390a863de",
     ),
     ("li", "advanced"): (
-        "b1efc7e486332e2758f62d7e8c05f376c446f7b7210e1add11a79c791ab6d2d7",
+        "da4664a08c95a18d525c36c07805cefa36c1c3f27315d699abf71953e99723d4",
         "a7deff441eda7214be83d76b62b3dda6a84e24f4bf0702d319cd4cf6e60406e3",
     ),
     ("li", "basic"): (
-        "92a88285740a725d59ff852a1c7a7a813b3b12756d15c0c76cc82d943b63547d",
+        "07e6737ce3a463c75ab1616cc1b8259a860635ff6f335284c32b1313bef733ef",
         "a7deff441eda7214be83d76b62b3dda6a84e24f4bf0702d319cd4cf6e60406e3",
     ),
     ("li", "conventional"): (
-        "21f7719645f57b333350f21783adc82733b4d3ba11805ca5be0620e237d78c3d",
+        "5d2c3fe430c9af644ca11db0e6c03e09880be66993a630616000765fe0850815",
         "a7deff441eda7214be83d76b62b3dda6a84e24f4bf0702d319cd4cf6e60406e3",
     ),
     ("m88ksim", "advanced"): (
-        "a03ab78c58f048814109038ab80f47a6a12c70e0bc49e8358559ee1b3378bb19",
+        "d5c53f0ff37eb4fe72e878d4335f300454b2dcb521330180316ef6c54bb4eaa3",
         "1517aae10808c8e923c7b55475bfb7e74420f8b75c04b854e3d5664cf4df3336",
     ),
     ("m88ksim", "basic"): (
-        "67b5f328c6c5027df208ca574e619b0e618af442671b504bf250824a4cba4290",
+        "8496c98e05a523d9e95f3c0344e09539dfc3d6252b44f2e2ea0a157e21843d7e",
         "1517aae10808c8e923c7b55475bfb7e74420f8b75c04b854e3d5664cf4df3336",
     ),
     ("m88ksim", "conventional"): (
-        "1a6808e5047e681956a28d7d2b596b1030148acd584fad3dc51dbe959778ca20",
+        "bbccc14e8f3d1e7d42262686d3924597edd437fec64714edc7e01f2e97e46c7f",
         "1517aae10808c8e923c7b55475bfb7e74420f8b75c04b854e3d5664cf4df3336",
     ),
     ("perl", "advanced"): (
-        "8cea844dd935896c3827ac7d90d49f5c3c6085e3700b84a418a392ac3ed1c71a",
+        "73536f9e3d2d6d74655ba76931efe7a28026f97479c33fa4a948399e78efa9e5",
         "14d319f47432c73a9f781b1a1247b25da745ec1fd3ce933e1f7849f190e7ccfd",
     ),
     ("perl", "basic"): (
-        "a78e35788357a2efc27bfde9cacd53d57feb08838c25334c490fa94efbef2226",
+        "61a41c6a4fcf37aa64f13803a312ba148e4034b2b817088fa3f4b7dfa9edf091",
         "14d319f47432c73a9f781b1a1247b25da745ec1fd3ce933e1f7849f190e7ccfd",
     ),
     ("perl", "conventional"): (
-        "7e8272a27c92c69dfc2586ac2e5e96753d0cf4add0e3f6f9e010d0692143a9a4",
+        "63ff2338d399b3c3077ea7812944505edafe0111ddf06568f73b1f5d21a8775f",
         "14d319f47432c73a9f781b1a1247b25da745ec1fd3ce933e1f7849f190e7ccfd",
     ),
     ("swim", "advanced"): (
-        "bf39432c5e85e4836a7b6607d1816a4ad92c6d0022ecc48c681d61e3360b9698",
+        "e8240aafc0138edbc5eeb432fee80a32446ce32e2a51bb5859e291e65b088aaf",
         "a3dca298c03bac383dd39f411ba8d9bf281212d9bda3dae5c24357032aae729b",
     ),
     ("swim", "basic"): (
-        "7735bd40ecd01c05756eb0a0287f3f7f8b624ab3a6c9d10fc1cf50f606520049",
+        "f26ca637b190a775c08cec9a081cccbbc9788005b616933577d00015dba6c639",
         "a3dca298c03bac383dd39f411ba8d9bf281212d9bda3dae5c24357032aae729b",
     ),
     ("swim", "conventional"): (
-        "b26fd8ef1fbd8c55345c89695c7f7aeadd3db6fd472d75670d6a07c7147e9894",
+        "371816e7d3f3d1ed93bd209e59cf06dfe729ebe07f953f141fd0394d0ac8e116",
         "a3dca298c03bac383dd39f411ba8d9bf281212d9bda3dae5c24357032aae729b",
     ),
 }

@@ -192,7 +192,7 @@ def test_encoding_holds_only_what_replay_reads():
     prefix = len(MAGIC) + 32 + 4
     header_len = int.from_bytes(data[prefix - 4:prefix], "big")
     header = json.loads(data[prefix:prefix + header_len])
-    assert header["version"] == 4
+    assert header["version"] == 5
     assert [name for name, _, _ in header["arrays"]] == [
         "pcs", "kinds", "fp_side", "int_defs", "fp_defs",
         "instr_ids", "mem_addr", "taken",
